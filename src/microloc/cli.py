@@ -28,6 +28,7 @@ import json
 import sys
 
 from . import codec, evaluate, filters, model, position, ranging, sim
+from .evaluate import _round12
 from .errors import MicrolocError, NoAnchors
 
 DEFAULT_CONFIG: dict[str, int | float] = {
@@ -64,7 +65,10 @@ def _coerce(key: str, value) -> int | float:
             return int(value)
         raise ValueError(f"config key {key!r}: expected an integer, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"config key {key!r}: {value!r} is out of range") from None
     raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
 
 
@@ -73,8 +77,7 @@ def build_config(config_path: str | None, overrides: list[str] | None,
     """Merge defaults, config file, --set pairs and --seed, in that order."""
     config = dict(DEFAULT_CONFIG)
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = model.read_json(config_path)
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
         for key, value in doc.items():
@@ -89,7 +92,7 @@ def build_config(config_path: str | None, overrides: list[str] | None,
             raise ValueError(f"unknown config key {key!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             raise ValueError(f"config key {key!r}: cannot parse value {raw!r}") from None
         config[key] = _coerce(key, value)
     if seed is not None:
@@ -100,21 +103,13 @@ def build_config(config_path: str | None, overrides: list[str] | None,
 def _sim_config(config: dict) -> sim.SimConfig:
     return sim.SimConfig(
         seed=int(config["seed"]),
-        path_loss=ranging.PathLossModel(config["ref_power_dbm"], config["exponent"]),
+        path_loss=ranging.model_from_config(config),
         shadow_sigma_db=config["shadow_sigma_db"],
         advertising_interval_ms=int(config["advertising_interval_ms"]),
         interval_jitter_ms=int(config["interval_jitter_ms"]),
         packet_loss_prob=config["packet_loss_prob"],
         duration_ms=int(config["duration_ms"]),
     )
-
-
-def _filter_params(config: dict) -> filters.KalmanParams:
-    return filters.make_params(dt=config["dt"], q=config["q"], r=config["r"], p0=config["p0"])
-
-
-def _round12(v: float) -> float:
-    return float(f"{v:.12g}")
 
 
 def cmd_simulate(args, config: dict) -> int:
@@ -127,7 +122,7 @@ def cmd_simulate(args, config: dict) -> int:
 
 def cmd_filter(args, config: dict) -> int:
     trace = model.load_trace(args.infile, model.trace_format_for_path(args.infile))
-    params = _filter_params(config)
+    params = filters.params_from_config(config)
     if args.mode == "static":
         smoothed = filters.smooth_trace(trace, params)
     else:
@@ -139,19 +134,10 @@ def cmd_filter(args, config: dict) -> int:
     return 0
 
 
-def _mean_rssi_by_beacon(trace: model.Trace) -> dict[str, float]:
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for s in trace.samples:
-        sums[s.beacon_id] = sums.get(s.beacon_id, 0.0) + s.rssi_dbm
-        counts[s.beacon_id] = counts.get(s.beacon_id, 0) + 1
-    return {b: sums[b] / counts[b] for b in sums}
-
-
 def _ranged_anchors(trace: model.Trace, anchors: tuple[position.Anchor, ...],
                     config: dict) -> tuple[list[position.Anchor], list[float]]:
     """Distance per anchor that appears in the trace, via mean RSSI."""
-    means = _mean_rssi_by_beacon(trace)
+    means = trace.mean_rssi_by_beacon()
     used: list[position.Anchor] = []
     dists: list[float] = []
     for anchor in anchors:
@@ -186,7 +172,7 @@ def cmd_locate(args, config: dict) -> int:
     trace = model.load_trace(args.trace, model.trace_format_for_path(args.trace))
     if args.method == "fingerprint":
         db = position.load_fingerprint_db(args.ref)
-        observation = _mean_rssi_by_beacon(trace)
+        observation = trace.mean_rssi_by_beacon()
         if not observation:
             raise MicrolocError("trace holds no samples to build an observation from")
         est = position.fingerprint_locate(db, observation, int(config["fingerprint_k"]))
@@ -221,7 +207,7 @@ def cmd_locate(args, config: dict) -> int:
 
 def cmd_reproduce(args, config: dict) -> int:
     sim_cfg = _sim_config(config)
-    params = _filter_params(config)
+    params = filters.params_from_config(config)
     report = evaluate.ranging_report(
         sim_cfg, params, int(config["window_n"]), config["q_scale"], config["bin_width_m"]
     )
@@ -300,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(args.config, args.overrides, args.seed)
         return args.func(args, config)
-    except (MicrolocError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (MicrolocError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal fault path

@@ -79,19 +79,9 @@ _EXPANSIONS_BY_LENGTH = sorted(URL_EXPANSIONS.items(), key=lambda kv: len(kv[1])
 MAX_URL_BODY_BYTES = 17
 
 
-def _check_i8(value: int, name: str) -> None:
-    if not isinstance(value, int) or not -128 <= value <= 127:
-        raise ValueError(f"{name} must be an integer in [-128, 127], got {value!r}")
-
-
-def _check_u16(value: int, name: str) -> None:
-    if not isinstance(value, int) or not 0 <= value <= 0xFFFF:
-        raise ValueError(f"{name} must be an integer in [0, 65535], got {value!r}")
-
-
-def _check_u32(value: int, name: str) -> None:
-    if not isinstance(value, int) or not 0 <= value <= 0xFFFFFFFF:
-        raise ValueError(f"{name} must be an integer in [0, 4294967295], got {value!r}")
+def _check_int(value: int, lo: int, hi: int, name: str) -> None:
+    if not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 def _check_bytes(value: bytes, length: int, name: str) -> None:
@@ -111,9 +101,9 @@ class IBeaconFrame:
     def __post_init__(self):
         _check_bytes(self.uuid, 16, "uuid")
         object.__setattr__(self, "uuid", bytes(self.uuid))
-        _check_u16(self.major, "major")
-        _check_u16(self.minor, "minor")
-        _check_i8(self.power, "power")
+        _check_int(self.major, 0, 0xFFFF, "major")
+        _check_int(self.minor, 0, 0xFFFF, "minor")
+        _check_int(self.power, -128, 127, "power")
 
 
 @dataclass(frozen=True)
@@ -125,9 +115,8 @@ class AltBeaconFrame:
     def __post_init__(self):
         _check_bytes(self.beacon_id, 20, "beacon_id")
         object.__setattr__(self, "beacon_id", bytes(self.beacon_id))
-        _check_i8(self.ref_rssi, "ref_rssi")
-        if not isinstance(self.mfg_reserved, int) or not 0 <= self.mfg_reserved <= 0xFF:
-            raise ValueError(f"mfg_reserved must be in [0, 255], got {self.mfg_reserved!r}")
+        _check_int(self.ref_rssi, -128, 127, "ref_rssi")
+        _check_int(self.mfg_reserved, 0, 0xFF, "mfg_reserved")
 
 
 @dataclass(frozen=True)
@@ -139,7 +128,7 @@ class EddystoneUidFrame:
     instance: bytes
 
     def __post_init__(self):
-        _check_i8(self.tx_power, "tx_power")
+        _check_int(self.tx_power, -128, 127, "tx_power")
         _check_bytes(self.namespace, 10, "namespace")
         _check_bytes(self.instance, 6, "instance")
         object.__setattr__(self, "namespace", bytes(self.namespace))
@@ -159,7 +148,7 @@ class EddystoneUrlFrame:
     url: str
 
     def __post_init__(self):
-        _check_i8(self.tx_power, "tx_power")
+        _check_int(self.tx_power, -128, 127, "tx_power")
         encode_url(self.url)  # raises ValueError if not representable
 
 
@@ -173,9 +162,9 @@ class EddystoneTlmFrame:
     uptime_ds: int  # deciseconds since power-on
 
     def __post_init__(self):
-        _check_u16(self.battery_mv, "battery_mv")
-        _check_u32(self.adv_count, "adv_count")
-        _check_u32(self.uptime_ds, "uptime_ds")
+        _check_int(self.battery_mv, 0, 0xFFFF, "battery_mv")
+        _check_int(self.adv_count, 0, 0xFFFFFFFF, "adv_count")
+        _check_int(self.uptime_ds, 0, 0xFFFFFFFF, "uptime_ds")
         t = self.temperature_c
         if not isinstance(t, (int, float)) or isinstance(t, bool):
             raise ValueError(f"temperature_c must be a number, got {t!r}")
@@ -195,7 +184,7 @@ class EddystoneEidFrame:
     eid: bytes  # 8-byte ephemeral identifier
 
     def __post_init__(self):
-        _check_i8(self.tx_power, "tx_power")
+        _check_int(self.tx_power, -128, 127, "tx_power")
         _check_bytes(self.eid, 8, "eid")
         object.__setattr__(self, "eid", bytes(self.eid))
 

@@ -123,8 +123,12 @@ def _pipeline_traces(trace: Trace, params: filters.KalmanParams, window_n: int,
     }
 
 
-def _estimates(trace: Trace, model: ranging.PathLossModel) -> np.ndarray:
-    return np.asarray([ranging.rssi_to_distance(s.rssi_dbm, model) for s in trace.samples])
+def _estimates(trace: Trace, model: ranging.PathLossModel,
+               true_d: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Distance estimate per sample, its absolute error and the RMS error."""
+    ests = np.asarray([ranging.rssi_to_distance(s.rssi_dbm, model) for s in trace.samples])
+    errors = np.abs(ests - true_d)
+    return ests, errors, float(np.sqrt(np.mean(errors ** 2)))
 
 
 def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = None,
@@ -147,13 +151,12 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
         traces = _pipeline_traces(trace, params, window_n, q_scale)
         stats: dict[str, PipelineStats] = {}
         for name in PIPELINES:
-            ests = _estimates(traces[name], model)
-            errors = np.abs(ests - true_d)
+            ests, errors, rms = _estimates(traces[name], model, true_d)
             stats[name] = PipelineStats(
                 mean_est_m=float(np.mean(ests)),
                 accuracy_m=accuracy(ests, true_d),
                 precision_m=precision(ests),
-                rms_error_m=float(np.sqrt(np.mean(errors ** 2))),
+                rms_error_m=rms,
             )
             pooled_errors[name].extend(errors.tolist())
             per_spot_rms[name].append(stats[name].rms_error_m)
@@ -219,9 +222,8 @@ def window_sweep(config: sim.SimConfig, params: filters.KalmanParams | None = No
         acc_list = []
         for true_d, trace in spots:
             smoothed = filters.smooth_trace_dynamic(trace, params, n, q_scale)
-            ests = _estimates(smoothed, model)
-            errors = np.abs(ests - true_d)
-            rms_list.append(float(np.sqrt(np.mean(errors ** 2))))
+            _, errors, rms = _estimates(smoothed, model, true_d)
+            rms_list.append(rms)
             acc_list.append(float(np.mean(errors)))
         rows.append({
             "window_n": n,

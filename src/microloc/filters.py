@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import EmptyTrace, InsufficientSamples
-from .model import RSSI_MAX_DBM, RSSI_MIN_DBM, Trace
+from .model import Trace, clamp_rssi
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 Vec2 = tuple[float, float]
@@ -114,13 +114,8 @@ def default_params() -> KalmanParams:
 
 
 def params_from_config(config: Mapping[str, object]) -> KalmanParams:
-    """Read dt/p0/q/r from a config mapping, defaulting missing keys."""
-    return make_params(
-        dt=float(config.get("dt", 0.2)),
-        q=float(config.get("q", 0.001)),
-        r=float(config.get("r", 0.10)),
-        p0=float(config.get("p0", 100.0)),
-    )
+    """Read dt/p0/q/r from a config mapping; missing keys take make_params' defaults."""
+    return make_params(**{k: float(config[k]) for k in ("dt", "q", "r", "p0") if k in config})
 
 
 def initial_state(z0: float, params: KalmanParams) -> KalmanState:
@@ -228,10 +223,6 @@ def window_variance(window: RssiWindow) -> float:
     return sum((v - mean) ** 2 for v in window.values) / n
 
 
-def _clamp_rssi(v: float) -> float:
-    return min(RSSI_MAX_DBM, max(RSSI_MIN_DBM, v))
-
-
 def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
                    window_n: int | None, q_scale: float) -> list[float]:
     """Run the filter over one beacon's measurements, returning estimates.
@@ -284,7 +275,7 @@ def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
         for i, est in zip(idxs, ests):
             filtered[i] = est
     samples = tuple(
-        replace(s, rssi_dbm=_clamp_rssi(est)) for s, est in zip(trace.samples, filtered)
+        replace(s, rssi_dbm=clamp_rssi(est)) for s, est in zip(trace.samples, filtered)
     )
     metadata = dict(trace.metadata)
     metadata.update(meta)

@@ -110,6 +110,29 @@ class Trace:
     def rssi_values(self) -> tuple[float, ...]:
         return tuple(s.rssi_dbm for s in self.samples)
 
+    def mean_rssi_by_beacon(self) -> dict[str, float]:
+        """Mean rssi_dbm per beacon id, keyed in order of first appearance."""
+        sums: dict[str, float] = {}
+        counts: dict[str, int] = {}
+        for s in self.samples:
+            sums[s.beacon_id] = sums.get(s.beacon_id, 0.0) + s.rssi_dbm
+            counts[s.beacon_id] = counts.get(s.beacon_id, 0) + 1
+        return {b: sums[b] / counts[b] for b in sums}
+
+
+def clamp_rssi(v: float) -> float:
+    """Clamp a power level into [RSSI_MIN_DBM, RSSI_MAX_DBM]."""
+    return min(RSSI_MAX_DBM, max(RSSI_MIN_DBM, v))
+
+
+def read_json(path: str, error: type[Exception] = ValueError):
+    """Parse a JSON file, raising ``error`` for a malformed or too deeply nested document."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: {exc}") from exc
+
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a sibling temp file and rename."""
@@ -177,11 +200,7 @@ def _load_csv(path: str) -> Trace:
     metadata: dict[str, str] = {}
     sidecar = path + ".meta.json"
     if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"{sidecar}: {exc}") from exc
+        raw = read_json(sidecar, TraceFormatError)
         if not isinstance(raw, dict):
             raise TraceFormatError(f"{sidecar}: metadata must be a JSON object")
         metadata = {str(k): str(v) for k, v in raw.items()}
@@ -189,11 +208,7 @@ def _load_csv(path: str) -> Trace:
 
 
 def _load_json(path: str) -> Trace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{path}: {exc}") from exc
+    raw = read_json(path, TraceFormatError)
     if not isinstance(raw, dict) or "samples" not in raw:
         raise TraceFormatError("top level must be an object with a 'samples' array")
     if not isinstance(raw["samples"], list):
@@ -222,7 +237,7 @@ def _load_json(path: str) -> Trace:
         try:
             sample = RssiSample(ts, str(item.get("beacon_id", "")), float(rssi),
                                 None if tx is None else float(tx), ch)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise TraceFormatError(f"{loc}: {exc}") from exc
         samples.append(sample)
         locs.append(loc)

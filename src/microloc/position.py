@@ -35,8 +35,7 @@ from .errors import (
     NoIntersection,
     NoSurveys,
 )
-from .model import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace
-from .model import atomic_write_text  # shared atomic file writer
+from .model import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace, atomic_write_text, read_json
 
 MISSING_RSSI_DBM = -100.0  # imputed for beacons absent from a signature
 
@@ -434,18 +433,13 @@ def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]],
     for position, trace in surveys:
         if len(trace.samples) == 0:
             raise EmptyTrace(f"survey at {position!r} has an empty trace")
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for s in trace.samples:
-            sums[s.beacon_id] = sums.get(s.beacon_id, 0.0) + s.rssi_dbm
-            counts[s.beacon_id] = counts.get(s.beacon_id, 0) + 1
-        signature = {b: sums[b] / counts[b] for b in sums}
-        entries.append(Fingerprint(position=tuple(position), signature=signature))
+        entries.append(Fingerprint(position=tuple(position),
+                                   signature=trace.mean_rssi_by_beacon()))
     return FingerprintDb(entries=tuple(entries), metric=metric)
 
 
 def _signature_distance(a: Mapping[str, float], b: Mapping[str, float], metric: str) -> float:
-    keys = set(a) | set(b)
+    keys = sorted(set(a) | set(b))  # fixed order: the sum must not depend on string hashing
     if metric == "euclidean":
         return math.sqrt(sum(
             (a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM)) ** 2 for k in keys
@@ -520,7 +514,7 @@ def db_from_json(doc: dict) -> FingerprintDb:
                 position=(float(item["x"]), float(item["y"])),
                 signature={str(k): float(v) for k, v in dict(item["signature"]).items()},
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"entry {i}: {exc}") from exc
     return FingerprintDb(entries=tuple(entries), metric=str(doc.get("metric", "euclidean")))
 
@@ -530,8 +524,7 @@ def save_fingerprint_db(db: FingerprintDb, path: str) -> None:
 
 
 def load_fingerprint_db(path: str) -> FingerprintDb:
-    with open(path, "r", encoding="utf-8") as fh:
-        return db_from_json(json.load(fh))
+    return db_from_json(read_json(path))
 
 
 def anchors_from_json(doc: list) -> tuple[Anchor, ...]:
@@ -550,7 +543,7 @@ def anchors_from_json(doc: list) -> tuple[Anchor, ...]:
                 position=(float(item["x"]), float(item["y"])),
                 tx_power_dbm=None if tx is None else float(tx),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"anchor {i}: {exc}") from exc
         if anchor.beacon_id in seen:
             raise ValueError(f"anchor {i}: duplicate beacon_id {anchor.beacon_id!r}")
@@ -560,5 +553,4 @@ def anchors_from_json(doc: list) -> tuple[Anchor, ...]:
 
 
 def load_anchors(path: str) -> tuple[Anchor, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return anchors_from_json(json.load(fh))
+    return anchors_from_json(read_json(path))

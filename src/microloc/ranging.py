@@ -47,11 +47,9 @@ class PathLossModel:
 
 
 def model_from_config(config: Mapping[str, object]) -> PathLossModel:
-    """Build a PathLossModel from a config mapping, applying defaults."""
-    return PathLossModel(
-        ref_power_dbm=float(config.get("ref_power_dbm", -59.0)),
-        exponent=float(config.get("exponent", 2.0)),
-    )
+    """Build a PathLossModel from a config mapping; missing keys take its defaults."""
+    return PathLossModel(**{k: float(config[k]) for k in ("ref_power_dbm", "exponent")
+                            if k in config})
 
 
 def rssi_to_distance(rssi_dbm: float, model: PathLossModel = PathLossModel()) -> float:

@@ -29,8 +29,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import InvalidScenario
-from .model import RSSI_MAX_DBM, RSSI_MIN_DBM, RssiSample, Trace, VALID_CHANNELS
-from .position import Anchor
+from .model import RssiSample, Trace, VALID_CHANNELS, clamp_rssi, read_json
+from .position import Anchor, anchors_from_json
 from .ranging import PathLossModel, distance_to_rssi
 from .rng import SplitMix64, derive_seed
 
@@ -123,10 +123,6 @@ class Scenario:
         return self.device_path[bisect_right(starts, t_ms) - 1][1]
 
 
-def _clamp_rssi(v: float) -> float:
-    return min(RSSI_MAX_DBM, max(RSSI_MIN_DBM, v))
-
-
 def simulate(scenario: Scenario, config: SimConfig) -> Trace:
     """Generate the advertisement trace for a scenario.
 
@@ -160,7 +156,7 @@ def simulate(scenario: Scenario, config: SimConfig) -> Trace:
             if not lost:
                 px, py = positions[bisect_right(starts, t) - 1]
                 d = max(math.hypot(px - bx, py - by), MIN_SIM_DISTANCE_M)
-                rssi = _clamp_rssi(distance_to_rssi(d, model) + sigma * g)
+                rssi = clamp_rssi(distance_to_rssi(d, model) + sigma * g)
                 samples.append(RssiSample(
                     timestamp_ms=t,
                     beacon_id=beacon.beacon_id,
@@ -224,34 +220,20 @@ def scenario_from_json(doc: dict) -> Scenario:
     raw_path = doc.get("device_path")
     if not isinstance(raw_beacons, list) or not isinstance(raw_path, list):
         raise InvalidScenario("scenario needs 'beacons' and 'device_path' arrays")
-    beacons = []
-    for i, item in enumerate(raw_beacons):
-        if not isinstance(item, dict):
-            raise InvalidScenario(f"beacon {i}: must be an object")
-        try:
-            tx = item.get("tx_power_dbm")
-            beacons.append(Anchor(
-                beacon_id=str(item["beacon_id"]),
-                position=(float(item["x"]), float(item["y"])),
-                tx_power_dbm=None if tx is None else float(tx),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidScenario(f"beacon {i}: {exc}") from exc
+    try:
+        beacons = anchors_from_json(raw_beacons)
+    except ValueError as exc:
+        raise InvalidScenario(f"beacons: {exc}") from exc
     path = []
     for i, item in enumerate(raw_path):
         if not isinstance(item, dict):
             raise InvalidScenario(f"device_path {i}: must be an object")
         try:
             path.append((int(item["start_ms"]), (float(item["x"]), float(item["y"]))))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidScenario(f"device_path {i}: {exc}") from exc
-    return Scenario(beacons=tuple(beacons), device_path=tuple(path))
+    return Scenario(beacons=beacons, device_path=tuple(path))
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidScenario(f"{path}: {exc}") from exc
-    return scenario_from_json(doc)
+    return scenario_from_json(read_json(path, InvalidScenario))

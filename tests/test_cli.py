@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +313,57 @@ def test_unknown_set_key_via_main(tmp_path, scenario_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+# --- hostile JSON at every input boundary ---
+
+HOSTILE_NUMBER = "9" * 400  # a valid JSON integer that overflows float()
+HOSTILE_NESTING = "[" * 5000  # deeper than the JSON decoder's recursion limit
+
+# boundary -> (document with @ where a number goes, command line given doc/trace/out paths)
+JSON_BOUNDARIES = {
+    "anchors": ('[{"beacon_id": "b0", "x": @, "y": 0}]',
+                lambda doc, trace, out: ["locate", trace, doc, out]),
+    "scenario": ('{"beacons": [{"beacon_id": "b0", "x": 0, "y": 0}],'
+                 ' "device_path": [{"start_ms": 0, "x": @, "y": 0}]}',
+                 lambda doc, trace, out: ["simulate", doc, out]),
+    "trace": ('{"samples": [{"timestamp_ms": 0, "beacon_id": "b0", "rssi_dbm": @}]}',
+              lambda doc, trace, out: ["filter", doc, out]),
+    "fingerprint db": ('{"entries": [{"x": 0, "y": 0, "signature": {"b0": @}}]}',
+                       lambda doc, trace, out: ["locate", trace, doc, out,
+                                                "--method", "fingerprint"]),
+    "config": ('{"q": @}', lambda doc, trace, out: ["--config", doc, "decode", "00"]),
+}
+
+
+@pytest.mark.parametrize("hostile", ["number", "nesting"])
+@pytest.mark.parametrize("boundary", [*JSON_BOUNDARIES, "--set"])
+def test_hostile_json_exits_2(tmp_path, capsys, boundary, hostile):
+    value = HOSTILE_NUMBER if hostile == "number" else HOSTILE_NESTING
+    if boundary == "--set":
+        argv = ["--set", "q=" + value, "decode", "00"]
+    else:
+        template, make_argv = JSON_BOUNDARIES[boundary]
+        doc = tmp_path / "doc.json"
+        doc.write_text(template.replace("@", value) if hostile == "number" else value)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp_ms,beacon_id,rssi_dbm,tx_power_dbm,channel\n"
+                         "0,b0,-60.0000,-59.0000,37\n")
+        argv = make_argv(str(doc), str(trace), str(tmp_path / "out.json"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- byte-identical reproduce artifacts ---
+
+def test_reproduce_matches_pinned_sweep_digests(tmp_path, capsys):
+    """The seed-42 sweep artifacts hash to the digests the benchmark pins."""
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    doc = json.loads(pinned.read_text(encoding="utf-8"))
+    assert doc["seed"] == 42
+    assert main(["--seed", "42", "reproduce", str(tmp_path / "report"),
+                 "--sweep-window", "2,5,10,20,50"]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in doc["digests"]["sweep"]}
+    assert digests == doc["digests"]["sweep"]

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import microloc
 from microloc import ranging
 from microloc.errors import (
     ArityError,
@@ -471,3 +475,23 @@ def test_position_estimate_validation():
         PositionEstimate(position=(0.0, 0.0), method=Method.LATERATION, residual=-1.0)
     est = PositionEstimate(position=None, method=Method.PROXIMITY, residual=1.0)
     assert est.position is None
+
+
+_HASH_ORDER_SCRIPT = """
+from microloc.position import Fingerprint, FingerprintDb, fingerprint_locate
+ids = [f"beacon-{i}" for i in range(40)]
+entry = Fingerprint((0.0, 0.0), {b: -40.0 - 1.37 * i for i, b in enumerate(ids)})
+obs = {b: -45.0 - 0.91 * i for i, b in enumerate(ids[5:])}
+print(repr(fingerprint_locate(FingerprintDb((entry,)), obs).residual))
+"""
+
+
+def test_fingerprint_residual_independent_of_string_hashing():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(microloc.__file__)))
+    outs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _HASH_ORDER_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1, outs
