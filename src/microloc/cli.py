@@ -24,32 +24,31 @@ internal fault.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import codec, evaluate, filters, model, position, ranging, sim
 from .evaluate import _round12
-from .errors import MicrolocError, NoAnchors
+from .errors import EmptyInput, MicrolocError, NoAnchors
 
+# SimConfig fields that are config keys under the same name
+_SIM_KEYS = ("seed", "shadow_sigma_db", "advertising_interval_ms", "interval_jitter_ms",
+             "packet_loss_prob", "duration_ms")
+
+_SIM_DEFAULTS = sim.SimConfig(seed=0)
+
+# Every default is the library's own; _coerce takes each key's type from it.
 DEFAULT_CONFIG: dict[str, int | float] = {
-    "seed": 0,
-    "ref_power_dbm": -59.0,
-    "exponent": 2.0,
-    "shadow_sigma_db": 4.0,
-    "advertising_interval_ms": 100,
-    "interval_jitter_ms": 10,
-    "packet_loss_prob": 0.0,
-    "duration_ms": 120_000,
-    "dt": 0.2,
-    "p0": 100.0,
-    "q": 0.001,
-    "r": 0.10,
-    "window_n": 10,
-    "q_scale": 1.0,
-    "fingerprint_k": 1,
-    "bin_width_m": 0.25,
-    "immediate_m": 0.5,
-    "near_m": 4.0,
+    **{key: getattr(_SIM_DEFAULTS, key) for key in _SIM_KEYS},
+    **dataclasses.asdict(_SIM_DEFAULTS.path_loss),
+    **filters.params_to_config(filters.default_params()),
+    "window_n": filters.DEFAULT_WINDOW_N,
+    "q_scale": filters.DEFAULT_Q_SCALE,
+    "fingerprint_k": position.DEFAULT_FINGERPRINT_K,
+    "bin_width_m": evaluate.DEFAULT_BIN_WIDTH_M,
+    "immediate_m": position.IMMEDIATE_THRESHOLD_M,
+    "near_m": position.NEAR_THRESHOLD_M,
 }
 
 
@@ -101,15 +100,8 @@ def build_config(config_path: str | None, overrides: list[str] | None,
 
 
 def _sim_config(config: dict) -> sim.SimConfig:
-    return sim.SimConfig(
-        seed=int(config["seed"]),
-        path_loss=ranging.model_from_config(config),
-        shadow_sigma_db=config["shadow_sigma_db"],
-        advertising_interval_ms=int(config["advertising_interval_ms"]),
-        interval_jitter_ms=int(config["interval_jitter_ms"]),
-        packet_loss_prob=config["packet_loss_prob"],
-        duration_ms=int(config["duration_ms"]),
-    )
+    return sim.SimConfig(path_loss=ranging.model_from_config(config),
+                         **{key: config[key] for key in _SIM_KEYS})
 
 
 def cmd_simulate(args, config: dict) -> int:
@@ -206,19 +198,19 @@ def cmd_locate(args, config: dict) -> int:
 
 
 def cmd_reproduce(args, config: dict) -> int:
-    sim_cfg = _sim_config(config)
-    params = filters.params_from_config(config)
+    sizes = [int(tok) for tok in (args.sweep_window or "").split(",") if tok.strip()]
+    if args.sweep_window and not sizes:
+        raise EmptyInput("--sweep-window needs at least one window size")
     report = evaluate.ranging_report(
-        sim_cfg, params, int(config["window_n"]), config["q_scale"], config["bin_width_m"]
+        _sim_config(config), filters.params_from_config(config), int(config["window_n"]),
+        config["q_scale"], config["bin_width_m"], sizes,
     )
     paths = evaluate.write_report(report, args.out_dir)
     for name in evaluate.PIPELINES:
         worst = report.summary[name]["max_spot_rms_m"]
         print(f"{name}: worst-spot rms error {worst:.3f} m")
-    if args.sweep_window:
-        sizes = [int(tok) for tok in args.sweep_window.split(",") if tok.strip()]
-        rows = evaluate.window_sweep(sim_cfg, params, sizes, config["q_scale"])
-        paths["window_sweep"] = evaluate.write_window_sweep(rows, args.out_dir)
+    if sizes:
+        paths["window_sweep"] = evaluate.write_window_sweep(report.window_sweep, args.out_dir)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     return 0

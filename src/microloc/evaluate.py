@@ -112,29 +112,32 @@ class ErrorReport:
     summary: dict[str, dict[str, float]]
     config: dict
     bin_width_m: float
+    window_sweep: tuple[dict, ...] = ()
 
 
-def _pipeline_traces(trace: Trace, params: filters.KalmanParams, window_n: int,
-                     q_scale: float) -> dict[str, Trace]:
-    return {
-        "raw": trace,
-        "filtered": filters.smooth_trace(trace, params),
-        "dynamic": filters.smooth_trace_dynamic(trace, params, window_n, q_scale),
-    }
-
-
-def _estimates(trace: Trace, model: ranging.PathLossModel,
-               true_d: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Distance estimate per sample, its absolute error and the RMS error."""
+def _pipeline_stats(trace: Trace, model: ranging.PathLossModel,
+                    true_d: float) -> tuple[PipelineStats, np.ndarray]:
+    """One pipeline's statistics at a spot, and the absolute error of each estimate."""
     ests = np.asarray([ranging.rssi_to_distance(s.rssi_dbm, model) for s in trace.samples])
     errors = np.abs(ests - true_d)
-    return ests, errors, float(np.sqrt(np.mean(errors ** 2)))
+    stats = PipelineStats(
+        mean_est_m=float(np.mean(ests)),
+        accuracy_m=accuracy(ests, true_d),
+        precision_m=precision(ests),
+        rms_error_m=float(np.sqrt(np.mean(errors ** 2))),
+    )
+    return stats, errors
 
 
 def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = None,
-                   window_n: int = 10, q_scale: float = 1.0,
-                   bin_width_m: float = DEFAULT_BIN_WIDTH_M) -> ErrorReport:
+                   window_n: int = filters.DEFAULT_WINDOW_N,
+                   q_scale: float = filters.DEFAULT_Q_SCALE,
+                   bin_width_m: float = DEFAULT_BIN_WIDTH_M,
+                   window_sizes: Sequence[int] = ()) -> ErrorReport:
     """Run the ten-spot ranging sweep through all three pipelines.
+
+    The dynamic pipeline filters each spot once per distinct size in
+    (window_n, *window_sizes); window_sweep has one row per requested size.
 
     Deterministic in config.seed: the same seed yields the exact same
     report object. Raises the usual filter errors if a generated trace is
@@ -142,33 +145,32 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
     """
     if params is None:
         params = filters.default_params()
+    sizes = [int(n) for n in window_sizes]
+    if any(n < 2 for n in sizes):
+        raise ValueError("window sizes must all be >= 2")
     spots = sim.ranging_experiment(config)
     model = config.path_loss
     spot_reports = []
     pooled_errors: dict[str, list[float]] = {name: [] for name in PIPELINES}
-    per_spot_rms: dict[str, list[float]] = {name: [] for name in PIPELINES}
+    by_window: dict[int, list[PipelineStats]] = {n: [] for n in (window_n, *sizes)}
     for true_d, trace in spots:
-        traces = _pipeline_traces(trace, params, window_n, q_scale)
-        stats: dict[str, PipelineStats] = {}
-        for name in PIPELINES:
-            ests, errors, rms = _estimates(traces[name], model, true_d)
-            stats[name] = PipelineStats(
-                mean_est_m=float(np.mean(ests)),
-                accuracy_m=accuracy(ests, true_d),
-                precision_m=precision(ests),
-                rms_error_m=rms,
-            )
+        dynamic = {n: _pipeline_stats(filters.smooth_trace_dynamic(trace, params, n, q_scale),
+                                      model, true_d) for n in by_window}
+        for n, (stats, _) in dynamic.items():
+            by_window[n].append(stats)
+        results = {
+            "raw": _pipeline_stats(trace, model, true_d),
+            "filtered": _pipeline_stats(filters.smooth_trace(trace, params), model, true_d),
+            "dynamic": dynamic[window_n],
+        }
+        for name, (_, errors) in results.items():
             pooled_errors[name].extend(errors.tolist())
-            per_spot_rms[name].append(stats[name].rms_error_m)
-        spot_reports.append(SpotReport(
-            true_distance_m=true_d,
-            n_samples=len(trace.samples),
-            pipelines=stats,
-        ))
+        spot_reports.append(SpotReport(true_d, len(trace.samples),
+                                        {name: stats for name, (stats, _) in results.items()}))
     histograms = {name: error_histogram(pooled_errors[name], bin_width_m) for name in PIPELINES}
     summary = {
         name: {
-            "max_spot_rms_m": max(per_spot_rms[name]),
+            "max_spot_rms_m": max(s.pipelines[name].rms_error_m for s in spot_reports),
             "max_spot_accuracy_m": max(s.pipelines[name].accuracy_m for s in spot_reports),
             "max_sample_error_m": max(pooled_errors[name]),
         }
@@ -182,55 +184,34 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
         "advertising_interval_ms": config.advertising_interval_ms,
         "interval_jitter_ms": config.interval_jitter_ms,
         "packet_loss_prob": config.packet_loss_prob,
-        "dt": params.dt,
-        "q": params.Q[0][0],
-        "r": params.R,
-        "p0": params.P0[0][0],
+        **filters.params_to_config(params),
         "window_n": window_n,
         "q_scale": q_scale,
     }
+    window_rows = tuple({
+        "window_n": n,
+        "max_spot_rms_m": max(st.rms_error_m for st in by_window[n]),
+        "mean_accuracy_m": sum(st.accuracy_m for st in by_window[n]) / len(by_window[n]),
+    } for n in sizes)
     return ErrorReport(
         spots=tuple(spot_reports),
         histograms=histograms,
         summary=summary,
         config=report_config,
         bin_width_m=bin_width_m,
+        window_sweep=window_rows,
     )
 
 
 def window_sweep(config: sim.SimConfig, params: filters.KalmanParams | None = None,
                  window_sizes: Sequence[int] = (2, 5, 10, 20, 50),
-                 q_scale: float = 1.0) -> tuple[dict, ...]:
-    """Dynamic-pipeline quality as a function of the variance window size.
-
-    Simulates the sweep once and refilters per window size, so rows are
-    directly comparable. Each row reports the worst-spot RMS error and
-    the mean per-spot accuracy for that window size.
-    """
-    if params is None:
-        params = filters.default_params()
-    sizes = [int(n) for n in window_sizes]
+                 q_scale: float = filters.DEFAULT_Q_SCALE) -> tuple[dict, ...]:
+    """Dynamic-pipeline quality per window size: ranging_report's window_sweep rows."""
+    sizes = tuple(window_sizes)
     if not sizes:
         raise EmptyInput("window_sizes must be non-empty")
-    if any(n < 2 for n in sizes):
-        raise ValueError("window sizes must all be >= 2")
-    spots = sim.ranging_experiment(config)
-    model = config.path_loss
-    rows = []
-    for n in sizes:
-        rms_list = []
-        acc_list = []
-        for true_d, trace in spots:
-            smoothed = filters.smooth_trace_dynamic(trace, params, n, q_scale)
-            _, errors, rms = _estimates(smoothed, model, true_d)
-            rms_list.append(rms)
-            acc_list.append(float(np.mean(errors)))
-        rows.append({
-            "window_n": n,
-            "max_spot_rms_m": max(rms_list),
-            "mean_accuracy_m": sum(acc_list) / len(acc_list),
-        })
-    return tuple(rows)
+    # the first size doubles as window_n, so no window is filtered only for the report
+    return ranging_report(config, params, int(sizes[0]), q_scale, window_sizes=sizes).window_sweep
 
 
 def _round12(v: float) -> float:

@@ -36,6 +36,9 @@ Vec2 = tuple[float, float]
 
 _SYM_TOL = 1e-9
 
+DEFAULT_WINDOW_N = 10
+DEFAULT_Q_SCALE = 1.0
+
 
 def _as_mat2(m, name: str) -> Mat2:
     try:
@@ -116,6 +119,11 @@ def default_params() -> KalmanParams:
 def params_from_config(config: Mapping[str, object]) -> KalmanParams:
     """Read dt/p0/q/r from a config mapping; missing keys take make_params' defaults."""
     return make_params(**{k: float(config[k]) for k in ("dt", "q", "r", "p0") if k in config})
+
+
+def params_to_config(params: KalmanParams) -> dict[str, float]:
+    """The dt/q/r/p0 entries params_from_config reads, taken from a parameter set."""
+    return {"dt": params.dt, "q": params.Q[0][0], "r": params.R, "p0": params.P0[0][0]}
 
 
 def initial_state(z0: float, params: KalmanParams) -> KalmanState:
@@ -272,6 +280,8 @@ def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
                 f"beacon {beacon_id!r} has {len(zs)}"
             )
         ests = _smooth_stream(zs, params, x0, window_n, q_scale)
+        if not all(map(math.isfinite, ests)):
+            raise ValueError(f"filter diverged on beacon {beacon_id!r}: its state overflowed")
         for i, est in zip(idxs, ests):
             filtered[i] = est
     samples = tuple(
@@ -289,7 +299,8 @@ def smooth_trace(trace: Trace, params: KalmanParams, x0: float | None = None) ->
     starts at (first measurement, 0) unless x0 overrides the level. The
     result keeps timestamps, beacon ids and channels; only rssi_dbm
     changes (clamped to the representable range). Raises EmptyTrace on an
-    empty input.
+    empty input, and ValueError when a beacon's estimate overflows to a
+    non-finite value.
     """
     meta = {
         "filter": "kalman",
@@ -301,8 +312,8 @@ def smooth_trace(trace: Trace, params: KalmanParams, x0: float | None = None) ->
     return _smooth(trace, params, x0, None, 1.0, meta)
 
 
-def smooth_trace_dynamic(trace: Trace, params: KalmanParams, window_n: int = 10,
-                         q_scale: float = 1.0, x0: float | None = None) -> Trace:
+def smooth_trace_dynamic(trace: Trace, params: KalmanParams, window_n: int = DEFAULT_WINDOW_N,
+                         q_scale: float = DEFAULT_Q_SCALE, x0: float | None = None) -> Trace:
     """Filter with Q tied to the sliding-window measurement variance.
 
     Before each predict the newest measurement enters a per-beacon window

@@ -41,6 +41,7 @@ MISSING_RSSI_DBM = -100.0  # imputed for beacons absent from a signature
 
 IMMEDIATE_THRESHOLD_M = 0.5
 NEAR_THRESHOLD_M = 4.0
+DEFAULT_FINGERPRINT_K = 1
 
 _COLLINEAR_SCATTER_M2 = 1e-9
 _GN_MAX_ITER = 100
@@ -170,6 +171,10 @@ def _as_distances(values: Sequence[float], n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _anchor_points(anchors: Sequence[Anchor]) -> np.ndarray:
+    return np.asarray([a.position for a in anchors], dtype=float)
+
+
 def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float],
                      max_iter: int = 200, tol: float = 1e-9) -> PositionEstimate:
     """Find a point consistent with "within distance d_i of anchor i".
@@ -185,7 +190,7 @@ def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float],
     dists = _as_distances(distances_m, len(anchors), "distances_m")
     if np.any(dists <= 0.0):
         raise InvalidDistance("distances_m must be strictly positive")
-    centers = np.asarray([a.position for a in anchors], dtype=float)
+    centers = _anchor_points(anchors)
     region = tuple(Circle(a.position, float(d)) for a, d in zip(anchors, dists))
 
     feasible = True
@@ -217,10 +222,6 @@ def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float],
     )
 
 
-def _anchor_points(anchors: Sequence[Anchor]) -> np.ndarray:
-    return np.asarray([a.position for a in anchors], dtype=float)
-
-
 def _check_spread(points: np.ndarray) -> None:
     """Reject anchor sets that are collinear (or coincident)."""
     centered = points - points.mean(axis=0)
@@ -228,6 +229,16 @@ def _check_spread(points: np.ndarray) -> None:
     eigvals = np.linalg.eigvalsh(scatter)
     if float(eigvals[0]) < _COLLINEAR_SCATTER_M2:
         raise DegenerateGeometry("anchors are collinear or coincident")
+
+
+def _gn_step(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Gauss-Newton step: solve (JᵀJ) step = -Jᵀr, least squares if JᵀJ is singular."""
+    jtj = jac.T @ jac
+    rhs = -(jac.T @ resid)
+    try:
+        return np.linalg.solve(jtj, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jtj, rhs, rcond=None)[0]
 
 
 def trilaterate(anchors: Sequence[Anchor], distances_m: Sequence[float]) -> PositionEstimate:
@@ -260,13 +271,7 @@ def trilaterate(anchors: Sequence[Anchor], distances_m: Sequence[float]) -> Posi
         ranges = np.linalg.norm(diff, axis=1)
         ranges = np.maximum(ranges, 1e-12)
         resid = ranges - dists
-        jac = diff / ranges[:, None]
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
-        try:
-            step = np.linalg.solve(jtj, -jtr)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jtj, -jtr, rcond=None)
+        step = _gn_step(diff / ranges[:, None], resid)
         p = p + step
         if float(np.linalg.norm(step)) < _GN_STEP_TOL:
             converged = True
@@ -354,12 +359,7 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
         for _ in range(_GN_MAX_ITER):
             ranges = np.maximum(np.linalg.norm(p - pts, axis=1), 1e-12)
             units = (p - pts) / ranges[:, None]
-            jac = units[1:] - units[0]
-            jtj = jac.T @ jac
-            try:
-                step = np.linalg.solve(jtj, -(jac.T @ resid))
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jtj, -(jac.T @ resid), rcond=None)
+            step = _gn_step(units[1:] - units[0], resid)
             # backtrack until the squared misfit stops growing
             scale = 1.0
             for _ in range(25):
@@ -448,7 +448,7 @@ def _signature_distance(a: Mapping[str, float], b: Mapping[str, float], metric: 
 
 
 def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
-                       k: int = 1) -> PositionEstimate:
+                       k: int = DEFAULT_FINGERPRINT_K) -> PositionEstimate:
     """k-nearest-neighbour position against the survey database.
 
     Signature distance runs over the union of beacon ids, with absent

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from microloc import position
+from microloc import cli, evaluate, filters, position, sim
 from microloc.cli import DEFAULT_CONFIG, build_config, main
 from microloc.model import load_trace
 
@@ -367,3 +367,65 @@ def test_reproduce_matches_pinned_sweep_digests(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in doc["digests"]["sweep"]}
     assert digests == doc["digests"]["sweep"]
+
+
+# --- one pass, one source ---
+
+def test_reproduce_simulates_and_filters_each_spot_once(tmp_path, monkeypatch, capsys):
+    calls = {"ranging_experiment": 0, "smooth_trace_dynamic": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(sim, "ranging_experiment")
+    count(filters, "smooth_trace_dynamic")
+    assert main(["--seed", "42", "reproduce", str(tmp_path / "r"),
+                 "--sweep-window", "2,5,10,20,50"]) == 0
+    # ten spots, each filtered once per distinct window in (window_n=10, 2, 5, 10, 20, 50)
+    assert calls == {"ranging_experiment": 1, "smooth_trace_dynamic": 10 * 5}
+    for bad in (",", "1"):
+        assert main(["reproduce", str(tmp_path / "bad"), "--sweep-window", bad]) == 2
+    assert calls["ranging_experiment"] == 1  # rejected before simulating
+    capsys.readouterr()
+
+    report = evaluate.ranging_report(sim.SimConfig(seed=42), window_sizes=(10, 2, 2))
+    assert [row["window_n"] for row in report.window_sweep] == [10, 2, 2]
+    assert report.window_sweep[0]["max_spot_rms_m"] == report.summary["dynamic"]["max_spot_rms_m"]
+    assert report.window_sweep[1] == report.window_sweep[2]
+
+
+def test_cli_defaults_are_the_librarys():
+    assert cli._sim_config(DEFAULT_CONFIG) == sim.SimConfig(seed=0)
+    assert filters.params_from_config(DEFAULT_CONFIG) == filters.default_params()
+    assert DEFAULT_CONFIG["window_n"] == filters.DEFAULT_WINDOW_N
+    assert DEFAULT_CONFIG["q_scale"] == filters.DEFAULT_Q_SCALE
+    assert DEFAULT_CONFIG["bin_width_m"] == evaluate.DEFAULT_BIN_WIDTH_M
+    assert DEFAULT_CONFIG["immediate_m"] == position.IMMEDIATE_THRESHOLD_M
+    assert DEFAULT_CONFIG["near_m"] == position.NEAR_THRESHOLD_M
+    assert DEFAULT_CONFIG["fingerprint_k"] == position.DEFAULT_FINGERPRINT_K
+    # _coerce takes each key's type from its default
+    assert type(DEFAULT_CONFIG["packet_loss_prob"]) is float
+    assert type(DEFAULT_CONFIG["advertising_interval_ms"]) is int
+
+
+@pytest.mark.parametrize("argv", [
+    ["--set", "dt=1e308", "filter", "{trace}", "{out}"],
+    ["--set", "q=1e308", "filter", "{trace}", "{out}"],
+    ["--set", "q=1e308", "--set", "q_scale=1e308", "filter", "--mode", "dynamic",
+     "{trace}", "{out}"],
+    ["--set", "dt=1e308", "--seed", "42", "reproduce", "{out}"],
+], ids=["dt-static", "q-static", "q-dynamic", "dt-reproduce"])
+def test_diverged_filter_exits_2(tmp_path, capsys, argv):
+    trace = tmp_path / "t.csv"
+    trace.write_text("timestamp_ms,beacon_id,rssi_dbm,tx_power_dbm,channel\n" + "".join(
+        f"{100 * i},b0,{-60 - i % 5}.0000,-59.0000,37\n" for i in range(20)))
+    out = tmp_path / "out.csv"
+    assert main([arg.format(trace=trace, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError") and "'b0'" in err
+    assert not out.exists()
