@@ -118,7 +118,8 @@ class ErrorReport:
 def _pipeline_stats(trace: Trace, model: ranging.PathLossModel,
                     true_d: float) -> tuple[PipelineStats, np.ndarray]:
     """One pipeline's statistics at a spot, and the absolute error of each estimate."""
-    ests = np.asarray([ranging.rssi_to_distance(s.rssi_dbm, model) for s in trace.samples])
+    ests = np.asarray([ranging.rssi_to_distance(v, model)
+                       for v in trace.samples.rssi_dbm.tolist()])
     errors = np.abs(ests - true_d)
     stats = PipelineStats(
         mean_est_m=float(np.mean(ests)),
@@ -127,6 +128,36 @@ def _pipeline_stats(trace: Trace, model: ranging.PathLossModel,
         rms_error_m=float(np.sqrt(np.mean(errors ** 2))),
     )
     return stats, errors
+
+
+def _window_sizes(window_sizes: Sequence[int]) -> list[int]:
+    sizes = [int(n) for n in window_sizes]
+    if any(n < 2 for n in sizes):
+        raise ValueError("window sizes must all be >= 2")
+    return sizes
+
+
+def _dynamic_stats(spots: Sequence[tuple[float, Trace]], model: ranging.PathLossModel,
+                   params: filters.KalmanParams, window_sizes: Sequence[int], q_scale: float,
+                   ) -> dict[int, list[tuple[PipelineStats, np.ndarray]]]:
+    """The dynamic pipeline at every spot, filtered once per distinct window size."""
+    return {n: [_pipeline_stats(filters.smooth_trace_dynamic(trace, params, n, q_scale),
+                                model, true_d) for true_d, trace in spots]
+            for n in dict.fromkeys(window_sizes)}
+
+
+def _sweep_rows(sizes: Sequence[int],
+                dynamic: dict[int, list[tuple[PipelineStats, np.ndarray]]]) -> tuple[dict, ...]:
+    """One window_sweep row per requested size, in order."""
+    rows = []
+    for n in sizes:
+        stats = [st for st, _ in dynamic[n]]
+        rows.append({
+            "window_n": n,
+            "max_spot_rms_m": max(st.rms_error_m for st in stats),
+            "mean_accuracy_m": sum(st.accuracy_m for st in stats) / len(stats),
+        })
+    return tuple(rows)
 
 
 def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = None,
@@ -145,23 +176,17 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
     """
     if params is None:
         params = filters.default_params()
-    sizes = [int(n) for n in window_sizes]
-    if any(n < 2 for n in sizes):
-        raise ValueError("window sizes must all be >= 2")
+    sizes = _window_sizes(window_sizes)
     spots = sim.ranging_experiment(config)
     model = config.path_loss
+    dynamic = _dynamic_stats(spots, model, params, (window_n, *sizes), q_scale)
     spot_reports = []
     pooled_errors: dict[str, list[float]] = {name: [] for name in PIPELINES}
-    by_window: dict[int, list[PipelineStats]] = {n: [] for n in (window_n, *sizes)}
-    for true_d, trace in spots:
-        dynamic = {n: _pipeline_stats(filters.smooth_trace_dynamic(trace, params, n, q_scale),
-                                      model, true_d) for n in by_window}
-        for n, (stats, _) in dynamic.items():
-            by_window[n].append(stats)
+    for i, (true_d, trace) in enumerate(spots):
         results = {
             "raw": _pipeline_stats(trace, model, true_d),
             "filtered": _pipeline_stats(filters.smooth_trace(trace, params), model, true_d),
-            "dynamic": dynamic[window_n],
+            "dynamic": dynamic[window_n][i],
         }
         for name, (_, errors) in results.items():
             pooled_errors[name].extend(errors.tolist())
@@ -188,30 +213,30 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
         "window_n": window_n,
         "q_scale": q_scale,
     }
-    window_rows = tuple({
-        "window_n": n,
-        "max_spot_rms_m": max(st.rms_error_m for st in by_window[n]),
-        "mean_accuracy_m": sum(st.accuracy_m for st in by_window[n]) / len(by_window[n]),
-    } for n in sizes)
     return ErrorReport(
         spots=tuple(spot_reports),
         histograms=histograms,
         summary=summary,
         config=report_config,
         bin_width_m=bin_width_m,
-        window_sweep=window_rows,
+        window_sweep=_sweep_rows(sizes, dynamic),
     )
 
 
 def window_sweep(config: sim.SimConfig, params: filters.KalmanParams | None = None,
                  window_sizes: Sequence[int] = (2, 5, 10, 20, 50),
                  q_scale: float = filters.DEFAULT_Q_SCALE) -> tuple[dict, ...]:
-    """Dynamic-pipeline quality per window size: ranging_report's window_sweep rows."""
-    sizes = tuple(window_sizes)
+    """Dynamic-pipeline quality per window size: ranging_report's window_sweep rows.
+
+    Only the dynamic pipeline runs, once per distinct size at each spot.
+    """
+    sizes = _window_sizes(window_sizes)
     if not sizes:
         raise EmptyInput("window_sizes must be non-empty")
-    # the first size doubles as window_n, so no window is filtered only for the report
-    return ranging_report(config, params, int(sizes[0]), q_scale, window_sizes=sizes).window_sweep
+    if params is None:
+        params = filters.default_params()
+    spots = sim.ranging_experiment(config)
+    return _sweep_rows(sizes, _dynamic_stats(spots, config.path_loss, params, sizes, q_scale))
 
 
 def _round12(v: float) -> float:

@@ -25,11 +25,13 @@ advertising stream and keeps results independent of jitter bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import EmptyTrace, InsufficientSamples
-from .model import Trace, clamp_rssi
+from .model import SampleColumns, Trace, clamp_rssi
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 Vec2 = tuple[float, float]
@@ -73,6 +75,7 @@ class KalmanParams:
     def __post_init__(self):
         if not math.isfinite(self.dt) or self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
+        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "F", _as_mat2(self.F, "F"))
         object.__setattr__(self, "Q", _as_mat2(self.Q, "Q"))
         object.__setattr__(self, "P0", _as_mat2(self.P0, "P0"))
@@ -222,13 +225,19 @@ def window_push(window: RssiWindow, value: float) -> RssiWindow:
     return RssiWindow(capacity=window.capacity, values=values + (float(value),))
 
 
+def _variance(values) -> float:
+    """Two-pass population variance: the mean first, then the mean squared deviation."""
+    n = len(values)
+    mean = sum(values) / n
+    return sum((v - mean) ** 2 for v in values) / n
+
+
 def window_variance(window: RssiWindow) -> float:
     """Population variance (divide by n) of the window contents."""
     n = len(window.values)
     if n < 2:
         raise InsufficientSamples(f"variance needs at least 2 samples, window has {n}")
-    mean = sum(window.values) / n
-    return sum((v - mean) ** 2 for v in window.values) / n
+    return _variance(window.values)
 
 
 def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
@@ -236,7 +245,8 @@ def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
     """Run the filter over one beacon's measurements, returning estimates.
 
     window_n None selects the static-Q mode; otherwise Q is refreshed from
-    the sliding window before every predict.
+    the sliding window (the last window_n measurements, as RssiWindow
+    holds them) before every predict.
     """
     (f00, f01), (f10, f11) = params.F
     (q00, q01), (q10, q11) = params.Q
@@ -246,13 +256,15 @@ def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
     sx1 = 0.0
     (p00, p01), (p10, p11) = params.P0
     out = []
-    win = RssiWindow(window_n) if window_n is not None else None
+    win: list[float] = []
     for z in zs:
         cq00, cq01, cq10, cq11 = q00, q01, q10, q11
-        if win is not None:
-            win = window_push(win, z)
+        if window_n is not None:
+            win.append(z)
+            if len(win) > window_n:
+                del win[0]
             if len(win) >= 2:
-                q = q_scale * window_variance(win)
+                q = q_scale * _variance(win)
                 cq00, cq01, cq10, cq11 = q, 0.0, 0.0, q
         sx0, sx1, p00, p01, p10, p11 = _predict_xp(
             sx0, sx1, p00, p01, p10, p11, f00, f01, f10, f11, cq00, cq01, cq10, cq11
@@ -266,30 +278,27 @@ def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
 
 def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
             window_n: int | None, q_scale: float, meta: dict[str, str]) -> Trace:
-    if len(trace.samples) == 0:
+    cols = trace.samples
+    if len(cols) == 0:
         raise EmptyTrace("cannot filter an empty trace")
-    by_beacon: dict[str, list[int]] = {}
-    for i, s in enumerate(trace.samples):
-        by_beacon.setdefault(s.beacon_id, []).append(i)
-    filtered = [0.0] * len(trace.samples)
-    for beacon_id, idxs in by_beacon.items():
-        zs = [trace.samples[i].rssi_dbm for i in idxs]
-        if window_n is not None and len(zs) < 2:
+    order, counts = cols.by_beacon()
+    zs = cols.rssi_dbm[order].tolist()
+    ests: list[float] = []
+    for beacon_id, n in zip(cols.beacon_ids, counts):
+        if window_n is not None and n < 2:
             raise InsufficientSamples(
                 f"dynamic filtering needs at least 2 samples per beacon; "
-                f"beacon {beacon_id!r} has {len(zs)}"
+                f"beacon {beacon_id!r} has {n}"
             )
-        ests = _smooth_stream(zs, params, x0, window_n, q_scale)
-        if not all(map(math.isfinite, ests)):
+        stream = _smooth_stream(zs[len(ests):len(ests) + n], params, x0, window_n, q_scale)
+        if not all(map(math.isfinite, stream)):
             raise ValueError(f"filter diverged on beacon {beacon_id!r}: its state overflowed")
-        for i, est in zip(idxs, ests):
-            filtered[i] = est
-    samples = tuple(
-        replace(s, rssi_dbm=clamp_rssi(est)) for s, est in zip(trace.samples, filtered)
-    )
-    metadata = dict(trace.metadata)
-    metadata.update(meta)
-    return Trace(samples, metadata)
+        ests.extend(stream)
+    filtered = np.empty(len(cols))
+    filtered[order] = ests
+    samples = SampleColumns(cols.timestamp_ms, cols.beacon, cols.beacon_ids,
+                            clamp_rssi(filtered), cols.tx_power_dbm, cols.channel)
+    return Trace(samples, {**trace.metadata, **meta})
 
 
 def smooth_trace(trace: Trace, params: KalmanParams, x0: float | None = None) -> Trace:

@@ -1,7 +1,20 @@
 """Core data model: timestamped RSSI samples and beacon traces.
 
 A Trace is the unit of exchange between the simulator, the filters and the
-evaluation code. Two serializations are supported:
+evaluation code. It keeps its samples as validated columns
+(``SampleColumns``): timestamps as int64, a beacon index into a table of
+ids, RSSI and tx power as float64 (NaN tx power means "unknown") and the
+channel as uint8. ``RssiSample`` is the row type: a Trace can be built
+from rows, and ``trace.samples`` reads as a sequence of them, each row made
+only when it is read.
+
+Every value is validated once: an RssiSample checks its own fields, and a
+Trace built from columns or loaded from a file checks them vectorised. A
+bad column row raises ValueError naming the first bad ``sample i``; a
+loader raises TraceFormatError naming the first bad ``line N`` (CSV) or
+``sample i`` (JSON) instead.
+
+Two serializations are supported:
 
 CSV (one sample per line, LF endings)::
 
@@ -20,7 +33,8 @@ JSON::
 
 Loading enforces that timestamps are non-decreasing per beacon in file
 order; the in-memory Trace is always globally sorted by timestamp with a
-stable sort, so ties keep file order.
+stable sort, so ties keep file order. Timestamps must be below 2**63, the
+int64 limit.
 """
 
 from __future__ import annotations
@@ -29,10 +43,15 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import TraceFormatError
 
@@ -44,9 +63,10 @@ RSSI_MIN_DBM = -120.0
 RSSI_MAX_DBM = 0.0
 TX_POWER_MIN_DBM = -100.0
 TX_POWER_MAX_DBM = 20.0
+TIMESTAMP_LIMIT_MS = 2 ** 63  # exclusive: timestamps are stored as int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RssiSample:
     """One received advertisement: who, when, how strong.
 
@@ -61,37 +81,278 @@ class RssiSample:
     tx_power_dbm: float | None = None
     channel: int = 37
 
-    def __post_init__(self):
-        if not isinstance(self.timestamp_ms, int) or self.timestamp_ms < 0:
-            raise ValueError(f"timestamp_ms must be a non-negative int, got {self.timestamp_ms!r}")
-        if not self.beacon_id:
+    # Written by hand rather than generated: the generated frozen __init__
+    # sets each field through object.__setattr__, which doubles the cost of
+    # a sample that clients build once per received advertisement.
+    def __init__(self, timestamp_ms: int, beacon_id: str, rssi_dbm: float,
+                 tx_power_dbm: float | None = None, channel: int = 37):
+        if not isinstance(timestamp_ms, int) or not 0 <= timestamp_ms < TIMESTAMP_LIMIT_MS:
+            raise ValueError(f"timestamp_ms must be an int in [0, 2**63), got {timestamp_ms!r}")
+        if not beacon_id:
             raise ValueError("beacon_id must be non-empty")
-        if any(c in self.beacon_id for c in ",\r\n"):
-            raise ValueError(f"beacon_id contains forbidden characters: {self.beacon_id!r}")
-        if not math.isfinite(self.rssi_dbm) or not RSSI_MIN_DBM <= self.rssi_dbm <= RSSI_MAX_DBM:
-            raise ValueError(f"rssi_dbm out of range [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]: {self.rssi_dbm!r}")
-        if self.tx_power_dbm is not None:
-            if not math.isfinite(self.tx_power_dbm) or not TX_POWER_MIN_DBM <= self.tx_power_dbm <= TX_POWER_MAX_DBM:
-                raise ValueError(f"tx_power_dbm out of range: {self.tx_power_dbm!r}")
-        if self.channel not in VALID_CHANNELS:
-            raise ValueError(f"channel must be one of {VALID_CHANNELS}, got {self.channel!r}")
+        if "," in beacon_id or "\r" in beacon_id or "\n" in beacon_id:
+            raise ValueError(f"beacon_id contains forbidden characters: {beacon_id!r}")
+        if not math.isfinite(rssi_dbm) or not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
+            raise ValueError(f"rssi_dbm out of range [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]: {rssi_dbm!r}")
+        if tx_power_dbm is not None:
+            if not math.isfinite(tx_power_dbm) or not TX_POWER_MIN_DBM <= tx_power_dbm <= TX_POWER_MAX_DBM:
+                raise ValueError(f"tx_power_dbm out of range: {tx_power_dbm!r}")
+        if channel not in VALID_CHANNELS:
+            raise ValueError(f"channel must be one of {VALID_CHANNELS}, got {channel!r}")
+        self.__dict__.update(timestamp_ms=timestamp_ms, beacon_id=beacon_id, rssi_dbm=rssi_dbm,
+                             tx_power_dbm=tx_power_dbm, channel=channel)
 
 
-@dataclass(frozen=True)
+_new_object = object.__new__
+
+
+def _row(timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel) -> RssiSample:
+    """An RssiSample from values a Trace has already validated (skips the checks)."""
+    s = _new_object(RssiSample)
+    d = s.__dict__
+    d["timestamp_ms"] = timestamp_ms
+    d["beacon_id"] = beacon_id
+    d["rssi_dbm"] = rssi_dbm
+    d["tx_power_dbm"] = tx_power_dbm
+    d["channel"] = channel
+    return s
+
+
+def _row_error(timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel) -> str:
+    """Why RssiSample rejects these values (the message of its ValueError)."""
+    try:
+        RssiSample(timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel)
+    except (ValueError, TypeError) as exc:
+        return str(exc)
+    return "invalid sample"
+
+
+def _take(table: Sequence, index: np.ndarray) -> list:
+    """[table[i] for i in index], for an index array."""
+    return [table[i] for i in index.tolist()]
+
+
+def _optional(values: np.ndarray) -> list:
+    """A float column as a list, with None where it holds NaN."""
+    return [None if v != v else v for v in values.tolist()]
+
+
+class SampleColumns(Sequence):
+    """Samples stored column-wise, read as a sequence of RssiSample rows.
+
+    timestamp_ms is int64; beacon indexes beacon_ids; rssi_dbm and
+    tx_power_dbm are float64, with NaN tx power meaning "unknown"; channel
+    holds integers (uint8 inside a Trace). Building one converts the
+    columns to those dtypes but checks no value: a Trace validates the
+    columns it is given. Inside a Trace the arrays are read-only and
+    beacon_ids lists exactly the ids in use, in order of first appearance.
+    """
+
+    __slots__ = ("timestamp_ms", "beacon", "beacon_ids", "rssi_dbm", "tx_power_dbm", "channel")
+
+    def __init__(self, timestamp_ms, beacon, beacon_ids: Sequence[str], rssi_dbm,
+                 tx_power_dbm, channel):
+        self.timestamp_ms = np.asarray(timestamp_ms, dtype=np.int64)
+        self.beacon = np.asarray(beacon, dtype=np.intp)
+        self.beacon_ids = tuple(beacon_ids)
+        self.rssi_dbm = np.asarray(rssi_dbm, dtype=np.float64)
+        self.tx_power_dbm = np.asarray(tx_power_dbm, dtype=np.float64)
+        self.channel = np.asarray(channel)
+        n = len(self.timestamp_ms)
+        if any(len(a) != n for a in (self.beacon, self.rssi_dbm, self.tx_power_dbm, self.channel)):
+            raise ValueError("sample columns must all have the same length")
+
+    def __len__(self) -> int:
+        return len(self.timestamp_ms)
+
+    def _values(self, i: int) -> tuple:
+        tx = float(self.tx_power_dbm[i])
+        return (int(self.timestamp_ms[i]), self.beacon_ids[self.beacon[i]],
+                float(self.rssi_dbm[i]), None if math.isnan(tx) else tx, int(self.channel[i]))
+
+    def select(self, index) -> SampleColumns:
+        """The rows a slice, boolean mask or index array picks, as columns."""
+        return SampleColumns(self.timestamp_ms[index], self.beacon[index], self.beacon_ids,
+                             self.rssi_dbm[index], self.tx_power_dbm[index], self.channel[index])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.select(index)
+        i = operator.index(index)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("sample index out of range")
+        return _row(*self._values(i % n))
+
+    def __iter__(self):
+        return map(_row, self.timestamp_ms.tolist(), _take(self.beacon_ids, self.beacon),
+                   self.rssi_dbm.tolist(), _optional(self.tx_power_dbm), self.channel.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleColumns):
+            return NotImplemented
+        return (len(self) == len(other)
+                and np.array_equal(self.timestamp_ms, other.timestamp_ms)
+                and _take(self.beacon_ids, self.beacon) == _take(other.beacon_ids, other.beacon)
+                and np.array_equal(self.rssi_dbm, other.rssi_dbm)
+                and np.array_equal(self.tx_power_dbm, other.tx_power_dbm, equal_nan=True)
+                and np.array_equal(self.channel, other.channel))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SampleColumns({len(self)} samples, beacons {self.beacon_ids!r})"
+
+    def by_beacon(self) -> tuple[np.ndarray, list[int]]:
+        """Group the rows by beacon: a stable permutation and each group's size.
+
+        Groups follow beacon_ids order and keep row order within a group.
+        """
+        order = np.argsort(self.beacon, kind="stable")
+        counts = np.bincount(self.beacon, minlength=len(self.beacon_ids))
+        return order, counts.tolist()
+
+
+def _int64(values: Sequence[int]) -> np.ndarray:
+    """Integers as int64; a value int64 cannot hold becomes -1, which no column accepts."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -TIMESTAMP_LIMIT_MS <= v < TIMESTAMP_LIMIT_MS else -1
+                         for v in values], dtype=np.int64)
+
+
+def _index(beacon_id: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ids in order of first appearance, and each row's index into them."""
+    ids = tuple(dict.fromkeys(beacon_id))
+    position = {b: i for i, b in enumerate(ids)}
+    return ids, np.fromiter(map(position.__getitem__, beacon_id), np.intp, len(beacon_id))
+
+
+def _columns(timestamp_ms: Sequence[int], beacon_id: Sequence[str], rssi_dbm: Sequence[float],
+             tx_power_dbm: Sequence[float | None], channel: Sequence[int]) -> SampleColumns:
+    """Columns from the per-field value lists of a file, None tx power meaning unknown.
+
+    Nothing is checked here. A value int64 cannot hold becomes -1, and a
+    NaN given as tx power becomes +inf rather than "unknown", so that the
+    Trace rejects their rows.
+    """
+    ids, beacon = _index(beacon_id)
+    tx = np.array(tx_power_dbm, dtype=np.float64)
+    unknown = np.isnan(tx)
+    if np.count_nonzero(unknown) != tx_power_dbm.count(None):
+        tx[[i for i in np.flatnonzero(unknown).tolist() if tx_power_dbm[i] is not None]] = math.inf
+    return SampleColumns(_int64(timestamp_ms), beacon, ids, np.array(rssi_dbm, dtype=np.float64),
+                         tx, _int64(channel))
+
+
+_timestamp = operator.attrgetter("timestamp_ms")
+_fields = operator.attrgetter(*CSV_HEADER)  # the header names the row fields
+
+
+def _columns_from_rows(samples: Iterable[RssiSample]) -> SampleColumns:
+    """A Trace's columns from rows: stable-sorted by timestamp, read-only.
+
+    The rows need no further check: an RssiSample validates its values
+    when it is made.
+    """
+    rows = sorted(samples, key=_timestamp)
+    if not all(isinstance(s, RssiSample) for s in rows):
+        raise TypeError("Trace rows must be RssiSample instances")
+    ts, beacon_id, rssi, tx, channel = zip(*map(_fields, rows)) if rows else ((),) * 5
+    ids, beacon = _index(beacon_id)
+    columns = (np.array(ts, dtype=np.int64), beacon, np.array(rssi, dtype=np.float64),
+               np.array(tx, dtype=np.float64), np.array(channel, dtype=np.uint8))
+    for a in columns:
+        a.flags.writeable = False
+    return SampleColumns(columns[0], beacon, ids, *columns[2:])
+
+
+def _valid_id(beacon_id) -> bool:
+    return (isinstance(beacon_id, str) and beacon_id != ""
+            and not ("," in beacon_id or "\r" in beacon_id or "\n" in beacon_id))
+
+
+def _first_bad_row(cols: SampleColumns) -> int | None:
+    """Index of the first row RssiSample would reject, or None; the same checks, vectorised."""
+    rssi, tx = cols.rssi_dbm, cols.tx_power_dbm
+    good_id = np.array([_valid_id(b) for b in cols.beacon_ids], dtype=bool)
+    ok = ((cols.timestamp_ms >= 0) & good_id[cols.beacon]
+          & (rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM)
+          & (np.isnan(tx) | ((tx >= TX_POWER_MIN_DBM) & (tx <= TX_POWER_MAX_DBM)))
+          & reduce(operator.or_, [cols.channel == c for c in VALID_CHANNELS]))
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _first_appearance(beacon: np.ndarray, n_ids: int) -> np.ndarray | None:
+    """Old beacon indices in order of first appearance, or None if beacon already is that order."""
+    seen = np.maximum.accumulate(beacon)
+    if len(beacon) and beacon[0] == 0 and seen[-1] == n_ids - 1 and (np.diff(seen) <= 1).all():
+        return None
+    used, first = np.unique(beacon, return_index=True)
+    return used[np.argsort(first)]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+def _normalised(cols: SampleColumns) -> SampleColumns:
+    """Stable-sorted by timestamp, beacons renumbered by first appearance, read-only."""
+    ts, beacon, ids = cols.timestamp_ms, cols.beacon, cols.beacon_ids
+    arrays = [ts, beacon, cols.rssi_dbm, cols.tx_power_dbm, cols.channel.astype(np.uint8)]
+    if len(ts) > 1 and not (ts[1:] >= ts[:-1]).all():
+        order = np.argsort(ts, kind="stable")
+        arrays = [a[order] for a in arrays]
+    used = _first_appearance(arrays[1], len(ids))
+    if used is not None:
+        renumber = np.zeros(len(ids), dtype=np.intp)
+        renumber[used] = np.arange(len(used))
+        arrays[1] = renumber[arrays[1]]
+        ids = tuple(_take(ids, used))
+    ts, beacon, rssi, tx, channel = map(_frozen, arrays)
+    return SampleColumns(ts, beacon, ids, rssi, tx, channel)
+
+
+class _BadRow(ValueError):
+    """A Trace rejected a row; index is its position among the rows as given."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+@dataclass(frozen=True, init=False)
 class Trace:
-    """An immutable, time-sorted sequence of samples plus string metadata."""
+    """An immutable, time-sorted table of samples plus string metadata.
 
-    samples: tuple[RssiSample, ...]
-    metadata: dict[str, str] = field(default_factory=dict)
+    samples is either RssiSample rows, which validated themselves when
+    they were made, or a SampleColumns, validated here (ValueError naming
+    the first bad ``sample i``). Either is stored as read-only columns,
+    stable-sorted by timestamp so that equal timestamps keep their given
+    order.
+    """
 
-    def __post_init__(self):
-        samples = tuple(self.samples)
-        # stable sort: equal timestamps keep their given order
-        object.__setattr__(self, "samples", tuple(sorted(samples, key=lambda s: s.timestamp_ms)))
-        meta = dict(self.metadata)
+    samples: SampleColumns
+    metadata: dict[str, str]
+
+    def __init__(self, samples: Iterable[RssiSample] | SampleColumns = (),
+                 metadata: Mapping[str, str] | None = None):
+        if isinstance(samples, SampleColumns):
+            bad = _first_bad_row(samples)
+            if bad is not None:
+                raise _BadRow(bad, f"sample {bad}: {_row_error(*samples._values(bad))}")
+            cols = _normalised(samples)
+        else:
+            cols = _columns_from_rows(samples)
+        meta = dict(metadata or {})
         for k, v in meta.items():
             if not isinstance(k, str) or not isinstance(v, str):
                 raise ValueError(f"metadata must map str to str, got {k!r}: {v!r}")
+        object.__setattr__(self, "samples", cols)
         object.__setattr__(self, "metadata", meta)
 
     def __len__(self) -> int:
@@ -99,30 +360,42 @@ class Trace:
 
     def beacon_ids(self) -> tuple[str, ...]:
         """Distinct beacon ids in order of first appearance."""
-        seen: dict[str, None] = {}
-        for s in self.samples:
-            seen.setdefault(s.beacon_id, None)
-        return tuple(seen)
+        return self.samples.beacon_ids
 
     def for_beacon(self, beacon_id: str) -> tuple[RssiSample, ...]:
-        return tuple(s for s in self.samples if s.beacon_id == beacon_id)
+        cols = self.samples
+        if beacon_id not in cols.beacon_ids:
+            return ()
+        return tuple(cols.select(cols.beacon == cols.beacon_ids.index(beacon_id)))
 
     def rssi_values(self) -> tuple[float, ...]:
-        return tuple(s.rssi_dbm for s in self.samples)
+        return tuple(self.samples.rssi_dbm.tolist())
 
     def mean_rssi_by_beacon(self) -> dict[str, float]:
-        """Mean rssi_dbm per beacon id, keyed in order of first appearance."""
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for s in self.samples:
-            sums[s.beacon_id] = sums.get(s.beacon_id, 0.0) + s.rssi_dbm
-            counts[s.beacon_id] = counts.get(s.beacon_id, 0) + 1
-        return {b: sums[b] / counts[b] for b in sums}
+        """Mean rssi_dbm per beacon id, keyed in order of first appearance.
+
+        Each sum runs left to right in time order, so the means do not
+        depend on how the samples are stored.
+        """
+        cols = self.samples
+        order, counts = cols.by_beacon()
+        values = cols.rssi_dbm[order].tolist()
+        means = {}
+        start = 0
+        for beacon_id, n in zip(cols.beacon_ids, counts):
+            means[beacon_id] = reduce(operator.add, values[start:start + n], 0.0) / n
+            start += n
+        return means
 
 
-def clamp_rssi(v: float) -> float:
-    """Clamp a power level into [RSSI_MIN_DBM, RSSI_MAX_DBM]."""
-    return min(RSSI_MAX_DBM, max(RSSI_MIN_DBM, v))
+def clamp_rssi(values: np.ndarray) -> np.ndarray:
+    """Clamp power levels into [RSSI_MIN_DBM, RSSI_MAX_DBM], elementwise.
+
+    Each element is min(RSSI_MAX_DBM, max(RSSI_MIN_DBM, v)) as Python
+    computes it, so -0.0 becomes 0.0 and NaN becomes RSSI_MIN_DBM.
+    """
+    above = np.where(values > RSSI_MIN_DBM, values, RSSI_MIN_DBM)
+    return np.where(above < RSSI_MAX_DBM, above, RSSI_MAX_DBM)
 
 
 def read_json(path: str, error: type[Exception] = ValueError):
@@ -150,34 +423,90 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _check_file_order(samples: Iterable[RssiSample], where: list[str]) -> None:
-    """Reject files whose per-beacon timestamps go backwards."""
-    last: dict[str, int] = {}
-    for s, loc in zip(samples, where):
-        prev = last.get(s.beacon_id)
-        if prev is not None and s.timestamp_ms < prev:
-            raise TraceFormatError(
-                f"{loc}: timestamp {s.timestamp_ms} for beacon {s.beacon_id!r} "
-                f"goes backwards (previous {prev})"
-            )
-        last[s.beacon_id] = s.timestamp_ms
+def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
+    """First row (in given order) whose timestamp is below its beacon's previous one, with that one."""
+    order, _ = cols.by_beacon()
+    ts = cols.timestamp_ms[order]
+    beacon = cols.beacon[order]
+    drops = np.flatnonzero((beacon[1:] == beacon[:-1]) & (ts[1:] < ts[:-1]))
+    if len(drops) == 0:
+        return None
+    k = int(np.argmin(order[drops + 1]))
+    return int(order[drops[k] + 1]), int(ts[drops[k]])
 
 
-def _sample_from_csv_row(row: list[str], lineno: int) -> RssiSample:
-    if len(row) != 5:
-        raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(row)}")
-    ts_s, beacon_id, rssi_s, tx_s, ch_s = row
+def _parse_rows(rows: Sequence, parse_row) -> tuple[list[list], tuple[int, str] | None]:
+    """Parse rows one by one up to the first failure: (columns of the rows before it, (index, reason))."""
+    cols: list[list] = [[] for _ in CSV_HEADER]
+    for i, row in enumerate(rows):
+        try:
+            values = parse_row(row)
+        except (ValueError, OverflowError) as exc:
+            return cols, (i, str(exc))
+        for col, v in zip(cols, values):
+            col.append(v)
+    return cols, None
+
+
+def _file_trace(fields: list[Sequence], failure: tuple[int, str] | None, label,
+                metadata: dict[str, str]) -> Trace:
+    """The Trace of a file's parsed rows, or TraceFormatError at the first bad row.
+
+    fields holds the rows that parsed, all of them before the row at which
+    parsing failed (failure). A row fails, in file order, by holding a
+    value a Trace rejects or by not parsing; only when every row is sound
+    does a timestamp running backwards for its beacon fail. label(i) names
+    row i in messages.
+    """
+    cols = _columns(*fields)
     try:
-        ts = int(ts_s)
-        rssi = float(rssi_s)
-        tx = float(tx_s) if tx_s.strip() != "" else None
-        ch = int(ch_s)
-    except ValueError as exc:
-        raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    try:
-        return RssiSample(ts, beacon_id, rssi, tx, ch)
-    except ValueError as exc:
-        raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        trace = Trace(cols, metadata)
+    except _BadRow as exc:
+        reason = _row_error(*(field[exc.index] for field in fields))
+        raise TraceFormatError(f"{label(exc.index)}: {reason}") from None
+    if failure is not None:
+        raise TraceFormatError(f"{label(failure[0])}: {failure[1]}")
+    backwards = _first_backwards(cols)
+    if backwards is not None:
+        i, prev = backwards
+        raise TraceFormatError(
+            f"{label(i)}: timestamp {fields[0][i]} for beacon {fields[1][i]!r} "
+            f"goes backwards (previous {prev})"
+        )
+    return trace
+
+
+def _tx_field(text: str) -> float | None:
+    return float(text) if text.strip() != "" else None
+
+
+_CSV_PARSERS = (int, str, float, _tx_field, int)
+
+
+def _csv_row(row: list[str]) -> list:
+    if len(row) != len(_CSV_PARSERS):
+        raise ValueError(f"expected {len(_CSV_PARSERS)} fields, got {len(row)}")
+    return [parse(v) for parse, v in zip(_CSV_PARSERS, row)]
+
+
+def _csv_fields(rows: list[list[str]]) -> tuple[list[Sequence], tuple[int, str] | None]:
+    if set(map(len, rows)) <= {len(_CSV_PARSERS)}:
+        columns = list(zip(*rows)) or [()] * len(_CSV_PARSERS)
+        try:
+            return [list(map(parse, col)) for parse, col in zip(_CSV_PARSERS, columns)], None
+        except ValueError:
+            pass
+    return _parse_rows(rows, _csv_row)
+
+
+def _read_sidecar(path: str) -> dict[str, str]:
+    sidecar = path + ".meta.json"
+    if not os.path.exists(sidecar):
+        return {}
+    raw = read_json(sidecar, TraceFormatError)
+    if not isinstance(raw, dict):
+        raise TraceFormatError(f"{sidecar}: metadata must be a JSON object")
+    return {str(k): str(v) for k, v in raw.items()}
 
 
 def _load_csv(path: str) -> Trace:
@@ -185,26 +514,59 @@ def _load_csv(path: str) -> Trace:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if header != CSV_HEADER:
+                raise TraceFormatError(f"line 1: bad header {header!r}")
+            rows = list(reader)
         except StopIteration:
             raise TraceFormatError("line 1: missing header") from None
-        if header != CSV_HEADER:
-            raise TraceFormatError(f"line 1: bad header {header!r}")
-        samples = []
-        locs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            samples.append(_sample_from_csv_row(row, lineno))
-            locs.append(f"line {lineno}")
-    _check_file_order(samples, locs)
-    metadata: dict[str, str] = {}
-    sidecar = path + ".meta.json"
-    if os.path.exists(sidecar):
-        raw = read_json(sidecar, TraceFormatError)
-        if not isinstance(raw, dict):
-            raise TraceFormatError(f"{sidecar}: metadata must be a JSON object")
-        metadata = {str(k): str(v) for k, v in raw.items()}
-    return Trace(tuple(samples), metadata)
+        except csv.Error as exc:
+            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+    linenos = [n for n, row in enumerate(rows, start=2) if row]
+    if len(linenos) != len(rows):
+        rows = [row for row in rows if row]
+    fields, failure = _csv_fields(rows)
+    return _file_trace(fields, failure, lambda i: f"line {linenos[i]}", _read_sidecar(path))
+
+
+_NUMBER = {int, float}
+
+
+def _json_row(item) -> tuple:
+    if not isinstance(item, dict):
+        raise ValueError("must be an object")
+    ts = item.get("timestamp_ms")
+    rssi = item.get("rssi_dbm")
+    tx = item.get("tx_power_dbm")
+    ch = item.get("channel", 37)
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise ValueError("timestamp_ms must be an integer")
+    if not isinstance(rssi, (int, float)) or isinstance(rssi, bool):
+        raise ValueError("rssi_dbm must be a number")
+    if tx is not None and (not isinstance(tx, (int, float)) or isinstance(tx, bool)):
+        raise ValueError("tx_power_dbm must be a number or null")
+    if isinstance(ch, bool) or not isinstance(ch, int):
+        raise ValueError("channel must be an integer")
+    return (ts, str(item.get("beacon_id", "")), float(rssi),
+            None if tx is None else float(tx), ch)
+
+
+def _json_fields(items: list) -> tuple[list[Sequence], tuple[int, str] | None]:
+    if set(map(type, items)) <= {dict}:
+        ts = [item.get("timestamp_ms") for item in items]
+        rssi = [item.get("rssi_dbm") for item in items]
+        tx = [item.get("tx_power_dbm") for item in items]
+        ch = [item.get("channel", 37) for item in items]
+        if (set(map(type, ts)) <= {int} and set(map(type, rssi)) <= _NUMBER
+                and set(map(type, tx)) <= _NUMBER | {type(None)} and set(map(type, ch)) <= {int}):
+            try:
+                rssi = list(map(float, rssi))
+                tx = [None if v is None else float(v) for v in tx]
+            except OverflowError:
+                pass
+            else:
+                ids = [str(item.get("beacon_id", "")) for item in items]
+                return [ts, ids, rssi, tx, ch], None
+    return _parse_rows(items, _json_row)
 
 
 def _load_json(path: str) -> Trace:
@@ -216,33 +578,9 @@ def _load_json(path: str) -> Trace:
     meta_raw = raw.get("metadata", {})
     if not isinstance(meta_raw, dict):
         raise TraceFormatError("'metadata' must be an object")
-    samples = []
-    locs = []
-    for i, item in enumerate(raw["samples"]):
-        loc = f"sample {i}"
-        if not isinstance(item, dict):
-            raise TraceFormatError(f"{loc}: must be an object")
-        ts = item.get("timestamp_ms")
-        rssi = item.get("rssi_dbm")
-        tx = item.get("tx_power_dbm")
-        ch = item.get("channel", 37)
-        if isinstance(ts, bool) or not isinstance(ts, int):
-            raise TraceFormatError(f"{loc}: timestamp_ms must be an integer")
-        if not isinstance(rssi, (int, float)) or isinstance(rssi, bool):
-            raise TraceFormatError(f"{loc}: rssi_dbm must be a number")
-        if tx is not None and (not isinstance(tx, (int, float)) or isinstance(tx, bool)):
-            raise TraceFormatError(f"{loc}: tx_power_dbm must be a number or null")
-        if isinstance(ch, bool) or not isinstance(ch, int):
-            raise TraceFormatError(f"{loc}: channel must be an integer")
-        try:
-            sample = RssiSample(ts, str(item.get("beacon_id", "")), float(rssi),
-                                None if tx is None else float(tx), ch)
-        except (ValueError, OverflowError) as exc:
-            raise TraceFormatError(f"{loc}: {exc}") from exc
-        samples.append(sample)
-        locs.append(loc)
-    _check_file_order(samples, locs)
-    return Trace(tuple(samples), {str(k): str(v) for k, v in meta_raw.items()})
+    fields, failure = _json_fields(raw["samples"])
+    return _file_trace(fields, failure, lambda i: f"sample {i}",
+                       {str(k): str(v) for k, v in meta_raw.items()})
 
 
 def load_trace(path: str, format: str = "csv") -> Trace:
@@ -259,8 +597,41 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     raise ValueError(f"unknown trace format {format!r}")
 
 
-def _format_float(v: float | None) -> str:
-    return "" if v is None else f"{v:.4f}"
+def _csv_field(text: str) -> str:
+    """One field as csv.writer writes it (quoted only where needed)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def _csv_text(cols: SampleColumns) -> str:
+    four = "{:.4f}".format
+    rows = zip(map(str, cols.timestamp_ms.tolist()),
+               _take([_csv_field(b) for b in cols.beacon_ids], cols.beacon),
+               map(four, cols.rssi_dbm.tolist()),
+               ["" if v is None else four(v) for v in _optional(cols.tx_power_dbm)],
+               map(str, cols.channel.tolist()))
+    return "".join(line + "\n" for line in [",".join(CSV_HEADER), *map(",".join, rows)])
+
+
+# One sample as json.dumps(..., indent=2) lays it out inside the "samples" array.
+_JSON_SAMPLE = ('    {{\n      "timestamp_ms": {},\n      "beacon_id": {},\n'
+                '      "rssi_dbm": {},\n      "tx_power_dbm": {},\n      "channel": {}\n    }}')
+
+
+def _json_text(trace: Trace) -> str:
+    """The same text as json.dumps({"metadata": ..., "samples": [...]}, indent=2) + "\\n"."""
+    cols = trace.samples
+    head = json.dumps({"metadata": dict(sorted(trace.metadata.items())), "samples": []}, indent=2)
+    if len(cols) == 0:
+        return head + "\n"
+    rows = map(_JSON_SAMPLE.format,
+               cols.timestamp_ms.tolist(),
+               _take([json.dumps(b) for b in cols.beacon_ids], cols.beacon),
+               map(float.__repr__, cols.rssi_dbm.tolist()),
+               ["null" if v is None else float.__repr__(v) for v in _optional(cols.tx_power_dbm)],
+               cols.channel.tolist())
+    return head[:-len("]\n}")] + "\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def save_trace(trace: Trace, path: str, format: str = "csv") -> None:
@@ -271,35 +642,14 @@ def save_trace(trace: Trace, path: str, format: str = "csv") -> None:
     ``<path>.meta.json`` sidecar.
     """
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for s in trace.samples:
-            writer.writerow(
-                [s.timestamp_ms, s.beacon_id, _format_float(s.rssi_dbm),
-                 _format_float(s.tx_power_dbm), s.channel]
-            )
-        atomic_write_text(path, buf.getvalue())
+        atomic_write_text(path, _csv_text(trace.samples))
         if trace.metadata:
             atomic_write_text(
                 path + ".meta.json",
                 json.dumps(trace.metadata, indent=2, sort_keys=True) + "\n",
             )
     elif format == "json":
-        doc = {
-            "metadata": dict(sorted(trace.metadata.items())),
-            "samples": [
-                {
-                    "timestamp_ms": s.timestamp_ms,
-                    "beacon_id": s.beacon_id,
-                    "rssi_dbm": s.rssi_dbm,
-                    "tx_power_dbm": s.tx_power_dbm,
-                    "channel": s.channel,
-                }
-                for s in trace.samples
-            ],
-        }
-        atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+        atomic_write_text(path, _json_text(trace))
     else:
         raise ValueError(f"unknown trace format {format!r}")
 

@@ -27,9 +27,12 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import chain
+
+import numpy as np
 
 from .errors import InvalidScenario
-from .model import RssiSample, Trace, VALID_CHANNELS, clamp_rssi, read_json
+from .model import SampleColumns, Trace, VALID_CHANNELS, clamp_rssi, read_json
 from .position import Anchor, anchors_from_json
 from .ranging import PathLossModel, distance_to_rssi
 from .rng import SplitMix64, derive_seed
@@ -41,6 +44,12 @@ MIN_SIM_DISTANCE_M = 0.01  # floor keeps the path loss model finite at contact
 EXPERIMENT_SPOT_COUNT = 10
 EXPERIMENT_SPOT_STEP_M = 0.5
 EXPERIMENT_DURATION_MS = 120_000
+
+# Most advertisement events (beacons x events per beacon) one simulate call
+# may generate: about 17 times the 20-beacon, 5-minute site scenario's 60k.
+# The whole trace is built in memory, so a larger request is refused up
+# front rather than left to exhaust memory.
+MAX_SIM_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -130,42 +139,59 @@ def simulate(scenario: Scenario, config: SimConfig) -> Trace:
     k * advertising_interval_ms, shifted by uniform jitter and clamped so
     per-beacon timestamps never run backwards. Events whose nominal time
     reaches duration_ms are not generated. Lost packets leave no sample
-    but still consume their draws.
+    but still consume their draws. More than MAX_SIM_EVENTS events in all
+    raises InvalidScenario before anything is generated.
     """
+    interval = config.advertising_interval_ms
+    per_beacon = -(-config.duration_ms // interval)
+    if len(scenario.beacons) * per_beacon > MAX_SIM_EVENTS:
+        raise InvalidScenario(
+            f"{len(scenario.beacons)} beacons x {per_beacon} events exceeds the cap of "
+            f"{MAX_SIM_EVENTS} simulated advertisements; shorten duration_ms"
+        )
     starts = [s for s, _ in scenario.device_path]
     positions = [p for _, p in scenario.device_path]
-    samples: list[RssiSample] = []
     jitter = config.interval_jitter_ms
-    interval = config.advertising_interval_ms
     sigma = config.shadow_sigma_db
     model = config.path_loss
     n_chan = len(config.channels)
+    # per-beacon columns, concatenated in beacon order; Trace's stable sort merges them
+    times: list[list[int]] = []
+    levels: list[list[float]] = []
+    channels: list[list[int]] = []
     for b_index, beacon in enumerate(scenario.beacons):
         rng = SplitMix64(derive_seed(config.seed, b_index))
         bx, by = beacon.position
+        ts: list[int] = []
+        rssi: list[float] = []
+        chans: list[int] = []
         last_t = 0
-        k = 0
-        while True:
-            nominal = k * interval
-            if nominal >= config.duration_ms:
-                break
-            t = nominal + rng.randint(-jitter, jitter)
+        for k in range(per_beacon):
+            t = k * interval + rng.randint(-jitter, jitter)
             t = max(t, last_t, 0)
             lost = rng.random() < config.packet_loss_prob
             g = rng.normal()
             if not lost:
                 px, py = positions[bisect_right(starts, t) - 1]
                 d = max(math.hypot(px - bx, py - by), MIN_SIM_DISTANCE_M)
-                rssi = clamp_rssi(distance_to_rssi(d, model) + sigma * g)
-                samples.append(RssiSample(
-                    timestamp_ms=t,
-                    beacon_id=beacon.beacon_id,
-                    rssi_dbm=rssi,
-                    tx_power_dbm=beacon.tx_power_dbm,
-                    channel=config.channels[k % n_chan],
-                ))
+                ts.append(t)
+                rssi.append(distance_to_rssi(d, model) + sigma * g)
+                chans.append(config.channels[k % n_chan])
             last_t = t
-            k += 1
+        times.append(ts)
+        levels.append(rssi)
+        channels.append(chans)
+    counts = [len(ts) for ts in times]
+    n = sum(counts)
+    tx_power = [math.nan if b.tx_power_dbm is None else b.tx_power_dbm for b in scenario.beacons]
+    samples = SampleColumns(
+        timestamp_ms=np.fromiter(chain.from_iterable(times), np.int64, n),
+        beacon=np.repeat(np.arange(len(counts)), counts),
+        beacon_ids=[b.beacon_id for b in scenario.beacons],
+        rssi_dbm=clamp_rssi(np.fromiter(chain.from_iterable(levels), np.float64, n)),
+        tx_power_dbm=np.repeat(np.array(tx_power, dtype=np.float64), counts),
+        channel=np.fromiter(chain.from_iterable(channels), np.int64, n),
+    )
     metadata = {
         "generator": GENERATOR_ID,
         "seed": str(config.seed),
@@ -180,7 +206,7 @@ def simulate(scenario: Scenario, config: SimConfig) -> Trace:
             [[s, p[0], p[1]] for s, p in scenario.device_path], separators=(",", ":")
         ),
     }
-    return Trace(tuple(samples), metadata)
+    return Trace(samples, metadata)
 
 
 def experiment_distances() -> tuple[float, ...]:

@@ -10,6 +10,7 @@ import pytest
 
 from microloc import cli, evaluate, filters, position, sim
 from microloc.cli import DEFAULT_CONFIG, build_config, main
+from microloc.errors import InvalidScenario
 from microloc.model import load_trace
 
 
@@ -429,3 +430,67 @@ def test_diverged_filter_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError") and "'b0'" in err
     assert not out.exists()
+
+
+# --- resource bounds ---
+
+def test_simulate_refuses_oversized_request_before_allocating(scenario_path, tmp_path,
+                                                               monkeypatch, capsys):
+    import tracemalloc
+
+    def no_generator(seed):
+        raise AssertionError("simulation started")
+    monkeypatch.setattr(sim, "SplitMix64", no_generator)
+    out = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        code = main(["--set", "duration_ms=1000000000000000", "simulate", scenario_path, str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidScenario") and str(sim.MAX_SIM_EVENTS) in err
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
+def test_simulate_cap_is_on_all_events():
+    scenario = sim.Scenario(beacons=tuple(position.Anchor(f"b{i}", (float(i), 0.0))
+                                          for i in range(4)),
+                            device_path=((0, (0.0, 1.0)),))
+    per_beacon = sim.MAX_SIM_EVENTS // 4
+    with pytest.raises(InvalidScenario):
+        sim.simulate(scenario, sim.SimConfig(seed=1, duration_ms=100 * per_beacon + 1))
+    assert sim.MAX_SIM_EVENTS >= 10 * 60_000
+
+
+# --- byte-identical site chain ---
+
+def test_site_chain_matches_pinned_digests(tmp_path, monkeypatch, capsys):
+    """The seed-42 site CLI chain writes the eight artifacts the benchmark pins."""
+    import importlib.util
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", bench / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    doc = json.loads((bench / "expected.json").read_text(encoding="utf-8"))
+    assert doc["seed"] == 42
+    monkeypatch.chdir(tmp_path)
+    gen.write_site(42, "scenario.json", "anchors.json")
+    chain = [
+        ["--seed", "42", "--set", f"duration_ms={gen.SITE_DURATION_MS}",
+         "simulate", "scenario.json", "raw.csv"],
+        ["filter", "raw.csv", "static.csv", "--mode", "static"],
+        ["filter", "raw.csv", "dynamic.json", "--mode", "dynamic"],
+        ["locate", "static.csv", "anchors.json", "lateration.json", "--method", "lateration"],
+        ["locate", "dynamic.json", "anchors.json", "tdoa.json", "--method", "tdoa"],
+        ["locate", "static.csv", "anchors.json", "proximity.json", "--method", "proximity"],
+    ]
+    for argv in chain:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in doc["digests"]["site"]}
+    assert digests == doc["digests"]["site"]

@@ -249,3 +249,16 @@ def test_window_sweep_validation():
         window_sweep(cfg, window_sizes=())
     with pytest.raises(ValueError):
         window_sweep(cfg, window_sizes=(1,))
+
+
+def test_window_sweep_is_ranging_reports_rows_without_other_pipelines(monkeypatch):
+    from microloc import filters
+
+    cfg = SimConfig(seed=11)
+    sizes = (5, 2, 5)
+    expected = ranging_report(cfg, window_n=3, window_sizes=sizes).window_sweep
+
+    def no_static(*args, **kwargs):
+        raise AssertionError("window_sweep ran the static pipeline")
+    monkeypatch.setattr(filters, "smooth_trace", no_static)
+    assert window_sweep(cfg, window_sizes=sizes) == expected

@@ -3,6 +3,7 @@ whole-trace smoothing semantics."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -357,3 +358,40 @@ def test_dynamic_tracks_level_change_faster_than_static():
     dyn = [s.rssi_dbm for s in smooth_trace_dynamic(t, params, window_n=10).samples]
     # 10 steps after the jump the dynamic estimate is much closer to -85
     assert abs(dyn[70] - (-85.0)) < abs(stat[70] - (-85.0))
+
+
+def test_int_and_float_dt_serialise_identically():
+    from microloc.filters import params_to_config
+
+    as_int, as_float = make_params(dt=1), make_params(dt=1.0)
+    assert type(as_int.dt) is float and as_int == as_float
+    assert json.dumps(params_to_config(as_int)) == json.dumps(params_to_config(as_float))
+    t = make_trace(3, n=20)
+    assert smooth_trace(t, as_int).metadata == smooth_trace(t, as_float).metadata
+    assert smooth_trace(t, as_int).metadata["filter_dt"] == "1.0"
+
+
+@pytest.mark.parametrize("window_n", [None, 2, 7])
+def test_interleaved_beacons_match_per_beacon_reference(window_n):
+    """Each beacon's stream, filtered alone through the public step
+    functions and RssiWindow, gives bit-identical output."""
+    t = make_trace(23, n=300, beacons=("c", "a", "b", "a", "c"), spread=9.0)
+    params = make_params(q=0.01)
+    out = (smooth_trace(t, params) if window_n is None
+           else smooth_trace_dynamic(t, params, window_n, q_scale=0.5))
+    got: dict[str, list[float]] = {}
+    for s in out.samples:
+        got.setdefault(s.beacon_id, []).append(s.rssi_dbm)
+    for beacon_id in t.beacon_ids():
+        zs = [s.rssi_dbm for s in t.for_beacon(beacon_id)]
+        state, win, expected = initial_state(zs[0], params), RssiWindow(window_n or 2), []
+        for z in zs:
+            step = params
+            if window_n is not None:
+                win = window_push(win, z)
+                if len(win) >= 2:
+                    v = 0.5 * window_variance(win)
+                    step = replace(params, Q=((v, 0.0), (0.0, v)))
+            state = update(predict(state, step), z, step)
+            expected.append(min(0.0, max(-120.0, state.x[0])))
+        assert got[beacon_id] == expected

@@ -224,3 +224,163 @@ def test_format_for_path():
     assert trace_format_for_path("x.JSON") == "json"
     assert trace_format_for_path("x.csv") == "csv"
     assert trace_format_for_path("x.dat") == "csv"
+
+
+# --- columnar trace: vectorised validation at build and load ---
+
+def _write_csv(path, rows) -> str:
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(row + "\n" for row in rows)
+    return str(path)
+
+
+def test_trace_stores_typed_columns():
+    t = Trace((RssiSample(5, "b1", -61, None, 38), RssiSample(1, "b0", -60.5, -59.0, 37)))
+    cols = t.samples
+    assert cols.timestamp_ms.dtype == np.int64 and cols.timestamp_ms.tolist() == [1, 5]
+    assert cols.beacon_ids == ("b0", "b1") and cols.beacon.tolist() == [0, 1]
+    assert cols.rssi_dbm.dtype == np.float64 and cols.rssi_dbm.tolist() == [-60.5, -61.0]
+    assert cols.tx_power_dbm[0] == -59.0 and np.isnan(cols.tx_power_dbm[1])
+    assert cols.channel.dtype == np.uint8 and cols.channel.tolist() == [37, 38]
+    assert not cols.rssi_dbm.flags.writeable
+    assert t.samples[1] == RssiSample(5, "b1", -61.0, None, 38)
+
+
+def test_sample_count_builds_no_rows(monkeypatch):
+    from microloc import model
+
+    t = make_trace(5, n=200, beacons=("a", "b"))
+
+    def no_rows(*values):
+        raise AssertionError("a row object was built")
+    monkeypatch.setattr(model, "_row", no_rows)
+    assert len(t.samples) == 200 and len(Trace(t.samples, t.metadata)) == 200
+
+
+def test_trace_from_columns_names_first_bad_sample():
+    from microloc.model import SampleColumns
+
+    good = SampleColumns([0, 1, 2], [0, 0, 0], ["b"], [-60.0, -61.0, -62.0],
+                         [np.nan] * 3, [37, 37, 37])
+    assert len(Trace(good)) == 3
+    bad = SampleColumns([0, 1, 2], [0, 0, 0], ["b"], [-60.0, 5.0, np.nan],
+                        [np.nan] * 3, [37, 37, 40])
+    with pytest.raises(ValueError, match="sample 1: rssi_dbm out of range"):
+        Trace(bad)
+
+
+def test_csv_first_bad_line_named_deep_in_file(tmp_path):
+    rows = [f"{i},b{i % 3},-60.0000,,37" for i in range(5000)]
+    rows[3999] = "3999,b0,-60.0000,,41"      # bad channel
+    rows[4500] = "4500,b1,oops,,37"          # does not parse, but later
+    with pytest.raises(TraceFormatError, match=r"^line 4001: channel"):
+        load_trace(_write_csv(tmp_path / "t.csv", rows), "csv")
+
+
+def test_json_first_bad_sample_named_deep_in_file(tmp_path):
+    samples = [{"timestamp_ms": i, "beacon_id": "b", "rssi_dbm": -60.0} for i in range(5000)]
+    samples[3210]["rssi_dbm"] = 3.0
+    samples[4000]["timestamp_ms"] = "late"
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"samples": samples}))
+    with pytest.raises(TraceFormatError, match=r"^sample 3210: rssi_dbm out of range"):
+        load_trace(str(p), "json")
+
+
+def test_parse_error_named_before_later_bad_values(tmp_path):
+    rows = ["0,b0,-60.0000,,37", "1,b0,-60.0000,,37,9", "2,b0,5.0000,,37"]
+    with pytest.raises(TraceFormatError, match=r"^line 3: expected 5 fields"):
+        load_trace(_write_csv(tmp_path / "t.csv", rows), "csv")
+
+
+def test_bad_values_named_before_backwards_timestamps(tmp_path):
+    rows = ["200,b0,-60.0000,,37", "100,b0,-60.0000,,37", "300,b0,-130.0000,,37"]
+    with pytest.raises(TraceFormatError, match=r"^line 4: rssi_dbm"):
+        load_trace(_write_csv(tmp_path / "t.csv", rows), "csv")
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_csv_nonfinite_rssi_strings_rejected(tmp_path, text):
+    rows = ["0,b0,-60.0000,,37", f"1,b0,{text},,37"]
+    with pytest.raises(TraceFormatError, match=r"^line 3: rssi_dbm out of range"):
+        load_trace(_write_csv(tmp_path / "t.csv", rows), "csv")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_csv_nonfinite_tx_power_is_not_unknown(tmp_path, text):
+    rows = ["0,b0,-60.0000,,37", f"1,b0,-60.0000,{text},37"]
+    with pytest.raises(TraceFormatError, match=r"^line 3: tx_power_dbm out of range"):
+        load_trace(_write_csv(tmp_path / "t.csv", rows), "csv")
+
+
+def test_json_nan_tx_power_is_not_unknown(tmp_path):
+    p = tmp_path / "t.json"
+    p.write_text('{"samples": [{"timestamp_ms": 0, "beacon_id": "b", "rssi_dbm": -60.0,'
+                 ' "tx_power_dbm": NaN}]}')
+    with pytest.raises(TraceFormatError, match=r"^sample 0: tx_power_dbm out of range"):
+        load_trace(str(p), "json")
+
+
+def test_timestamp_beyond_int64_is_a_format_error(tmp_path):
+    rows = ["0,b0,-60.0000,,37", f"{2 ** 63},b0,-60.0000,,37"]
+    with pytest.raises(TraceFormatError, match=r"^line 3: timestamp_ms must be an int in \[0, 2\*\*63\)"):
+        load_trace(_write_csv(tmp_path / "t.csv", rows), "csv")
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"samples": [
+        {"timestamp_ms": 2 ** 70, "beacon_id": "b", "rssi_dbm": -60.0, "channel": 2 ** 64}]}))
+    with pytest.raises(TraceFormatError, match=r"^sample 0: timestamp_ms must be an int"):
+        load_trace(str(p), "json")
+    with pytest.raises(ValueError):
+        RssiSample(2 ** 63, "b", -60.0)
+    assert RssiSample(2 ** 63 - 1, "b", -60.0).timestamp_ms == 2 ** 63 - 1
+
+
+def test_json_writer_matches_json_dumps(tmp_path):
+    samples = (RssiSample(0, 'q"uote', -61.123456789012, None, 38),
+               RssiSample(0, "ünï", -50, -58.9999999999, 39),
+               RssiSample(7, "b\\s", -0.0, 20.0, 37))
+    for t in (Trace(samples, {"z": "1", "a": "é"}), Trace(samples), Trace((), {"k": "v"}), Trace()):
+        p = tmp_path / "t.json"
+        save_trace(t, str(p), "json")
+        doc = {
+            "metadata": dict(sorted(t.metadata.items())),
+            "samples": [{"timestamp_ms": s.timestamp_ms, "beacon_id": s.beacon_id,
+                         "rssi_dbm": s.rssi_dbm, "tx_power_dbm": s.tx_power_dbm,
+                         "channel": s.channel} for s in t.samples],
+        }
+        assert p.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+        assert load_trace(str(p), "json") == t
+
+
+def test_int_rssi_serialises_as_float(tmp_path):
+    p = tmp_path / "t.json"
+    save_trace(Trace((RssiSample(0, "b", -50, -59),)), str(p), "json")
+    doc = json.loads(p.read_text())
+    assert '"rssi_dbm": -50.0' in p.read_text() and doc["samples"][0]["tx_power_dbm"] == -59.0
+
+
+def test_csv_quotes_beacon_ids_like_csv_writer(tmp_path):
+    t = Trace((RssiSample(0, 'a"b', -60.0), RssiSample(1, " sp ", -61.0)))
+    p = tmp_path / "t.csv"
+    save_trace(t, str(p), "csv")
+    assert p.read_text().splitlines()[1:] == ['0,"a""b",-60.0000,,37', "1, sp ,-61.0000,,37"]
+    assert load_trace(str(p), "csv") == t
+
+
+def test_mean_rssi_by_beacon_sums_left_to_right():
+    values = [-60.1, -70.3, -65.7, -61.9, -80.05, -62.2]
+    t = Trace(tuple(RssiSample(i, "ab"[i % 2], v) for i, v in enumerate(values)))
+    means = t.mean_rssi_by_beacon()
+    assert list(means) == ["a", "b"]
+    assert means["a"] == (((0.0 + values[0]) + values[2]) + values[4]) / 3
+    assert means["b"] == (((0.0 + values[1]) + values[3]) + values[5]) / 3
+
+
+def test_trace_rows_must_be_rssi_samples():
+    from types import SimpleNamespace
+
+    duck = SimpleNamespace(timestamp_ms=0, beacon_id="b", rssi_dbm=5.0, tx_power_dbm=None,
+                           channel=37)
+    with pytest.raises(TypeError):
+        Trace((duck,))
