@@ -31,6 +31,11 @@ wire), frame type at offset 2::
                     | 8-11 advertisement count u32 | 12-15 uptime u32, 0.1 s units
     EID (12 bytes): 2: 30 | 3: tx i8 at 0 m | 4-11 ephemeral id
 
+The layout table ``_LAYOUTS`` is the one declaration of each layout: decode,
+encode, the frames' constructor checks, measured_power and frame_to_dict
+all read it. Eddystone-URL's variable-length body and TLM's 8.8 fixed-point
+temperature are the only special cases.
+
 Unknown leading bytes raise UnknownProtocol; an unknown Eddystone frame
 type does too. Wrong lengths raise FrameTooShort or FrameTooLong, and
 field-level violations raise MalformedFrame. decode never lets a raw
@@ -40,7 +45,9 @@ struct.error or IndexError escape.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import ClassVar
 
 from .errors import FrameTooLong, FrameTooShort, MalformedFrame, UnknownProtocol
 
@@ -77,20 +84,39 @@ _SCHEMES_BY_LENGTH = sorted(URL_SCHEMES.items(), key=lambda kv: len(kv[1]), reve
 _EXPANSIONS_BY_LENGTH = sorted(URL_EXPANSIONS.items(), key=lambda kv: len(kv[1]), reverse=True)
 
 MAX_URL_BODY_BYTES = 17
+_FIXED_8_8 = "/256"  # struct code suffix of a float field sent as 8.8 fixed point
 
 
-def _check_int(value: int, lo: int, hi: int, name: str) -> None:
-    if not isinstance(value, int) or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+class _Frame:
+    """Base of the frame classes: checks each field its layout gives a code."""
 
+    _layout: ClassVar[_Layout]
 
-def _check_bytes(value: bytes, length: int, name: str) -> None:
-    if not isinstance(value, (bytes, bytearray)) or len(value) != length:
-        raise ValueError(f"{name} must be exactly {length} bytes")
+    def __post_init__(self):
+        for name, kind, lo, hi in self._layout.checks:
+            value = getattr(self, name)
+            if kind == "s":
+                if not isinstance(value, (bytes, bytearray)) or len(value) != lo:
+                    raise ValueError(f"{name} must be exactly {lo} bytes")
+                if type(value) is not bytes:
+                    object.__setattr__(self, name, bytes(value))
+            elif kind == "i":
+                if not isinstance(value, int) or not lo <= value <= hi:
+                    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+            else:  # a float carried as signed 8.8 fixed point
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValueError(f"{name} must be a number, got {value!r}")
+                scaled = value * 256.0
+                if scaled != scaled:  # NaN
+                    raise ValueError(f"{name} must not be NaN")
+                if not float(scaled).is_integer() or not lo <= scaled <= hi:
+                    raise ValueError(f"{name} must be a multiple of 1/256 in "
+                                     f"[{lo // 256}, {(hi + 1) // 256}), got {value!r}")
+                object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
-class IBeaconFrame:
+class IBeaconFrame(_Frame):
     """Apple iBeacon identity: UUID plus major/minor grouping numbers."""
 
     uuid: bytes
@@ -98,45 +124,25 @@ class IBeaconFrame:
     minor: int
     power: int  # calibrated RSSI at 1 m, dBm
 
-    def __post_init__(self):
-        _check_bytes(self.uuid, 16, "uuid")
-        object.__setattr__(self, "uuid", bytes(self.uuid))
-        _check_int(self.major, 0, 0xFFFF, "major")
-        _check_int(self.minor, 0, 0xFFFF, "minor")
-        _check_int(self.power, -128, 127, "power")
-
 
 @dataclass(frozen=True)
-class AltBeaconFrame:
+class AltBeaconFrame(_Frame):
     beacon_id: bytes
     ref_rssi: int  # calibrated RSSI at 1 m, dBm
     mfg_reserved: int = 0
 
-    def __post_init__(self):
-        _check_bytes(self.beacon_id, 20, "beacon_id")
-        object.__setattr__(self, "beacon_id", bytes(self.beacon_id))
-        _check_int(self.ref_rssi, -128, 127, "ref_rssi")
-        _check_int(self.mfg_reserved, 0, 0xFF, "mfg_reserved")
-
 
 @dataclass(frozen=True)
-class EddystoneUidFrame:
+class EddystoneUidFrame(_Frame):
     """Eddystone-UID: 10-byte namespace plus 6-byte instance."""
 
     tx_power: int  # calibrated RSSI at 0 m, dBm
     namespace: bytes
     instance: bytes
 
-    def __post_init__(self):
-        _check_int(self.tx_power, -128, 127, "tx_power")
-        _check_bytes(self.namespace, 10, "namespace")
-        _check_bytes(self.instance, 6, "instance")
-        object.__setattr__(self, "namespace", bytes(self.namespace))
-        object.__setattr__(self, "instance", bytes(self.instance))
-
 
 @dataclass(frozen=True)
-class EddystoneUrlFrame:
+class EddystoneUrlFrame(_Frame):
     """Eddystone-URL: a compressed URL broadcast.
 
     The url must start with one of the four scheme prefixes and its
@@ -148,12 +154,12 @@ class EddystoneUrlFrame:
     url: str
 
     def __post_init__(self):
-        _check_int(self.tx_power, -128, 127, "tx_power")
+        super().__post_init__()
         encode_url(self.url)  # raises ValueError if not representable
 
 
 @dataclass(frozen=True)
-class EddystoneTlmFrame:
+class EddystoneTlmFrame(_Frame):
     """Eddystone-TLM (unencrypted): beacon health telemetry."""
 
     battery_mv: int
@@ -161,32 +167,11 @@ class EddystoneTlmFrame:
     adv_count: int
     uptime_ds: int  # deciseconds since power-on
 
-    def __post_init__(self):
-        _check_int(self.battery_mv, 0, 0xFFFF, "battery_mv")
-        _check_int(self.adv_count, 0, 0xFFFFFFFF, "adv_count")
-        _check_int(self.uptime_ds, 0, 0xFFFFFFFF, "uptime_ds")
-        t = self.temperature_c
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            raise ValueError(f"temperature_c must be a number, got {t!r}")
-        scaled = t * 256.0
-        if scaled != scaled:  # NaN
-            raise ValueError("temperature_c must not be NaN")
-        if not float(scaled).is_integer() or not -32768 <= scaled <= 32767:
-            raise ValueError(
-                f"temperature_c must be a multiple of 1/256 in [-128, 128), got {t!r}"
-            )
-        object.__setattr__(self, "temperature_c", float(t))
-
 
 @dataclass(frozen=True)
-class EddystoneEidFrame:
+class EddystoneEidFrame(_Frame):
     tx_power: int
     eid: bytes  # 8-byte ephemeral identifier
-
-    def __post_init__(self):
-        _check_int(self.tx_power, -128, 127, "tx_power")
-        _check_bytes(self.eid, 8, "eid")
-        object.__setattr__(self, "eid", bytes(self.eid))
 
 
 BeaconFrame = (
@@ -197,6 +182,65 @@ BeaconFrame = (
     | EddystoneTlmFrame
     | EddystoneEidFrame
 )
+
+
+class _Layout:
+    """One row of the layout table, and what is derived from it once, at import.
+
+    ``codes`` holds one struct code per field, in declaration order; the field
+    after the last code is Eddystone-URL's variable-length body. A code ending
+    in ``/256`` marks a float field carried as 8.8 fixed point in that integer.
+    """
+
+    __slots__ = ("cls", "frame_type", "head", "tail", "power", "names", "struct",
+                 "size", "longest", "get", "checks")
+
+    def __init__(self, cls, frame_type: str, head: bytes, codes: str, tail: bytes,
+                 power: str | None):
+        self.cls, self.frame_type, self.head, self.tail, self.power = (
+            cls, frame_type, head, tail, power)
+        self.names = tuple(f.name for f in fields(cls))
+        self.get = attrgetter(*self.names)  # every frame has two fields or more
+        self.struct = struct.Struct(">" + codes.replace(_FIXED_8_8, ""))
+        self.size = len(head) + self.struct.size + len(tail)
+        # Eddystone-URL's variable-length body: a scheme byte, then up to 17 bytes
+        self.longest = self.size + (1 + MAX_URL_BODY_BYTES if cls is EddystoneUrlFrame else 0)
+        checks = []
+        for name, code in zip(self.names, codes.split()):
+            if code.endswith("s"):
+                checks.append((name, "s", int(code[:-1]), None))  # exactly lo bytes
+                continue
+            code, fixed, _ = code.partition(_FIXED_8_8)
+            bits = 8 * struct.calcsize(">" + code)
+            lo = -(1 << (bits - 1)) if code.islower() else 0
+            hi = lo + (1 << bits) - 1
+            checks.append((name, "f" if fixed else "i", lo, hi))
+        # a fixed-point value is checked last: 1e400 * 256.0 raises OverflowError
+        self.checks = tuple(sorted(checks, key=lambda c: c[1] == "f"))
+        cls._layout = self
+
+
+# class, frame_type, fixed bytes before the fields, one struct code per field
+# (/256: 8.8 fixed point), fixed bytes after them, the reference-power field
+_LAYOUTS = tuple(_Layout(*row) for row in (
+    (IBeaconFrame, "ibeacon", IBEACON_PREFIX, "16s H H b", b"", "power"),
+    (AltBeaconFrame, "altbeacon", ALTBEACON_CODE, "20s b B", b"", "ref_rssi"),
+    (EddystoneUidFrame, "eddystone_uid", b"\xaa\xfe\x00", "b 10s 6s", b"\x00\x00", "tx_power"),
+    (EddystoneUrlFrame, "eddystone_url", b"\xaa\xfe\x10", "b", b"", "tx_power"),
+    (EddystoneTlmFrame, "eddystone_tlm", b"\xaa\xfe\x20\x00", "H h/256 I I", b"", None),
+    (EddystoneEidFrame, "eddystone_eid", b"\xaa\xfe\x30", "b 8s", b"", "tx_power"),
+))
+# decode dispatches on the first two bytes, or three for Eddystone's frame type
+_BY_LEAD = {
+    layout.head[:3] if layout.head.startswith(EDDYSTONE_UUID) else layout.head[:2]: layout
+    for layout in _LAYOUTS
+}
+
+
+def _layout_of(frame: BeaconFrame) -> _Layout:
+    if not isinstance(frame, _Frame):
+        raise TypeError(f"not a beacon frame: {type(frame).__name__}")
+    return frame._layout
 
 
 def encode_url(url: str) -> bytes:
@@ -259,67 +303,6 @@ def decode_url(data: bytes) -> str:
     return "".join(out)
 
 
-def _expect_length(payload: bytes, length: int, what: str) -> None:
-    if len(payload) < length:
-        raise FrameTooShort(f"{what} needs {length} bytes, got {len(payload)}")
-    if len(payload) > length:
-        raise FrameTooLong(f"{what} is {length} bytes, got {len(payload)}")
-
-
-def _decode_ibeacon(payload: bytes) -> IBeaconFrame:
-    _expect_length(payload, 25, "iBeacon payload")
-    if payload[2] != 0x02 or payload[3] != 0x15:
-        raise MalformedFrame(
-            f"iBeacon type/length bytes must be 02 15, got {payload[2]:02x} {payload[3]:02x}"
-        )
-    uuid, major, minor, power = struct.unpack(">16sHHb", payload[4:25])
-    return IBeaconFrame(uuid=uuid, major=major, minor=minor, power=power)
-
-
-def _decode_altbeacon(payload: bytes) -> AltBeaconFrame:
-    _expect_length(payload, 24, "AltBeacon payload")
-    beacon_id = payload[2:22]
-    ref_rssi, reserved = struct.unpack(">bB", payload[22:24])
-    return AltBeaconFrame(beacon_id=beacon_id, ref_rssi=ref_rssi, mfg_reserved=reserved)
-
-
-def _decode_eddystone(payload: bytes) -> BeaconFrame:
-    if len(payload) < 3:
-        raise FrameTooShort("Eddystone payload needs a frame type byte")
-    frame_type = payload[2]
-    if frame_type == 0x00:
-        _expect_length(payload, 22, "Eddystone-UID payload")
-        tx = struct.unpack(">b", payload[3:4])[0]
-        if payload[20:22] != b"\x00\x00":
-            raise MalformedFrame("Eddystone-UID RFU bytes must be zero")
-        return EddystoneUidFrame(tx_power=tx, namespace=payload[4:14], instance=payload[14:20])
-    if frame_type == 0x10:
-        if len(payload) < 5:
-            raise FrameTooShort("Eddystone-URL payload needs at least 5 bytes")
-        if len(payload) > 5 + MAX_URL_BODY_BYTES:
-            raise FrameTooLong(
-                f"Eddystone-URL payload is at most {5 + MAX_URL_BODY_BYTES} bytes, got {len(payload)}"
-            )
-        tx = struct.unpack(">b", payload[3:4])[0]
-        return EddystoneUrlFrame(tx_power=tx, url=decode_url(payload[4:]))
-    if frame_type == 0x20:
-        _expect_length(payload, 16, "Eddystone-TLM payload")
-        version, battery, temp_raw, count, uptime = struct.unpack(">BHhII", payload[3:16])
-        if version != 0x00:
-            raise MalformedFrame(f"Eddystone-TLM version must be 0, got {version}")
-        return EddystoneTlmFrame(
-            battery_mv=battery,
-            temperature_c=temp_raw / 256.0,
-            adv_count=count,
-            uptime_ds=uptime,
-        )
-    if frame_type == 0x30:
-        _expect_length(payload, 12, "Eddystone-EID payload")
-        tx = struct.unpack(">b", payload[3:4])[0]
-        return EddystoneEidFrame(tx_power=tx, eid=payload[4:12])
-    raise UnknownProtocol(f"unknown Eddystone frame type 0x{frame_type:02x}")
-
-
 def decode(payload: bytes) -> BeaconFrame:
     """Decode an advertisement payload into the matching frame type.
 
@@ -327,43 +310,43 @@ def decode(payload: bytes) -> BeaconFrame:
     AltBeacon, AA FE for Eddystone. Anything else is UnknownProtocol.
     """
     payload = bytes(payload)
-    if len(payload) < 2:
-        raise FrameTooShort(f"payload needs at least 2 bytes, got {len(payload)}")
-    lead = payload[:2]
-    if lead == IBEACON_PREFIX[:2]:
-        return _decode_ibeacon(payload)
-    if lead == ALTBEACON_CODE:
-        return _decode_altbeacon(payload)
-    if lead == EDDYSTONE_UUID:
-        return _decode_eddystone(payload)
-    raise UnknownProtocol(f"unrecognized leading bytes {lead.hex()}")
+    n = len(payload)
+    if n < 2:
+        raise FrameTooShort(f"payload needs at least 2 bytes, got {n}")
+    layout = _BY_LEAD.get(payload[:2]) or _BY_LEAD.get(payload[:3])
+    if layout is None:
+        if payload[:2] != EDDYSTONE_UUID:
+            raise UnknownProtocol(f"unrecognized leading bytes {payload[:2].hex()}")
+        if n < 3:
+            raise FrameTooShort("Eddystone payload needs a frame type byte")
+        raise UnknownProtocol(f"unknown Eddystone frame type 0x{payload[2]:02x}")
+    if n < layout.size:
+        raise FrameTooShort(f"{layout.frame_type} payload needs {layout.size} bytes, got {n}")
+    if n > layout.longest:
+        raise FrameTooLong(
+            f"{layout.frame_type} payload is at most {layout.longest} bytes, got {n}")
+    if not payload.startswith(layout.head) or not payload.endswith(layout.tail):
+        raise MalformedFrame(f"{layout.frame_type} payload must be {layout.head.hex(' ')} ... "
+                             f"{layout.tail.hex(' ')}, got {payload.hex(' ')}")
+    values = layout.struct.unpack_from(payload, len(layout.head))
+    if layout.cls is EddystoneUrlFrame:
+        return EddystoneUrlFrame(*values, decode_url(payload[layout.size:]))
+    if layout.cls is EddystoneTlmFrame:
+        battery_mv, temperature_raw, adv_count, uptime_ds = values
+        return EddystoneTlmFrame(battery_mv, temperature_raw / 256.0, adv_count, uptime_ds)
+    return layout.cls(*values)
 
 
 def encode(frame: BeaconFrame) -> bytes:
     """Serialize a frame to its exact wire payload (inverse of decode)."""
-    if isinstance(frame, IBeaconFrame):
-        return IBEACON_PREFIX + struct.pack(">16sHHb", frame.uuid, frame.major, frame.minor, frame.power)
-    if isinstance(frame, AltBeaconFrame):
-        return ALTBEACON_CODE + frame.beacon_id + struct.pack(">bB", frame.ref_rssi, frame.mfg_reserved)
-    if isinstance(frame, EddystoneUidFrame):
-        return (
-            EDDYSTONE_UUID
-            + b"\x00"
-            + struct.pack(">b", frame.tx_power)
-            + frame.namespace
-            + frame.instance
-            + b"\x00\x00"
-        )
-    if isinstance(frame, EddystoneUrlFrame):
-        return EDDYSTONE_UUID + b"\x10" + struct.pack(">b", frame.tx_power) + encode_url(frame.url)
-    if isinstance(frame, EddystoneTlmFrame):
-        temp_raw = int(frame.temperature_c * 256.0)
-        return EDDYSTONE_UUID + b"\x20" + struct.pack(
-            ">BHhII", 0x00, frame.battery_mv, temp_raw, frame.adv_count, frame.uptime_ds
-        )
-    if isinstance(frame, EddystoneEidFrame):
-        return EDDYSTONE_UUID + b"\x30" + struct.pack(">b", frame.tx_power) + frame.eid
-    raise TypeError(f"not a beacon frame: {type(frame).__name__}")
+    layout = _layout_of(frame)
+    values = layout.get(frame)
+    if layout.cls is EddystoneUrlFrame:
+        return layout.head + layout.struct.pack(values[0]) + encode_url(frame.url)
+    if layout.cls is EddystoneTlmFrame:  # a multiple of 1/256, checked at construction
+        battery_mv, temperature_c, adv_count, uptime_ds = values
+        values = (battery_mv, int(temperature_c * 256.0), adv_count, uptime_ds)
+    return layout.head + layout.struct.pack(*values) + layout.tail
 
 
 def measured_power(frame: BeaconFrame) -> int | None:
@@ -372,54 +355,21 @@ def measured_power(frame: BeaconFrame) -> int | None:
     iBeacon and AltBeacon calibrate at 1 m; Eddystone UID/URL/EID calibrate
     at 0 m. Telemetry frames carry no reference power, so TLM yields None.
     """
-    if isinstance(frame, IBeaconFrame):
-        return frame.power
-    if isinstance(frame, AltBeaconFrame):
-        return frame.ref_rssi
-    if isinstance(frame, (EddystoneUidFrame, EddystoneUrlFrame, EddystoneEidFrame)):
-        return frame.tx_power
-    if isinstance(frame, EddystoneTlmFrame):
-        return None
-    raise TypeError(f"not a beacon frame: {type(frame).__name__}")
+    power = _layout_of(frame).power
+    return None if power is None else getattr(frame, power)
 
 
 def frame_to_dict(frame: BeaconFrame) -> dict:
-    """JSON-friendly view of a frame, used by the command line decoder."""
-    if isinstance(frame, IBeaconFrame):
-        d = {
-            "frame_type": "ibeacon",
-            "uuid": frame.uuid.hex(),
-            "major": frame.major,
-            "minor": frame.minor,
-            "power_dbm": frame.power,
-        }
-    elif isinstance(frame, AltBeaconFrame):
-        d = {
-            "frame_type": "altbeacon",
-            "beacon_id": frame.beacon_id.hex(),
-            "ref_rssi_dbm": frame.ref_rssi,
-            "mfg_reserved": frame.mfg_reserved,
-        }
-    elif isinstance(frame, EddystoneUidFrame):
-        d = {
-            "frame_type": "eddystone_uid",
-            "tx_power_dbm": frame.tx_power,
-            "namespace": frame.namespace.hex(),
-            "instance": frame.instance.hex(),
-        }
-    elif isinstance(frame, EddystoneUrlFrame):
-        d = {"frame_type": "eddystone_url", "tx_power_dbm": frame.tx_power, "url": frame.url}
-    elif isinstance(frame, EddystoneTlmFrame):
-        d = {
-            "frame_type": "eddystone_tlm",
-            "battery_mv": frame.battery_mv,
-            "temperature_c": frame.temperature_c,
-            "adv_count": frame.adv_count,
-            "uptime_ds": frame.uptime_ds,
-        }
-    elif isinstance(frame, EddystoneEidFrame):
-        d = {"frame_type": "eddystone_eid", "tx_power_dbm": frame.tx_power, "eid": frame.eid.hex()}
-    else:
-        raise TypeError(f"not a beacon frame: {type(frame).__name__}")
+    """JSON-friendly view of a frame, used by the command line decoder.
+
+    Byte fields are shown in hex and the reference-power field's key gains
+    a ``_dbm`` suffix.
+    """
+    layout = _layout_of(frame)
+    d = {"frame_type": layout.frame_type}
+    for name in layout.names:
+        value = getattr(frame, name)
+        d[name + "_dbm" if name == layout.power else name] = (
+            value.hex() if isinstance(value, bytes) else value)
     d["measured_power_dbm"] = measured_power(frame)
     return d

@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EmptyTrace, InsufficientSamples
-from .model import SampleColumns, Trace, clamp_rssi
+from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 Vec2 = tuple[float, float]
@@ -228,8 +228,8 @@ def window_push(window: RssiWindow, value: float) -> RssiWindow:
 def _variance(values) -> float:
     """Two-pass population variance: the mean first, then the mean squared deviation."""
     n = len(values)
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / n
+    mean = left_to_right_sum(values) / n
+    return left_to_right_sum((v - mean) ** 2 for v in values) / n
 
 
 def window_variance(window: RssiWindow) -> float:

@@ -383,9 +383,22 @@ class Trace:
         means = {}
         start = 0
         for beacon_id, n in zip(cols.beacon_ids, counts):
-            means[beacon_id] = reduce(operator.add, values[start:start + n], 0.0) / n
+            means[beacon_id] = left_to_right_sum(values[start:start + n]) / n
             start += n
         return means
+
+
+def left_to_right_sum(values: Iterable[float]) -> float:
+    """Sum of floats added one by one, left to right.
+
+    Builtin sum() of floats is compensated from Python 3.12 on and rounds
+    differently, so every library sum of floats goes through here to give
+    the same bits on every supported interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def clamp_rssi(values: np.ndarray) -> np.ndarray:

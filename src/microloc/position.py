@@ -35,7 +35,8 @@ from .errors import (
     NoIntersection,
     NoSurveys,
 )
-from .model import TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace, atomic_write_text, read_json
+from .model import (TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace, atomic_write_text,
+                    left_to_right_sum, read_json)
 
 MISSING_RSSI_DBM = -100.0  # imputed for beacons absent from a signature
 
@@ -441,10 +442,12 @@ def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]],
 def _signature_distance(a: Mapping[str, float], b: Mapping[str, float], metric: str) -> float:
     keys = sorted(set(a) | set(b))  # fixed order: the sum must not depend on string hashing
     if metric == "euclidean":
-        return math.sqrt(sum(
+        return math.sqrt(left_to_right_sum(
             (a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM)) ** 2 for k in keys
         ))
-    return sum(abs(a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM)) for k in keys)
+    return left_to_right_sum(
+        abs(a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM)) for k in keys
+    )
 
 
 def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
@@ -478,9 +481,9 @@ def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
     chosen = scored[:k]
     xs = [db.entries[i].position[0] for _, i in chosen]
     ys = [db.entries[i].position[1] for _, i in chosen]
-    residual = sum(d for d, _ in chosen) / k
+    residual = left_to_right_sum(d for d, _ in chosen) / k
     return PositionEstimate(
-        position=(sum(xs) / k, sum(ys) / k),
+        position=(left_to_right_sum(xs) / k, left_to_right_sum(ys) / k),
         method=Method.FINGERPRINT,
         residual=residual,
     )

@@ -494,3 +494,26 @@ def test_site_chain_matches_pinned_digests(tmp_path, monkeypatch, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in doc["digests"]["site"]}
     assert digests == doc["digests"]["site"]
+
+
+@pytest.mark.parametrize("width", ["1e-300", "1e-9"])
+def test_tiny_bin_width_exits_2_before_allocating_bins(width, tmp_path, monkeypatch, capsys):
+    import tracemalloc
+
+    histogram = evaluate.error_histogram
+    peaks = []
+
+    def traced_histogram(errors_m, bin_width_m):
+        tracemalloc.start()
+        try:
+            return histogram(errors_m, bin_width_m)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    monkeypatch.setattr(evaluate, "error_histogram", traced_histogram)
+    out = tmp_path / "out"
+    assert main(["--seed", "1", "--set", f"bin_width_m={width}", "reproduce", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError") and str(evaluate.MAX_HIST_BINS) in err
+    assert len(peaks) == 1 and peaks[0] < 1 << 20
+    assert not (out / "report.json").exists()

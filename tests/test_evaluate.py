@@ -125,6 +125,13 @@ def test_histogram_validation():
         Histogram(edges=(0.0, 1.0), counts=(1, 2))
 
 
+@pytest.mark.parametrize("errors,width", [([5.0], 1e-300), ([1e6, 1e6 + 1e-9], 1e-12)])
+def test_histogram_rejects_width_finer_than_float_spacing(errors, width):
+    # few enough bins for the cap, but their edges would not strictly increase
+    with pytest.raises(ValueError, match="float spacing"):
+        error_histogram(errors, bin_width_m=width)
+
+
 # --- the full report ---
 
 def test_noise_free_report_is_essentially_exact():

@@ -395,3 +395,18 @@ def test_interleaved_beacons_match_per_beacon_reference(window_n):
             state = update(predict(state, step), z, step)
             expected.append(min(0.0, max(-120.0, state.x[0])))
         assert got[beacon_id] == expected
+
+
+def test_window_variance_sums_left_to_right():
+    # Ten 0.1s add up to 0.9999999999999999 left to right, but to exactly 1.0
+    # under a compensated sum (builtin sum() of floats from Python 3.12 on).
+    values = (0.1,) * 10
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / 10
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    assert squares / 10 == 1.925929944387236e-34  # 0.0 with compensated sums
+    assert window_variance(RssiWindow(capacity=10, values=values)) == squares / 10

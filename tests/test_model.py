@@ -384,3 +384,31 @@ def test_trace_rows_must_be_rssi_samples():
                            channel=37)
     with pytest.raises(TypeError):
         Trace((duck,))
+
+
+_GOOD_JSON_SAMPLE = {"timestamp_ms": 0, "beacon_id": "b", "rssi_dbm": -60.0,
+                     "tx_power_dbm": -59.0, "channel": 37}
+
+
+@pytest.mark.parametrize("bad,message", [
+    (5, "must be an object"),
+    (dict(_GOOD_JSON_SAMPLE, rssi_dbm="-60"), "rssi_dbm must be a number"),
+    (dict(_GOOD_JSON_SAMPLE, tx_power_dbm="-59"), "tx_power_dbm must be a number or null"),
+    (dict(_GOOD_JSON_SAMPLE, channel=37.0), "channel must be an integer"),
+    (dict(_GOOD_JSON_SAMPLE, timestamp_ms=True), "timestamp_ms must be an integer"),
+])
+def test_json_sample_of_wrong_type_is_named(tmp_path, bad, message):
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps({"samples": [_GOOD_JSON_SAMPLE,
+                                         dict(_GOOD_JSON_SAMPLE, timestamp_ms=100), bad]}))
+    with pytest.raises(TraceFormatError) as exc:
+        load_trace(str(p), "json")
+    assert str(exc.value) == f"sample 2: {message}"
+
+
+def test_csv_bad_row_after_blank_lines_names_its_physical_line(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(",".join(CSV_HEADER) + "\n0,b,-60.0,-59.0,37\n\n\n100,b,-61.0,,38\n\n"
+                 "200,b,oops,,39\n")
+    with pytest.raises(TraceFormatError, match=r"^line 7: could not convert string to float"):
+        load_trace(str(p), "csv")
