@@ -290,6 +290,15 @@ def report_to_dict(report: ErrorReport) -> dict:
     }
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a header and rows as LF-terminated CSV, atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
+
+
 def write_report(report: ErrorReport, out_dir: str) -> dict[str, str]:
     """Write report.json, spot_summary.csv and error_hist.csv into out_dir.
 
@@ -303,27 +312,21 @@ def write_report(report: ErrorReport, out_dir: str) -> dict[str, str]:
         "histogram": os.path.join(out_dir, "error_hist.csv"),
     }
     atomic_write_text(paths["report"], json.dumps(report_to_dict(report), indent=2) + "\n")
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SPOT_CSV_HEADER)
+    spot_rows = []
     for spot in report.spots:
         for name in PIPELINES:
             st = spot.pipelines[name]
-            writer.writerow([
+            spot_rows.append([
                 f"{spot.true_distance_m:.6f}", name, f"{st.mean_est_m:.6f}",
                 f"{st.accuracy_m:.6f}", f"{st.precision_m:.6f}", spot.n_samples,
             ])
-    atomic_write_text(paths["spots"], buf.getvalue())
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HIST_CSV_HEADER)
+    _write_csv(paths["spots"], SPOT_CSV_HEADER, spot_rows)
+    hist_rows = []
     for name in PIPELINES:
         h = report.histograms[name]
         for i, count in enumerate(h.counts):
-            writer.writerow([name, f"{h.edges[i]:.6f}", f"{h.edges[i + 1]:.6f}", count])
-    atomic_write_text(paths["histogram"], buf.getvalue())
+            hist_rows.append([name, f"{h.edges[i]:.6f}", f"{h.edges[i + 1]:.6f}", count])
+    _write_csv(paths["histogram"], HIST_CSV_HEADER, hist_rows)
     return paths
 
 
@@ -331,11 +334,8 @@ def write_window_sweep(rows: Sequence[dict], out_dir: str) -> str:
     """Write window_sweep.csv; returns the path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "window_sweep.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["window_n", "max_spot_rms_m", "mean_accuracy_m"])
-    for row in rows:
-        writer.writerow([row["window_n"], f"{row['max_spot_rms_m']:.6f}",
-                         f"{row['mean_accuracy_m']:.6f}"])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, ["window_n", "max_spot_rms_m", "mean_accuracy_m"], [
+        [row["window_n"], f"{row['max_spot_rms_m']:.6f}", f"{row['mean_accuracy_m']:.6f}"]
+        for row in rows
+    ])
     return path

@@ -226,10 +226,15 @@ def window_push(window: RssiWindow, value: float) -> RssiWindow:
 
 
 def _variance(values) -> float:
-    """Two-pass population variance: the mean first, then the mean squared deviation."""
+    """Two-pass population variance: the mean first, then the mean squared deviation.
+
+    Squares are d * d, one IEEE multiply: ``d ** 2`` goes through libm's
+    pow, which is not correctly rounded, so its last bit depends on the
+    platform.
+    """
     n = len(values)
     mean = left_to_right_sum(values) / n
-    return left_to_right_sum((v - mean) ** 2 for v in values) / n
+    return left_to_right_sum(d * d for d in [v - mean for v in values]) / n
 
 
 def window_variance(window: RssiWindow) -> float:

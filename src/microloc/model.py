@@ -8,11 +8,13 @@ channel as uint8. ``RssiSample`` is the row type: a Trace can be built
 from rows, and ``trace.samples`` reads as a sequence of them, each row made
 only when it is read.
 
-Every value is validated once: an RssiSample checks its own fields, and a
-Trace built from columns or loaded from a file checks them vectorised. A
-bad column row raises ValueError naming the first bad ``sample i``; a
-loader raises TraceFormatError naming the first bad ``line N`` (CSV) or
-``sample i`` (JSON) instead.
+Rows, columns and files all build a Trace through the same columns. Every
+value is validated once: an RssiSample checks its own fields, and a Trace
+built from columns or loaded from a file checks whole columns, vectorised.
+A bad column row raises ValueError naming the first bad ``sample i``. A
+file's rows are checked one at a time only after its column check fails,
+so that the loader's TraceFormatError names the first bad ``line N`` (CSV)
+or ``sample i`` (JSON) in file order.
 
 Two serializations are supported:
 
@@ -213,15 +215,6 @@ class SampleColumns(Sequence):
         return order, counts.tolist()
 
 
-def _int64(values: Sequence[int]) -> np.ndarray:
-    """Integers as int64; a value int64 cannot hold becomes -1, which no column accepts."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array([v if -TIMESTAMP_LIMIT_MS <= v < TIMESTAMP_LIMIT_MS else -1
-                         for v in values], dtype=np.int64)
-
-
 def _index(beacon_id: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct ids in order of first appearance, and each row's index into them."""
     ids = tuple(dict.fromkeys(beacon_id))
@@ -231,41 +224,23 @@ def _index(beacon_id: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 
 def _columns(timestamp_ms: Sequence[int], beacon_id: Sequence[str], rssi_dbm: Sequence[float],
              tx_power_dbm: Sequence[float | None], channel: Sequence[int]) -> SampleColumns:
-    """Columns from the per-field value lists of a file, None tx power meaning unknown.
+    """Columns from per-field value lists, None tx power meaning unknown.
 
-    Nothing is checked here. A value int64 cannot hold becomes -1, and a
-    NaN given as tx power becomes +inf rather than "unknown", so that the
-    Trace rejects their rows.
+    Nothing is checked here, but an integer int64 cannot hold raises
+    OverflowError, and a NaN given as tx power becomes +inf rather than
+    "unknown", so that the Trace rejects its row.
     """
     ids, beacon = _index(beacon_id)
     tx = np.array(tx_power_dbm, dtype=np.float64)
     unknown = np.isnan(tx)
     if np.count_nonzero(unknown) != tx_power_dbm.count(None):
         tx[[i for i in np.flatnonzero(unknown).tolist() if tx_power_dbm[i] is not None]] = math.inf
-    return SampleColumns(_int64(timestamp_ms), beacon, ids, np.array(rssi_dbm, dtype=np.float64),
-                         tx, _int64(channel))
+    return SampleColumns(np.array(timestamp_ms, dtype=np.int64), beacon, ids,
+                         np.array(rssi_dbm, dtype=np.float64), tx,
+                         np.array(channel, dtype=np.int64))
 
 
-_timestamp = operator.attrgetter("timestamp_ms")
 _fields = operator.attrgetter(*CSV_HEADER)  # the header names the row fields
-
-
-def _columns_from_rows(samples: Iterable[RssiSample]) -> SampleColumns:
-    """A Trace's columns from rows: stable-sorted by timestamp, read-only.
-
-    The rows need no further check: an RssiSample validates its values
-    when it is made.
-    """
-    rows = sorted(samples, key=_timestamp)
-    if not all(isinstance(s, RssiSample) for s in rows):
-        raise TypeError("Trace rows must be RssiSample instances")
-    ts, beacon_id, rssi, tx, channel = zip(*map(_fields, rows)) if rows else ((),) * 5
-    ids, beacon = _index(beacon_id)
-    columns = (np.array(ts, dtype=np.int64), beacon, np.array(rssi, dtype=np.float64),
-               np.array(tx, dtype=np.float64), np.array(channel, dtype=np.uint8))
-    for a in columns:
-        a.flags.writeable = False
-    return SampleColumns(columns[0], beacon, ids, *columns[2:])
 
 
 def _valid_id(beacon_id) -> bool:
@@ -317,14 +292,6 @@ def _normalised(cols: SampleColumns) -> SampleColumns:
     return SampleColumns(ts, beacon, ids, rssi, tx, channel)
 
 
-class _BadRow(ValueError):
-    """A Trace rejected a row; index is its position among the rows as given."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
 @dataclass(frozen=True, init=False)
 class Trace:
     """An immutable, time-sorted table of samples plus string metadata.
@@ -344,10 +311,13 @@ class Trace:
         if isinstance(samples, SampleColumns):
             bad = _first_bad_row(samples)
             if bad is not None:
-                raise _BadRow(bad, f"sample {bad}: {_row_error(*samples._values(bad))}")
-            cols = _normalised(samples)
+                raise ValueError(f"sample {bad}: {_row_error(*samples._values(bad))}")
         else:
-            cols = _columns_from_rows(samples)
+            rows = tuple(samples)
+            if not all(isinstance(s, RssiSample) for s in rows):
+                raise TypeError("Trace rows must be RssiSample instances")
+            samples = _columns(*(list(zip(*map(_fields, rows))) or [()] * len(CSV_HEADER)))
+        cols = _normalised(samples)
         meta = dict(metadata or {})
         for k, v in meta.items():
             if not isinstance(k, str) or not isinstance(v, str):
@@ -448,42 +418,36 @@ def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
     return int(order[drops[k] + 1]), int(ts[drops[k]])
 
 
-def _parse_rows(rows: Sequence, parse_row) -> tuple[list[list], tuple[int, str] | None]:
-    """Parse rows one by one up to the first failure: (columns of the rows before it, (index, reason))."""
-    cols: list[list] = [[] for _ in CSV_HEADER]
-    for i, row in enumerate(rows):
-        try:
-            values = parse_row(row)
-        except (ValueError, OverflowError) as exc:
-            return cols, (i, str(exc))
-        for col, v in zip(cols, values):
-            col.append(v)
-    return cols, None
-
-
-def _file_trace(fields: list[Sequence], failure: tuple[int, str] | None, label,
+def _file_trace(rows: Sequence, parse_row, fields: list[Sequence] | None, label,
                 metadata: dict[str, str]) -> Trace:
-    """The Trace of a file's parsed rows, or TraceFormatError at the first bad row.
+    """The Trace of a file's rows, or TraceFormatError naming the first bad row.
 
-    fields holds the rows that parsed, all of them before the row at which
-    parsing failed (failure). A row fails, in file order, by holding a
-    value a Trace rejects or by not parsing; only when every row is sound
-    does a timestamp running backwards for its beacon fail. label(i) names
-    row i in messages.
+    fields holds every row's values column by column, or None when some
+    row does not parse. A row fails, in file order, by not parsing or by
+    holding a value a Trace rejects; only when every row is sound does a
+    timestamp running backwards for its beacon fail. The rows are checked
+    one at a time, with parse_row and RssiSample, only after the columns
+    fail. label(i) names row i in messages.
     """
-    cols = _columns(*fields)
-    try:
-        trace = Trace(cols, metadata)
-    except _BadRow as exc:
-        reason = _row_error(*(field[exc.index] for field in fields))
-        raise TraceFormatError(f"{label(exc.index)}: {reason}") from None
-    if failure is not None:
-        raise TraceFormatError(f"{label(failure[0])}: {failure[1]}")
+    if fields is not None:
+        try:
+            cols = _columns(*fields)
+            trace = Trace(cols, metadata)
+        except (ValueError, OverflowError):
+            fields = None
+    if fields is None:
+        for i, row in enumerate(rows):
+            try:
+                RssiSample(*parse_row(row))
+            except (ValueError, OverflowError) as exc:
+                raise TraceFormatError(f"{label(i)}: {exc}") from None
+        raise AssertionError("the columns were rejected but every row checks")
     backwards = _first_backwards(cols)
     if backwards is not None:
         i, prev = backwards
+        timestamp_ms, beacon_id = cols._values(i)[:2]
         raise TraceFormatError(
-            f"{label(i)}: timestamp {fields[0][i]} for beacon {fields[1][i]!r} "
+            f"{label(i)}: timestamp {timestamp_ms} for beacon {beacon_id!r} "
             f"goes backwards (previous {prev})"
         )
     return trace
@@ -502,14 +466,15 @@ def _csv_row(row: list[str]) -> list:
     return [parse(v) for parse, v in zip(_CSV_PARSERS, row)]
 
 
-def _csv_fields(rows: list[list[str]]) -> tuple[list[Sequence], tuple[int, str] | None]:
+def _csv_fields(rows: list[list[str]]) -> list[Sequence] | None:
+    """Every row's values, column by column, or None if some row does not parse."""
     if set(map(len, rows)) <= {len(_CSV_PARSERS)}:
         columns = list(zip(*rows)) or [()] * len(_CSV_PARSERS)
         try:
-            return [list(map(parse, col)) for parse, col in zip(_CSV_PARSERS, columns)], None
+            return [list(map(parse, col)) for parse, col in zip(_CSV_PARSERS, columns)]
         except ValueError:
             pass
-    return _parse_rows(rows, _csv_row)
+    return None
 
 
 def _read_sidecar(path: str) -> dict[str, str]:
@@ -537,8 +502,8 @@ def _load_csv(path: str) -> Trace:
     linenos = [n for n, row in enumerate(rows, start=2) if row]
     if len(linenos) != len(rows):
         rows = [row for row in rows if row]
-    fields, failure = _csv_fields(rows)
-    return _file_trace(fields, failure, lambda i: f"line {linenos[i]}", _read_sidecar(path))
+    return _file_trace(rows, _csv_row, _csv_fields(rows), lambda i: f"line {linenos[i]}",
+                       _read_sidecar(path))
 
 
 _NUMBER = {int, float}
@@ -563,23 +528,18 @@ def _json_row(item) -> tuple:
             None if tx is None else float(tx), ch)
 
 
-def _json_fields(items: list) -> tuple[list[Sequence], tuple[int, str] | None]:
-    if set(map(type, items)) <= {dict}:
-        ts = [item.get("timestamp_ms") for item in items]
-        rssi = [item.get("rssi_dbm") for item in items]
-        tx = [item.get("tx_power_dbm") for item in items]
-        ch = [item.get("channel", 37) for item in items]
-        if (set(map(type, ts)) <= {int} and set(map(type, rssi)) <= _NUMBER
-                and set(map(type, tx)) <= _NUMBER | {type(None)} and set(map(type, ch)) <= {int}):
-            try:
-                rssi = list(map(float, rssi))
-                tx = [None if v is None else float(v) for v in tx]
-            except OverflowError:
-                pass
-            else:
-                ids = [str(item.get("beacon_id", "")) for item in items]
-                return [ts, ids, rssi, tx, ch], None
-    return _parse_rows(items, _json_row)
+def _json_fields(items: list) -> list[Sequence] | None:
+    """Every sample's values, field by field, or None if some sample does not parse."""
+    if not set(map(type, items)) <= {dict}:
+        return None
+    ts = [item.get("timestamp_ms") for item in items]
+    rssi = [item.get("rssi_dbm") for item in items]
+    tx = [item.get("tx_power_dbm") for item in items]
+    ch = [item.get("channel", 37) for item in items]
+    if (set(map(type, ts)) <= {int} and set(map(type, rssi)) <= _NUMBER
+            and set(map(type, tx)) <= _NUMBER | {type(None)} and set(map(type, ch)) <= {int}):
+        return [ts, [str(item.get("beacon_id", "")) for item in items], rssi, tx, ch]
+    return None
 
 
 def _load_json(path: str) -> Trace:
@@ -591,8 +551,8 @@ def _load_json(path: str) -> Trace:
     meta_raw = raw.get("metadata", {})
     if not isinstance(meta_raw, dict):
         raise TraceFormatError("'metadata' must be an object")
-    fields, failure = _json_fields(raw["samples"])
-    return _file_trace(fields, failure, lambda i: f"sample {i}",
+    samples = raw["samples"]
+    return _file_trace(samples, _json_row, _json_fields(samples), lambda i: f"sample {i}",
                        {str(k): str(v) for k, v in meta_raw.items()})
 
 

@@ -441,13 +441,10 @@ def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]],
 
 def _signature_distance(a: Mapping[str, float], b: Mapping[str, float], metric: str) -> float:
     keys = sorted(set(a) | set(b))  # fixed order: the sum must not depend on string hashing
+    diffs = [a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM) for k in keys]
     if metric == "euclidean":
-        return math.sqrt(left_to_right_sum(
-            (a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM)) ** 2 for k in keys
-        ))
-    return left_to_right_sum(
-        abs(a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM)) for k in keys
-    )
+        return math.sqrt(left_to_right_sum(d * d for d in diffs))  # d * d: see filters._variance
+    return left_to_right_sum(map(abs, diffs))
 
 
 def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],

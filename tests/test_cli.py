@@ -7,6 +7,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from microloc import cli, evaluate, filters, position, sim
 from microloc.cli import DEFAULT_CONFIG, build_config, main
@@ -19,27 +21,22 @@ def write_json(path, doc) -> str:
     return str(path)
 
 
+ANCHORS = [
+    {"beacon_id": "b0", "x": 0.0, "y": 0.0, "tx_power_dbm": -59.0},
+    {"beacon_id": "b1", "x": 8.0, "y": 0.0, "tx_power_dbm": -59.0},
+    {"beacon_id": "b2", "x": 0.0, "y": 8.0, "tx_power_dbm": -59.0},
+]
+SCENARIO = {"beacons": ANCHORS, "device_path": [{"start_ms": 0, "x": 2.0, "y": 1.0}]}
+
+
 @pytest.fixture
 def scenario_path(tmp_path):
-    doc = {
-        "beacons": [
-            {"beacon_id": "b0", "x": 0.0, "y": 0.0, "tx_power_dbm": -59.0},
-            {"beacon_id": "b1", "x": 8.0, "y": 0.0, "tx_power_dbm": -59.0},
-            {"beacon_id": "b2", "x": 0.0, "y": 8.0, "tx_power_dbm": -59.0},
-        ],
-        "device_path": [{"start_ms": 0, "x": 2.0, "y": 1.0}],
-    }
-    return write_json(tmp_path / "scenario.json", doc)
+    return write_json(tmp_path / "scenario.json", SCENARIO)
 
 
 @pytest.fixture
 def anchors_path(tmp_path):
-    doc = [
-        {"beacon_id": "b0", "x": 0.0, "y": 0.0, "tx_power_dbm": -59.0},
-        {"beacon_id": "b1", "x": 8.0, "y": 0.0, "tx_power_dbm": -59.0},
-        {"beacon_id": "b2", "x": 0.0, "y": 8.0, "tx_power_dbm": -59.0},
-    ]
-    return write_json(tmp_path / "anchors.json", doc)
+    return write_json(tmp_path / "anchors.json", ANCHORS)
 
 
 QUIET = ["--set", "shadow_sigma_db=0.0", "--set", "interval_jitter_ms=0",
@@ -517,3 +514,46 @@ def test_tiny_bin_width_exits_2_before_allocating_bins(width, tmp_path, monkeypa
     assert err.startswith("error: ValueError") and str(evaluate.MAX_HIST_BINS) in err
     assert len(peaks) == 1 and peaks[0] < 1 << 20
     assert not (out / "report.json").exists()
+
+
+# --- every --set value through every command ---
+
+SET_VALUES = ["NaN", "Infinity", "-Infinity", "1e308", "-1e308", "-1", "0", "true", '"x"',
+              "[1]", "null"]
+
+# command -> (arguments before the drawn --set, arguments after it)
+SET_COMMANDS = {
+    "simulate": (["--set", "duration_ms=2000"], ["simulate", "{scenario}", "{out}/sim.csv"]),
+    "filter static": ([], ["filter", "{trace}", "{out}/static.csv"]),
+    "filter dynamic": ([], ["filter", "--mode", "dynamic", "{trace}", "{out}/dynamic.json"]),
+    **{f"locate {method}": ([], ["locate", "{trace}", "{anchors}", "{out}/est.json",
+                                 "--method", method])
+       for method in ("proximity", "lateration", "tdoa")},
+    "locate fingerprint": ([], ["locate", "{trace}", "{db}", "{out}/est.json",
+                                "--method", "fingerprint"]),
+    "reproduce": ([], ["reproduce", "{out}/report"]),
+}
+
+
+@pytest.fixture(scope="module")
+def set_inputs(tmp_path_factory):
+    """Every command's input files, and a directory for its outputs."""
+    d = tmp_path_factory.mktemp("set")
+    paths = {"scenario": write_json(d / "scenario.json", SCENARIO),
+             "anchors": write_json(d / "anchors.json", ANCHORS),
+             "db": str(d / "db.json"), "trace": str(d / "trace.csv"), "out": str(d)}
+    position.save_fingerprint_db(position.FingerprintDb(entries=(
+        position.Fingerprint((2.0, 1.0), {"b0": -66.0, "b1": -74.7, "b2": -76.2}),
+        position.Fingerprint((6.0, 6.0), {"b0": -77.0, "b1": -74.0, "b2": -74.0}),
+    )), paths["db"])
+    assert main(["--set", "duration_ms=2000", "simulate", paths["scenario"], paths["trace"]]) == 0
+    return paths
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(key=st.sampled_from(sorted(DEFAULT_CONFIG)), value=st.sampled_from(SET_VALUES),
+       command=st.sampled_from(sorted(SET_COMMANDS)))
+def test_any_set_value_exits_0_or_2(set_inputs, key, value, command):
+    before, after = SET_COMMANDS[command]
+    argv = [*before, "--set", f"{key}={value}", *(arg.format(**set_inputs) for arg in after)]
+    assert main(argv) in (0, 2)

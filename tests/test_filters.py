@@ -219,6 +219,12 @@ def test_window_variance_examples():
         window_variance(RssiWindow(5))
 
 
+def test_window_variance_squares_by_multiplication():
+    # libm's pow, which d ** 2 calls, gives 2402.106784558736 here on glibc 2.36
+    window = RssiWindow(3, (0.0, -56.92095298601803, -120.0))
+    assert window_variance(window) == 2402.1067845587354
+
+
 def test_window_variance_matches_numpy_population():
     rng = np.random.default_rng(21)
     for _ in range(200):

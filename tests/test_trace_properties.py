@@ -6,6 +6,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -104,3 +105,18 @@ def test_mutated_csv_fails_only_as_documented(text):
 @given(mutated("json"))
 def test_mutated_json_fails_only_as_documented(text):
     _load_text(text, "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@SETTINGS
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_trace_format_error(fmt, data):
+    text = data.draw(mutated(fmt))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"t.{fmt}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            load_trace(path, fmt)
+        except TraceFormatError:
+            pass
