@@ -16,6 +16,12 @@ dynamic mode recomputes Q before every step from the variance of a sliding
 window of recent measurements, scaled by q_scale: when the signal is quiet
 the window variance shrinks and the filter trusts its model; when the
 environment shifts, variance grows and the filter re-converges faster.
+A window holds measurements only, never filter state, so each stream's Q
+for every step is computed from its measurements before the filter loop
+starts, with numpy, its sums running left to right across the window's
+columns. RssiWindow and window_variance remain the reference: the Q of
+each step has the bits window_variance gives for the window RssiWindow
+holds at that step.
 
 Timestamps are not consulted during filtering. The transition matrix uses
 the configured dt throughout, which models a nominally periodic
@@ -26,9 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyTrace, InsufficientSamples
 from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum
@@ -245,32 +253,60 @@ def window_variance(window: RssiWindow) -> float:
     return _variance(window.values)
 
 
+def _window_q(zs: list[float], window_n: int, q_scale: float) -> list[float]:
+    """q_scale times each step's window variance, for steps 1 to len(zs) - 1.
+
+    Step i's window holds zs[max(0, i - window_n + 1):i + 1], the last
+    window_n measurements, as RssiWindow holds them after window_push. The
+    warm-up windows, shorter than window_n, go through _variance. The full
+    ones are computed together, one column of the sliding window view at a
+    time, so that no array holds more than one value per full window. Each
+    sum starts at 0.0 and adds the columns left to right, as
+    left_to_right_sum does, and each square is d * d, so every q has the
+    bits _variance would give it.
+    """
+    qs = [q_scale * _variance(zs[:i + 1]) for i in range(1, min(window_n - 1, len(zs)))]
+    if len(zs) >= window_n:
+        columns = sliding_window_view(np.array(zs), window_n).T
+        total = np.zeros(len(zs) - window_n + 1)
+        for column in columns:
+            total += column
+        mean = total / window_n
+        squares = np.zeros_like(total)
+        for column in columns:
+            d = column - mean
+            squares += d * d
+        with np.errstate(over="ignore", invalid="ignore"):
+            qs.extend((float(q_scale) * (squares / window_n)).tolist())
+    return qs
+
+
 def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
                    window_n: int | None, q_scale: float) -> list[float]:
     """Run the filter over one beacon's measurements, returning estimates.
 
-    window_n None selects the static-Q mode; otherwise Q is refreshed from
-    the sliding window (the last window_n measurements, as RssiWindow
-    holds them) before every predict.
+    window_n None selects the static-Q mode. Otherwise the first step uses
+    the static Q and every later one q_scale * variance * I of its window
+    (the last window_n measurements, as RssiWindow holds them). All of
+    those Qs are computed from the measurements before the loop starts, by
+    _window_q, with sums that run left to right across the window's
+    columns; RssiWindow and window_variance remain the reference they match
+    bit for bit.
     """
     (f00, f01), (f10, f11) = params.F
     (q00, q01), (q10, q11) = params.Q
     h0, h1 = params.H
     r = params.R
+    steps = zip(zs, repeat(q00), repeat(q01), repeat(q10), repeat(q11))
+    if window_n is not None:
+        qs = _window_q(zs, window_n, q_scale)
+        steps = chain([(zs[0], q00, q01, q10, q11)],
+                      zip(zs[1:], qs, repeat(0.0), repeat(0.0), qs))
     sx0 = float(zs[0]) if x0 is None else float(x0)
     sx1 = 0.0
     (p00, p01), (p10, p11) = params.P0
     out = []
-    win: list[float] = []
-    for z in zs:
-        cq00, cq01, cq10, cq11 = q00, q01, q10, q11
-        if window_n is not None:
-            win.append(z)
-            if len(win) > window_n:
-                del win[0]
-            if len(win) >= 2:
-                q = q_scale * _variance(win)
-                cq00, cq01, cq10, cq11 = q, 0.0, 0.0, q
+    for z, cq00, cq01, cq10, cq11 in steps:
         sx0, sx1, p00, p01, p10, p11 = _predict_xp(
             sx0, sx1, p00, p01, p10, p11, f00, f01, f10, f11, cq00, cq01, cq10, cq11
         )

@@ -275,20 +275,35 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _normalised(cols: SampleColumns) -> SampleColumns:
-    """Stable-sorted by timestamp, beacons renumbered by first appearance, read-only."""
-    ts, beacon, ids = cols.timestamp_ms, cols.beacon, cols.beacon_ids
-    arrays = [ts, beacon, cols.rssi_dbm, cols.tx_power_dbm, cols.channel.astype(np.uint8)]
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _normalised(cols: SampleColumns, owned: bool = False) -> SampleColumns:
+    """Stable-sorted by timestamp, beacons renumbered by first appearance, read-only.
+
+    owned says that cols' arrays were made for this Trace alone, by
+    _columns from rows, so that they can be frozen in place rather than
+    copied, and that their beacon index already numbers the ids in order
+    of first appearance, as _index does. A caller's arrays are copied
+    while writeable, so that changing them later cannot change the Trace.
+    """
+    ts, ids = cols.timestamp_ms, cols.beacon_ids
+    arrays = [ts, cols.beacon, cols.rssi_dbm, cols.tx_power_dbm,
+              cols.channel.astype(np.uint8, copy=False)]
+    fresh = numbered = owned
     if len(ts) > 1 and not (ts[1:] >= ts[:-1]).all():
         order = np.argsort(ts, kind="stable")
         arrays = [a[order] for a in arrays]
-    used = _first_appearance(arrays[1], len(ids))
+        fresh, numbered = True, False
+    used = None if numbered else _first_appearance(arrays[1], len(ids))
     if used is not None:
         renumber = np.zeros(len(ids), dtype=np.intp)
         renumber[used] = np.arange(len(used))
         arrays[1] = renumber[arrays[1]]
         ids = tuple(_take(ids, used))
-    ts, beacon, rssi, tx, channel = map(_frozen, arrays)
+    ts, beacon, rssi, tx, channel = map(_freeze if fresh else _frozen, arrays)
     return SampleColumns(ts, beacon, ids, rssi, tx, channel)
 
 
@@ -312,12 +327,13 @@ class Trace:
             bad = _first_bad_row(samples)
             if bad is not None:
                 raise ValueError(f"sample {bad}: {_row_error(*samples._values(bad))}")
+            cols = _normalised(samples)
         else:
             rows = tuple(samples)
             if not all(isinstance(s, RssiSample) for s in rows):
                 raise TypeError("Trace rows must be RssiSample instances")
-            samples = _columns(*(list(zip(*map(_fields, rows))) or [()] * len(CSV_HEADER)))
-        cols = _normalised(samples)
+            cols = _normalised(
+                _columns(*(list(zip(*map(_fields, rows))) or [()] * len(CSV_HEADER))), owned=True)
         meta = dict(metadata or {})
         for k, v in meta.items():
             if not isinstance(k, str) or not isinstance(v, str):

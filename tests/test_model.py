@@ -412,3 +412,33 @@ def test_csv_bad_row_after_blank_lines_names_its_physical_line(tmp_path):
                  "200,b,oops,,39\n")
     with pytest.raises(TraceFormatError, match=r"^line 7: could not convert string to float"):
         load_trace(str(p), "csv")
+
+
+def _column_arrays(cols):
+    return (cols.timestamp_ms, cols.beacon, cols.rssi_dbm, cols.tx_power_dbm, cols.channel)
+
+
+@pytest.mark.parametrize("timestamps", [[0, 1, 2], [2, 0, 1]], ids=["sorted", "unsorted"])
+def test_trace_copies_callers_writeable_columns(timestamps):
+    from microloc.model import SampleColumns
+
+    given = SampleColumns(timestamps, [1, 0, 1], ["a", "b"], [-60.0, -61.0, -62.0],
+                          [-59.0, np.nan, -59.0], np.array([37, 38, 39], dtype=np.uint8))
+    t = Trace(given)
+    before = list(t.samples)
+    for a in _column_arrays(given):
+        assert a.flags.writeable
+        a[:] = np.roll(a, 1)
+    assert list(t.samples) == before
+
+
+@pytest.mark.parametrize("timestamps", [[0, 1, 2, 3], [3, 1, 2, 0]], ids=["sorted", "unsorted"])
+def test_trace_from_rows_has_read_only_columns(timestamps):
+    rows = [RssiSample(ts, f"b{ts % 2}", -60.0 - ts, None if ts else -59.0, 38)
+            for ts in timestamps]
+    cols = Trace(rows).samples
+    assert [not a.flags.writeable for a in _column_arrays(cols)] == [True] * 5
+    assert cols.beacon_ids[cols.beacon[0]] == cols[0].beacon_id and cols.beacon[0] == 0
+    for a in _column_arrays(cols):
+        with pytest.raises(ValueError):
+            a[0] = 0
