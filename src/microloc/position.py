@@ -47,6 +47,7 @@ DEFAULT_FINGERPRINT_K = 1
 _COLLINEAR_SCATTER_M2 = 1e-9
 _GN_MAX_ITER = 100
 _GN_STEP_TOL = 1e-10
+_TDOA_MAX_RANGE_SPREADS = 100.0  # a TDoA fix farther out is an asymptote, not a fix
 
 
 class Method(enum.Enum):
@@ -334,6 +335,13 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
     Gauss-Newton with backtracking runs from several starting points
     (receiver centroid, then perturbed receiver sites) and the best
     converged fit wins; the residual is the RMS range-difference misfit.
+
+    An iteration is a deterministic map of the iterate alone, so a start
+    whose iterate repeats (bit for bit) is in a cycle that can only run
+    out of iterations; it ends there, unconverged. A start that converges
+    more than _TDOA_MAX_RANGE_SPREADS receiver spreads from the receivers'
+    centroid (running off along a hyperbola's asymptote) does not count as
+    converged. NoConvergence is raised when no start converges.
     """
     if len(receivers) < 3:
         raise ArityError(f"time-difference fix requires at least three receivers, got {len(receivers)}")
@@ -348,16 +356,23 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
     pts = _anchor_points(receivers)
     _check_spread(pts)
 
-    spread = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
+    centroid = pts.mean(axis=0)
+    spread = float(np.max(np.linalg.norm(pts - centroid, axis=1)))
     offset = np.array([0.37, 0.23]) * max(spread, 1.0)
-    starts = [pts.mean(axis=0)] + [pt + offset for pt in pts]
+    starts = [centroid] + [pt + offset for pt in pts]
+    max_range = _TDOA_MAX_RANGE_SPREADS * max(spread, 1.0)
 
     best: tuple[float, np.ndarray] | None = None
     for start in starts:
         p = start.copy()
         resid, cost = _tdoa_cost(p, pts, diffs)
         converged = False
+        seen: set[bytes] = set()
         for _ in range(_GN_MAX_ITER):
+            key = p.tobytes()
+            if key in seen:
+                break  # a cycle: it would replay until _GN_MAX_ITER
+            seen.add(key)
             ranges = np.maximum(np.linalg.norm(p - pts, axis=1), 1e-12)
             units = (p - pts) / ranges[:, None]
             step = _gn_step(units[1:] - units[0], resid)
@@ -374,7 +389,7 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
             p = trial
             resid, cost = t_resid, t_cost
             if float(np.linalg.norm(step)) < _GN_STEP_TOL or cost < 1e-24:
-                converged = True
+                converged = float(np.linalg.norm(p - centroid)) <= max_range
                 break
         if converged and (best is None or cost < best[0]):
             best = (cost, p)
