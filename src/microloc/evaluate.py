@@ -128,11 +128,20 @@ class ErrorReport:
     window_sweep: tuple[dict, ...] = ()
 
 
+def _distances(rssi_dbm: np.ndarray, model: ranging.PathLossModel) -> np.ndarray:
+    """ranging.rssi_to_distance of every value of a finite column, with the same bits.
+
+    The exponent is exact IEEE arithmetic on the column; each power goes
+    through Python's float pow, which numpy's power need not match.
+    """
+    exponents = (model.ref_power_dbm - rssi_dbm) / (10.0 * model.exponent)
+    return np.array(list(map((10.0).__pow__, exponents.tolist())))
+
+
 def _pipeline_stats(trace: Trace, model: ranging.PathLossModel,
                     true_d: float) -> tuple[PipelineStats, np.ndarray]:
     """One pipeline's statistics at a spot, and the absolute error of each estimate."""
-    ests = np.asarray([ranging.rssi_to_distance(v, model)
-                       for v in trace.samples.rssi_dbm.tolist()])
+    ests = _distances(trace.samples.rssi_dbm, model)
     errors = np.abs(ests - true_d)
     stats = PipelineStats(
         mean_est_m=float(np.mean(ests)),

@@ -27,6 +27,15 @@ CSV (one sample per line, LF endings)::
     tx_power_dbm field means "unknown". Trace metadata, when present, is
     stored next to the file in ``<path>.meta.json``.
 
+    The loader reads the file once as text. A text that holds no '"', CR
+    or NUL, whose line 1 is exactly the header, whose other lines each have
+    exactly four commas (so none is blank), and whose lines are all shorter
+    than csv.field_size_limit() is split once, and each column is parsed whole
+    (``_splits``). Any other text, and any whose columns a Trace
+    rejects or whose timestamps run backwards, is read by the csv module,
+    and that path raises the loader's errors. A text that splits cannot
+    fail in the csv module, so a bad sidecar is its first error either way.
+
 JSON::
 
     {"metadata": {...}, "samples": [{"timestamp_ms": 0, ...}, ...]}
@@ -424,6 +433,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
     """First row (in given order) whose timestamp is below its beacon's previous one, with that one."""
+    if (cols.timestamp_ms[1:] >= cols.timestamp_ms[:-1]).all():
+        return None  # no beacon's timestamps go back when none do
     order, _ = cols.by_beacon()
     ts = cols.timestamp_ms[order]
     beacon = cols.beacon[order]
@@ -432,6 +443,19 @@ def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
         return None
     k = int(np.argmin(order[drops + 1]))
     return int(order[drops[k] + 1]), int(ts[drops[k]])
+
+
+def _columns_trace(fields: list[Sequence], metadata: dict[str, str]
+                   ) -> tuple[Trace, SampleColumns] | None:
+    """The Trace of a file's values, column by column, and its columns in file order.
+
+    None if the values make no columns or a Trace rejects them.
+    """
+    try:
+        cols = _columns(*fields)
+        return Trace(cols, metadata), cols
+    except (ValueError, OverflowError):
+        return None
 
 
 def _file_trace(rows: Sequence, parse_row, fields: list[Sequence] | None, label,
@@ -445,19 +469,15 @@ def _file_trace(rows: Sequence, parse_row, fields: list[Sequence] | None, label,
     one at a time, with parse_row and RssiSample, only after the columns
     fail. label(i) names row i in messages.
     """
-    if fields is not None:
-        try:
-            cols = _columns(*fields)
-            trace = Trace(cols, metadata)
-        except (ValueError, OverflowError):
-            fields = None
-    if fields is None:
+    built = None if fields is None else _columns_trace(fields, metadata)
+    if built is None:
         for i, row in enumerate(rows):
             try:
                 RssiSample(*parse_row(row))
             except (ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"{label(i)}: {exc}") from None
         raise AssertionError("the columns were rejected but every row checks")
+    trace, cols = built
     backwards = _first_backwards(cols)
     if backwards is not None:
         i, prev = backwards
@@ -503,18 +523,87 @@ def _read_sidecar(path: str) -> dict[str, str]:
     return {str(k): str(v) for k, v in raw.items()}
 
 
+_CSV_HEADER_LINE = ",".join(CSV_HEADER)
+
+
+def _parse_repeated(texts: list[str], parse) -> list:
+    """list(map(parse, texts)), parsing each distinct text once (tx power, channel)."""
+    values = {t: parse(t) for t in set(texts)}
+    return list(map(values.__getitem__, texts))
+
+
+def _tx_column(texts: list[str]) -> list:
+    """The tx power texts parsed by float, or by _tx_field (blank means None) if float fails."""
+    try:
+        return _parse_repeated(texts, float)
+    except ValueError:
+        return _parse_repeated(texts, _tx_field)
+
+
+_NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _splits(text: str) -> bool:
+    """Whether one split of text at its newlines and commas gives csv.reader's fields.
+
+    It does when the text holds no '"', CR or NUL, line 1 is exactly the
+    header, every other line has exactly four commas (so none is blank),
+    and every line, the header too, is shorter than csv.field_size_limit();
+    csv.reader raises no error on such a text either.
+    """
+    line1 = text[:len(_CSV_HEADER_LINE) + 1]
+    if ('"' in text or "\r" in text or "\0" in text
+            or line1 not in (_CSV_HEADER_LINE, _CSV_HEADER_LINE + "\n")):
+        return False
+    # Only commas and newlines, one ",,,,\n" per line: UTF-8 encodes no
+    # other character with those bytes, and a line has no fewer bytes than
+    # characters.
+    raw = text.encode()
+    shape = raw.translate(None, _NOT_COMMA_OR_NEWLINE) + (b"" if raw.endswith(b"\n") else b"\n")
+    newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    return (shape == b",,,,\n" * (len(shape) // 5)
+            and np.diff(newlines, prepend=-1, append=len(raw)).max() <= csv.field_size_limit())
+
+
+def _split_fields(text: str) -> list[Sequence] | None:
+    """A CSV text's values column by column, from one split of the text, or None.
+
+    Timestamps and RSSI come as numpy arrays, the rest as lists. None
+    unless the text _splits, and None if a column does not parse.
+    """
+    if not _splits(text):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        fields.pop()  # the empty field after the newline that ends the last line
+    n = len(fields) // 5 - 1
+    try:  # fields[0:5] is the header
+        return [np.fromiter(map(int, fields[5::5]), np.int64, n), fields[6::5],
+                np.fromiter(map(float, fields[7::5]), np.float64, n),
+                _tx_column(fields[8::5]), _parse_repeated(fields[9::5], int)]
+    except (ValueError, OverflowError):
+        return None
+
+
 def _load_csv(path: str) -> Trace:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-            if header != CSV_HEADER:
-                raise TraceFormatError(f"line 1: bad header {header!r}")
-            rows = list(reader)
-        except StopIteration:
-            raise TraceFormatError("line 1: missing header") from None
-        except csv.Error as exc:
-            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+        text = fh.read()
+    fields = _split_fields(text)
+    if fields is not None:
+        # csv.reader fails on no text that splits, so the sidecar is the first thing that can
+        built = _columns_trace(fields, _read_sidecar(path))
+        if built is not None and _first_backwards(built[1]) is None:
+            return built[0]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+        if header != CSV_HEADER:
+            raise TraceFormatError(f"line 1: bad header {header!r}")
+        rows = list(reader)
+    except StopIteration:
+        raise TraceFormatError("line 1: missing header") from None
+    except csv.Error as exc:
+        raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
     linenos = [n for n, row in enumerate(rows, start=2) if row]
     if len(linenos) != len(rows):
         rows = [row for row in rows if row]
@@ -593,19 +682,25 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+# One row of each file, by whether its tx power is known. "%.4f" formats as
+# "{:.4f}" does, "%r" of a float is float.__repr__ (as in json.dumps), and
+# "%.0s" drops the NaN of an unknown tx power.
+_CSV_ROWS = ("%d,%s,%.4f,%.4f,%d\n", "%d,%s,%.4f,%.0s,%d\n")
+_JSON_ROWS = tuple('    {\n      "timestamp_ms": %d,\n      "beacon_id": %s,\n'
+                   '      "rssi_dbm": %r,\n      "tx_power_dbm": ' + tx + ',\n'
+                   '      "channel": %d\n    }' for tx in ("%r", "null%.0s"))
+
+
+def _rows(cols: SampleColumns, templates: tuple[str, str], beacon_ids: list[str]):
+    """Each row formatted by one % template: templates[0] if its tx power is known, else [1]."""
+    return map(str.__mod__, _take(templates, np.isnan(cols.tx_power_dbm)),
+               zip(cols.timestamp_ms.tolist(), _take(beacon_ids, cols.beacon),
+                   cols.rssi_dbm.tolist(), cols.tx_power_dbm.tolist(), cols.channel.tolist()))
+
+
 def _csv_text(cols: SampleColumns) -> str:
-    four = "{:.4f}".format
-    rows = zip(map(str, cols.timestamp_ms.tolist()),
-               _take([_csv_field(b) for b in cols.beacon_ids], cols.beacon),
-               map(four, cols.rssi_dbm.tolist()),
-               ["" if v is None else four(v) for v in _optional(cols.tx_power_dbm)],
-               map(str, cols.channel.tolist()))
-    return "".join(line + "\n" for line in [",".join(CSV_HEADER), *map(",".join, rows)])
-
-
-# One sample as json.dumps(..., indent=2) lays it out inside the "samples" array.
-_JSON_SAMPLE = ('    {{\n      "timestamp_ms": {},\n      "beacon_id": {},\n'
-                '      "rssi_dbm": {},\n      "tx_power_dbm": {},\n      "channel": {}\n    }}')
+    return _CSV_HEADER_LINE + "\n" + "".join(
+        _rows(cols, _CSV_ROWS, [_csv_field(b) for b in cols.beacon_ids]))
 
 
 def _json_text(trace: Trace) -> str:
@@ -614,12 +709,7 @@ def _json_text(trace: Trace) -> str:
     head = json.dumps({"metadata": dict(sorted(trace.metadata.items())), "samples": []}, indent=2)
     if len(cols) == 0:
         return head + "\n"
-    rows = map(_JSON_SAMPLE.format,
-               cols.timestamp_ms.tolist(),
-               _take([json.dumps(b) for b in cols.beacon_ids], cols.beacon),
-               map(float.__repr__, cols.rssi_dbm.tolist()),
-               ["null" if v is None else float.__repr__(v) for v in _optional(cols.tx_power_dbm)],
-               cols.channel.tolist())
+    rows = _rows(cols, _JSON_ROWS, [json.dumps(b) for b in cols.beacon_ids])
     return head[:-len("]\n}")] + "\n" + ",\n".join(rows) + "\n  ]\n}\n"
 
 
@@ -628,15 +718,19 @@ def save_trace(trace: Trace, path: str, format: str = "csv") -> None:
 
     CSV quantizes rssi_dbm and tx_power_dbm to four decimal places; JSON
     keeps full float precision. For CSV, non-empty metadata goes to a
-    ``<path>.meta.json`` sidecar.
+    ``<path>.meta.json`` sidecar, and a trace without metadata removes any
+    sidecar an earlier save left there.
     """
     if format == "csv":
         atomic_write_text(path, _csv_text(trace.samples))
+        sidecar = path + ".meta.json"
         if trace.metadata:
-            atomic_write_text(
-                path + ".meta.json",
-                json.dumps(trace.metadata, indent=2, sort_keys=True) + "\n",
-            )
+            atomic_write_text(sidecar, json.dumps(trace.metadata, indent=2, sort_keys=True) + "\n")
+        else:
+            try:
+                os.remove(sidecar)
+            except FileNotFoundError:
+                pass
     elif format == "json":
         atomic_write_text(path, _json_text(trace))
     else:

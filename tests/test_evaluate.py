@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microloc.errors import EmptyInput, InsufficientSamples
 from microloc.evaluate import (
@@ -15,6 +17,7 @@ from microloc.evaluate import (
     PIPELINES,
     SPOT_CSV_HEADER,
     Histogram,
+    _distances,
     _round12,
     accuracy,
     error_histogram,
@@ -25,6 +28,7 @@ from microloc.evaluate import (
     write_report,
     write_window_sweep,
 )
+from microloc.ranging import MAX_EXPONENT, MIN_EXPONENT, PathLossModel, rssi_to_distance
 from microloc.sim import SimConfig
 
 
@@ -269,3 +273,14 @@ def test_window_sweep_is_ranging_reports_rows_without_other_pipelines(monkeypatc
         raise AssertionError("window_sweep ran the static pipeline")
     monkeypatch.setattr(filters, "smooth_trace", no_static)
     assert window_sweep(cfg, window_sizes=sizes) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-120.0, 0.0), max_size=50),
+       ref=st.floats(-100.0, 0.0) | st.integers(-100, 0),
+       exponent=st.floats(MIN_EXPONENT, MAX_EXPONENT, exclude_min=True) | st.integers(1, 8))
+def test_column_distances_equal_rssi_to_distance(values, ref, exponent):
+    model = PathLossModel(ref, exponent)
+    got = _distances(np.array(values, dtype=np.float64), model)
+    assert got.dtype == np.float64
+    assert got.tolist() == [rssi_to_distance(v, model) for v in values]

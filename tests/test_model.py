@@ -91,6 +91,17 @@ def test_csv_metadata_sidecar(tmp_path):
         assert json.load(fh) == {"origin": "test-seed-3"}
 
 
+def test_csv_save_without_metadata_removes_stale_sidecar(tmp_path):
+    p = str(tmp_path / "x.csv")
+    save_trace(Trace(make_trace(1, n=5).samples, {"seed": "1"}), p, "csv")
+    plain = Trace(make_trace(2, n=5).samples)
+    save_trace(plain, p, "csv")
+    assert not os.path.exists(p + ".meta.json")
+    assert load_trace(p, "csv") == plain
+    save_trace(plain, p, "csv")  # nothing left to remove
+    assert load_trace(p, "csv") == plain
+
+
 def test_json_roundtrip_preserves_full_precision(tmp_path):
     # values that 4-decimal CSV would truncate survive JSON unchanged
     s = RssiSample(5, "b", -61.123456789012, tx_power_dbm=-58.9999999999, channel=39)
