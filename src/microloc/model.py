@@ -30,11 +30,11 @@ CSV (one sample per line, LF endings)::
     The loader reads the file once as text. A text that holds no '"', CR
     or NUL, whose line 1 is exactly the header, whose other lines each have
     exactly four commas (so none is blank), and whose lines are all shorter
-    than csv.field_size_limit() is split once, and each column is parsed whole
-    (``_splits``). Any other text, and any whose columns a Trace
-    rejects or whose timestamps run backwards, is read by the csv module,
-    and that path raises the loader's errors. A text that splits cannot
-    fail in the csv module, so a bad sidecar is its first error either way.
+    than csv.field_size_limit() is split at its commas and newlines
+    (``_splits``); the csv module reads any other text. Either way its
+    fields then take one route: whole columns first, rows only to name a
+    bad line. A text that splits cannot fail in the csv module, so a bad
+    sidecar is its first possible error.
 
 JSON::
 
@@ -445,39 +445,31 @@ def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
     return int(order[drops[k] + 1]), int(ts[drops[k]])
 
 
-def _columns_trace(fields: list[Sequence], metadata: dict[str, str]
-                   ) -> tuple[Trace, SampleColumns] | None:
-    """The Trace of a file's values, column by column, and its columns in file order.
-
-    None if the values make no columns or a Trace rejects them.
-    """
-    try:
-        cols = _columns(*fields)
-        return Trace(cols, metadata), cols
-    except (ValueError, OverflowError):
-        return None
-
-
-def _file_trace(rows: Sequence, parse_row, fields: list[Sequence] | None, label,
+def _file_trace(rows: Iterable, parse_row, fields: list[Sequence] | None, label,
                 metadata: dict[str, str]) -> Trace:
     """The Trace of a file's rows, or TraceFormatError naming the first bad row.
 
     fields holds every row's values column by column, or None when some
     row does not parse. A row fails, in file order, by not parsing or by
     holding a value a Trace rejects; only when every row is sound does a
-    timestamp running backwards for its beacon fail. The rows are checked
-    one at a time, with parse_row and RssiSample, only after the columns
-    fail. label(i) names row i in messages.
+    timestamp running backwards for its beacon fail. Only after the columns
+    fail are the rows read, once (they may be a generator), each checked
+    with parse_row and RssiSample. label(i) names row i in messages.
     """
-    built = None if fields is None else _columns_trace(fields, metadata)
-    if built is None:
+    trace = None
+    if fields is not None:
+        try:
+            cols = _columns(*fields)
+            trace = Trace(cols, metadata)
+        except (ValueError, OverflowError):
+            pass
+    if trace is None:
         for i, row in enumerate(rows):
             try:
                 RssiSample(*parse_row(row))
             except (ValueError, OverflowError) as exc:
                 raise TraceFormatError(f"{label(i)}: {exc}") from None
         raise AssertionError("the columns were rejected but every row checks")
-    trace, cols = built
     backwards = _first_backwards(cols)
     if backwards is not None:
         i, prev = backwards
@@ -502,14 +494,32 @@ def _csv_row(row: list[str]) -> list:
     return [parse(v) for parse, v in zip(_CSV_PARSERS, row)]
 
 
+def _parse_repeated(texts: Sequence[str], parse) -> list:
+    """list(map(parse, texts)), parsing each distinct text once (tx power, channel)."""
+    values = {t: parse(t) for t in set(texts)}
+    return list(map(values.__getitem__, texts))
+
+
+def _csv_columns(ts: Sequence[str], ids: Sequence[str], rssi: Sequence[str],
+                 tx: Sequence[str], ch: Sequence[str]) -> list[Sequence] | None:
+    """A CSV file's field texts parsed column by column, or None if one does not parse.
+
+    Timestamps (int64, so that one int64 cannot hold does not parse) and
+    RSSI come as numpy arrays, the rest as lists.
+    """
+    n = len(ts)
+    try:
+        return [np.fromiter(map(int, ts), np.int64, n), ids,
+                np.fromiter(map(float, rssi), np.float64, n),
+                _parse_repeated(tx, _tx_field), _parse_repeated(ch, int)]
+    except (ValueError, OverflowError):
+        return None
+
+
 def _csv_fields(rows: list[list[str]]) -> list[Sequence] | None:
     """Every row's values, column by column, or None if some row does not parse."""
     if set(map(len, rows)) <= {len(_CSV_PARSERS)}:
-        columns = list(zip(*rows)) or [()] * len(_CSV_PARSERS)
-        try:
-            return [list(map(parse, col)) for parse, col in zip(_CSV_PARSERS, columns)]
-        except ValueError:
-            pass
+        return _csv_columns(*(list(zip(*rows)) or [()] * len(_CSV_PARSERS)))
     return None
 
 
@@ -524,20 +534,6 @@ def _read_sidecar(path: str) -> dict[str, str]:
 
 
 _CSV_HEADER_LINE = ",".join(CSV_HEADER)
-
-
-def _parse_repeated(texts: list[str], parse) -> list:
-    """list(map(parse, texts)), parsing each distinct text once (tx power, channel)."""
-    values = {t: parse(t) for t in set(texts)}
-    return list(map(values.__getitem__, texts))
-
-
-def _tx_column(texts: list[str]) -> list:
-    """The tx power texts parsed by float, or by _tx_field (blank means None) if float fails."""
-    try:
-        return _parse_repeated(texts, float)
-    except ValueError:
-        return _parse_repeated(texts, _tx_field)
 
 
 _NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
@@ -565,50 +561,47 @@ def _splits(text: str) -> bool:
             and np.diff(newlines, prepend=-1, append=len(raw)).max() <= csv.field_size_limit())
 
 
-def _split_fields(text: str) -> list[Sequence] | None:
-    """A CSV text's values column by column, from one split of the text, or None.
-
-    Timestamps and RSSI come as numpy arrays, the rest as lists. None
-    unless the text _splits, and None if a column does not parse.
-    """
-    if not _splits(text):
-        return None
+def _split_columns(text: str) -> list[list[str]]:
+    """The field texts of a text that _splits, column by column, the header left out."""
     fields = text.replace("\n", ",").split(",")
     if text.endswith("\n"):
         fields.pop()  # the empty field after the newline that ends the last line
-    n = len(fields) // 5 - 1
-    try:  # fields[0:5] is the header
-        return [np.fromiter(map(int, fields[5::5]), np.int64, n), fields[6::5],
-                np.fromiter(map(float, fields[7::5]), np.float64, n),
-                _tx_column(fields[8::5]), _parse_repeated(fields[9::5], int)]
-    except (ValueError, OverflowError):
-        return None
+    return [fields[k::5] for k in range(5, 10)]
+
+
+def _split_rows(text: str):
+    """Each row's field texts, for a text that _splits; row i is on line i + 2.
+
+    A generator: the text is split again only if the rows are read, so no
+    field text needs to stay alive while the Trace is built.
+    """
+    yield from zip(*_split_columns(text))
 
 
 def _load_csv(path: str) -> Trace:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    fields = _split_fields(text)
-    if fields is not None:
-        # csv.reader fails on no text that splits, so the sidecar is the first thing that can
-        built = _columns_trace(fields, _read_sidecar(path))
-        if built is not None and _first_backwards(built[1]) is None:
-            return built[0]
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise TraceFormatError(f"line 1: bad header {header!r}")
-        rows = list(reader)
-    except StopIteration:
-        raise TraceFormatError("line 1: missing header") from None
-    except csv.Error as exc:
-        raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
-    linenos = [n for n, row in enumerate(rows, start=2) if row]
-    if len(linenos) != len(rows):
-        rows = [row for row in rows if row]
-    return _file_trace(rows, _csv_row, _csv_fields(rows), lambda i: f"line {linenos[i]}",
-                       _read_sidecar(path))
+    if _splits(text):
+        rows = _split_rows(text)
+        columns = _csv_columns(*_split_columns(text))
+        label = lambda i: f"line {i + 2}"
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader)
+            if header != CSV_HEADER:
+                raise TraceFormatError(f"line 1: bad header {header!r}")
+            rows = list(reader)
+        except StopIteration:
+            raise TraceFormatError("line 1: missing header") from None
+        except csv.Error as exc:
+            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+        linenos = [n for n, row in enumerate(rows, start=2) if row]
+        if len(linenos) != len(rows):
+            rows = [row for row in rows if row]
+        columns = _csv_fields(rows)
+        label = lambda i: f"line {linenos[i]}"
+    return _file_trace(rows, _csv_row, columns, label, _read_sidecar(path))
 
 
 _NUMBER = {int, float}

@@ -123,7 +123,8 @@ def test_csv_quantizes_to_four_decimals(tmp_path):
 def test_csv_writes_lf_and_pinned_header(tmp_path):
     p = str(tmp_path / "t.csv")
     save_trace(make_trace(2, n=2), p, "csv")
-    raw = open(p, "rb").read()
+    with open(p, "rb") as fh:
+        raw = fh.read()
     assert b"\r" not in raw
     assert raw.split(b"\n")[0].decode() == ",".join(CSV_HEADER)
 

@@ -294,6 +294,85 @@ def test_csv_edge_texts_match_reference_loader(text):
     _same_as_reference(text)
 
 
+def _literal_csv_fields(rows: list[list[str]]) -> list[list] | None:
+    """_csv_fields as one parser mapped over each whole column, sharing no code with _csv_columns.
+
+    _reference_load_csv reads its columns through model._csv_fields, so this
+    keeps that reference independent of the loader's column parser.
+    """
+    if set(map(len, rows)) <= {len(model._CSV_PARSERS)}:
+        columns = list(zip(*rows)) or [()] * len(model._CSV_PARSERS)
+        try:
+            return [list(map(parse, col)) for parse, col in zip(model._CSV_PARSERS, columns)]
+        except ValueError:
+            pass
+    return None
+
+
+def _float_bits(values) -> list:
+    return [v if v is None else np.float64(v).tobytes() for v in values]
+
+
+def _load_error(rows: list[list[str]], fields) -> str:
+    """The message of the TraceFormatError _file_trace raises for these rows and fields."""
+    with pytest.raises(TraceFormatError) as exc:
+        model._file_trace(rows, model._csv_row, fields, lambda i: f"line {i + 2}", {})
+    return str(exc.value)
+
+
+# Per column: the texts above, and more at the edges of the parsers and of int64.
+_FIELD_TEXTS = tuple(
+    (strange if usual is None else usual | strange) | st.sampled_from(extra)
+    for (usual, strange), extra in zip(_FIELDS, (
+        ["9223372036854775807", "-9223372036854775809", "00"], ["b"],
+        ["inf", "-1e400", "\u0663"], ["", "\t-59\n", "-inf", "1_0"],
+        ["+37", "\u0663\u0667", "9223372036854775808"])))
+_CSV_ROWS = st.lists(st.tuples(*_FIELD_TEXTS).map(list) | st.lists(
+    st.sampled_from(["0", "a", "-50", "", "37"]), max_size=7), max_size=8)
+
+
+@SETTINGS
+@given(_CSV_ROWS)
+def test_csv_fields_matches_literal_column_parse(rows):
+    fields, literal = model._csv_fields(rows), _literal_csv_fields(rows)
+    if fields is not None and literal is not None:
+        assert fields[0].dtype == np.int64 and fields[0].tolist() == literal[0]
+        assert list(fields[1]) == literal[1]
+        assert fields[2].dtype == np.float64
+        assert _float_bits(fields[2].tolist()) == _float_bits(literal[2])
+        assert _float_bits(fields[3]) == _float_bits(literal[3])
+        assert fields[4] == literal[4]
+    else:
+        # a timestamp int64 cannot hold gives None one step earlier; the load fails the same
+        assert _load_error(rows, fields) == _load_error(rows, literal)
+
+
+_WRITER_LINES = ["2,a,-60.0000,-59.0000,37", "5,b,-61.5000,,38"]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (_WRITER_LINES + ["9,a,-130.0000,-59.0000,39"],
+     "line 4: rssi_dbm out of range [-120.0, 0.0]: -130.0"),
+    (_WRITER_LINES + ["1,a,-62.2500,-59.0000,39"],
+     "line 4: timestamp 1 for beacon 'a' goes backwards (previous 2)"),
+], ids=["rssi-out-of-range", "timestamp-backwards"])
+def test_split_text_is_diagnosed_from_its_split_fields(tmp_path, monkeypatch, lines, message):
+    path = str(tmp_path / "t.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([_HEADER] + lines) + "\n")
+    with pytest.raises(TraceFormatError) as with_reader:
+        _reference_load_csv(path)
+    assert str(with_reader.value) == message
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("a text that splits is read by csv.reader")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    with pytest.raises(TraceFormatError, match="^line 4: ") as without_reader:
+        load_trace(path, "csv")
+    assert str(without_reader.value) == message
+
+
 def _reference_csv_text(trace: Trace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
