@@ -29,7 +29,6 @@ import json
 import sys
 
 from . import codec, evaluate, filters, model, position, ranging, sim
-from .evaluate import _round12
 from .errors import EmptyInput, MicrolocError, NoAnchors
 
 # SimConfig fields that are config keys under the same name
@@ -118,9 +117,8 @@ def cmd_filter(args, config: dict) -> int:
     if args.mode == "static":
         smoothed = filters.smooth_trace(trace, params)
     else:
-        smoothed = filters.smooth_trace_dynamic(
-            trace, params, int(config["window_n"]), config["q_scale"]
-        )
+        smoothed = filters.smooth_trace_dynamic(trace, params, config["window_n"],
+                                                config["q_scale"])
     model.save_trace(smoothed, args.out, model.trace_format_for_path(args.out))
     print(f"wrote {len(smoothed.samples)} samples to {args.out}")
     return 0
@@ -145,18 +143,10 @@ def _ranged_anchors(trace: model.Trace, anchors: tuple[position.Anchor, ...],
 
 
 def _estimate_to_dict(est: position.PositionEstimate) -> dict:
-    doc: dict = {
-        "method": est.method.value,
-        "position": None if est.position is None else [_round12(est.position[0]),
-                                                       _round12(est.position[1])],
-        "residual": _round12(est.residual),
-    }
+    doc: dict = {"method": est.method.value, "position": est.position, "residual": est.residual}
     if est.region:
-        doc["region"] = [
-            {"x": _round12(c.center[0]), "y": _round12(c.center[1]),
-             "radius_m": _round12(c.radius_m)}
-            for c in est.region
-        ]
+        doc["region"] = [{"x": c.center[0], "y": c.center[1], "radius_m": c.radius_m}
+                         for c in est.region]
     return doc
 
 
@@ -167,7 +157,7 @@ def cmd_locate(args, config: dict) -> int:
         observation = trace.mean_rssi_by_beacon()
         if not observation:
             raise MicrolocError("trace holds no samples to build an observation from")
-        est = position.fingerprint_locate(db, observation, int(config["fingerprint_k"]))
+        est = position.fingerprint_locate(db, observation, config["fingerprint_k"])
         doc = _estimate_to_dict(est)
     else:
         anchors = position.load_anchors(args.ref)
@@ -187,8 +177,8 @@ def cmd_locate(args, config: dict) -> int:
             diffs = [d - dists[0] for d in dists[1:]]
             est = position.tdoa_locate(used, diffs)
             doc = _estimate_to_dict(est)
-        doc["distances_m"] = {a.beacon_id: _round12(d) for a, d in zip(used, dists)}
-    model.atomic_write_text(args.out, json.dumps(doc, indent=2) + "\n")
+        doc["distances_m"] = {a.beacon_id: d for a, d in zip(used, dists)}
+    model.atomic_write_text(args.out, json.dumps(evaluate.rounded(doc), indent=2) + "\n")
     if est.position is None:
         print(f"{args.method}: no feasible position (residual {est.residual:.3f} m)")
     else:
@@ -202,7 +192,7 @@ def cmd_reproduce(args, config: dict) -> int:
     if args.sweep_window and not sizes:
         raise EmptyInput("--sweep-window needs at least one window size")
     report = evaluate.ranging_report(
-        _sim_config(config), filters.params_from_config(config), int(config["window_n"]),
+        _sim_config(config), filters.params_from_config(config), config["window_n"],
         config["q_scale"], config["bin_width_m"], sizes,
     )
     paths = evaluate.write_report(report, args.out_dir)

@@ -12,6 +12,10 @@ The report carries per-spot statistics, an error histogram per pipeline,
 and a summary keyed on worst-spot RMS error. accuracy here means mean
 absolute error against the true distance; precision means the spread
 (population standard deviation) of the estimates, independent of truth.
+
+Artifacts are written in one place per format: rounded() takes every
+float of a JSON document to 12 significant digits, and _write_csv writes
+every float cell with six decimals. The report builders pass raw values.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +43,8 @@ MAX_HIST_BINS = 100_000
 
 SPOT_CSV_HEADER = ["true_m", "pipeline", "mean_m", "accuracy_m", "precision_m", "n"]
 HIST_CSV_HEADER = ["pipeline", "bin_lo", "bin_hi", "count"]
+# report.json's top-level keys, in the order they are written
+REPORT_KEYS = ("config", "bin_width_m", "spots", "histograms", "summary")
 
 
 def accuracy(estimates_m: Sequence[float], true_m: float) -> float:
@@ -94,7 +100,7 @@ def error_histogram(errors_m: Sequence[float], bin_width_m: float = DEFAULT_BIN_
     idx = (np.floor(arr / bin_width_m) - k_lo).astype(int)
     counts = np.bincount(idx, minlength=int(n_bins)).tolist()
     k_lo = int(k_lo)
-    edges = tuple((k_lo + j) * bin_width_m for j in range(len(counts) + 1))
+    edges = tuple(float(k_lo + j) * bin_width_m for j in range(len(counts) + 1))
     if any(lo >= hi for lo, hi in zip(edges, edges[1:])):
         raise ValueError(f"bin_width_m={bin_width_m!r} is finer than the float spacing "
                          f"of errors up to {float(arr.max())!r} m")
@@ -240,7 +246,7 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
         histograms=histograms,
         summary=summary,
         config=report_config,
-        bin_width_m=bin_width_m,
+        bin_width_m=float(bin_width_m),
         window_sweep=_sweep_rows(sizes, dynamic),
     )
 
@@ -266,45 +272,38 @@ def _round12(v: float) -> float:
     return float(f"{v:.12g}")
 
 
-def histogram_to_dict(h: Histogram) -> dict:
-    return {"edges": [_round12(e) for e in h.edges], "counts": list(h.counts)}
+def rounded(doc):
+    """doc with every float, at any depth, rounded by _round12.
+
+    Dicts keep their key order and tuples become lists; every other value
+    is returned unchanged. Every JSON artifact is written through here.
+    """
+    if isinstance(doc, float):
+        return _round12(doc)
+    if isinstance(doc, dict):
+        return {key: rounded(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [rounded(value) for value in doc]
+    return doc
 
 
 def report_to_dict(report: ErrorReport) -> dict:
-    return {
-        "config": {k: (_round12(v) if isinstance(v, float) else v)
-                   for k, v in report.config.items()},
-        "bin_width_m": _round12(report.bin_width_m),
-        "spots": [
-            {
-                "true_distance_m": _round12(s.true_distance_m),
-                "n_samples": s.n_samples,
-                "pipelines": {
-                    name: {
-                        "mean_est_m": _round12(st.mean_est_m),
-                        "accuracy_m": _round12(st.accuracy_m),
-                        "precision_m": _round12(st.precision_m),
-                        "rms_error_m": _round12(st.rms_error_m),
-                    }
-                    for name, st in s.pipelines.items()
-                },
-            }
-            for s in report.spots
-        ],
-        "histograms": {name: histogram_to_dict(h) for name, h in report.histograms.items()},
-        "summary": {
-            name: {k: _round12(v) for k, v in vals.items()}
-            for name, vals in report.summary.items()
-        },
-    }
+    """report.json's document: every field but window_sweep, rounded."""
+    fields = asdict(report)
+    return rounded({key: fields[key] for key in REPORT_KEYS})
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write a header and rows as LF-terminated CSV, atomically."""
+    """Write a header and rows as LF-terminated CSV, atomically.
+
+    Every float cell is written with six decimals; every other cell as
+    csv.writer writes it.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in row])
     atomic_write_text(path, buf.getvalue())
 
 
@@ -325,16 +324,14 @@ def write_report(report: ErrorReport, out_dir: str) -> dict[str, str]:
     for spot in report.spots:
         for name in PIPELINES:
             st = spot.pipelines[name]
-            spot_rows.append([
-                f"{spot.true_distance_m:.6f}", name, f"{st.mean_est_m:.6f}",
-                f"{st.accuracy_m:.6f}", f"{st.precision_m:.6f}", spot.n_samples,
-            ])
+            spot_rows.append([spot.true_distance_m, name, st.mean_est_m,
+                              st.accuracy_m, st.precision_m, spot.n_samples])
     _write_csv(paths["spots"], SPOT_CSV_HEADER, spot_rows)
     hist_rows = []
     for name in PIPELINES:
         h = report.histograms[name]
         for i, count in enumerate(h.counts):
-            hist_rows.append([name, f"{h.edges[i]:.6f}", f"{h.edges[i + 1]:.6f}", count])
+            hist_rows.append([name, h.edges[i], h.edges[i + 1], count])
     _write_csv(paths["histogram"], HIST_CSV_HEADER, hist_rows)
     return paths
 
@@ -344,7 +341,6 @@ def write_window_sweep(rows: Sequence[dict], out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "window_sweep.csv")
     _write_csv(path, ["window_n", "max_spot_rms_m", "mean_accuracy_m"], [
-        [row["window_n"], f"{row['max_spot_rms_m']:.6f}", f"{row['mean_accuracy_m']:.6f}"]
-        for row in rows
+        [row["window_n"], row["max_spot_rms_m"], row["mean_accuracy_m"]] for row in rows
     ])
     return path

@@ -18,10 +18,11 @@ the window variance shrinks and the filter trusts its model; when the
 environment shifts, variance grows and the filter re-converges faster.
 A window holds measurements only, never filter state, so each stream's Q
 for every step is computed from its measurements before the filter loop
-starts, with numpy, its sums running left to right across the window's
-columns. RssiWindow and window_variance remain the reference: the Q of
-each step has the bits window_variance gives for the window RssiWindow
-holds at that step.
+starts: every window at once with numpy, warm-up windows included, one lag
+at a time from the oldest, so that each window's sums run left to right.
+RssiWindow and window_variance remain the reference: the Q of each step
+has the bits window_variance gives for the window RssiWindow holds at that
+step.
 
 Timestamps are not consulted during filtering. The transition matrix uses
 the configured dt throughout, which models a nominally periodic
@@ -36,7 +37,6 @@ from itertools import chain, repeat
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyTrace, InsufficientSamples
 from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum
@@ -257,28 +257,27 @@ def _window_q(zs: list[float], window_n: int, q_scale: float) -> list[float]:
     """q_scale times each step's window variance, for steps 1 to len(zs) - 1.
 
     Step i's window holds zs[max(0, i - window_n + 1):i + 1], the last
-    window_n measurements, as RssiWindow holds them after window_push. The
-    warm-up windows, shorter than window_n, go through _variance. The full
-    ones are computed together, one column of the sliding window view at a
-    time, so that no array holds more than one value per full window. Each
-    sum starts at 0.0 and adds the columns left to right, as
-    left_to_right_sum does, and each square is d * d, so every q has the
-    bits _variance would give it.
+    window_n measurements, as RssiWindow holds them after window_push.
+    Every window, the warm-up ones shorter than window_n included, is
+    computed at once, one lag at a time from the oldest: lag k adds zs[i - k]
+    to window i, for every i >= k. Each sum starts at 0.0 and adds its
+    window's values oldest first, as left_to_right_sum does, and each
+    square is d * d, so every q has the bits _variance would give it.
     """
-    qs = [q_scale * _variance(zs[:i + 1]) for i in range(1, min(window_n - 1, len(zs)))]
-    if len(zs) >= window_n:
-        columns = sliding_window_view(np.array(zs), window_n).T
-        total = np.zeros(len(zs) - window_n + 1)
-        for column in columns:
-            total += column
-        mean = total / window_n
-        squares = np.zeros_like(total)
-        for column in columns:
-            d = column - mean
-            squares += d * d
-        with np.errstate(over="ignore", invalid="ignore"):
-            qs.extend((float(q_scale) * (squares / window_n)).tolist())
-    return qs
+    z = np.array(zs)
+    n = len(z)
+    count = np.minimum(np.arange(1, n + 1), window_n)
+    lags = range(min(window_n, n) - 1, -1, -1)
+    total = np.zeros(n)
+    squares = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lag in lags:
+            total[lag:] += z[:n - lag]
+        mean = total / count
+        for lag in lags:
+            d = z[:n - lag] - mean[lag:]
+            squares[lag:] += d * d
+        return (float(q_scale) * (squares[1:] / count[1:])).tolist()
 
 
 def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
@@ -289,9 +288,9 @@ def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
     the static Q and every later one q_scale * variance * I of its window
     (the last window_n measurements, as RssiWindow holds them). All of
     those Qs are computed from the measurements before the loop starts, by
-    _window_q, with sums that run left to right across the window's
-    columns; RssiWindow and window_variance remain the reference they match
-    bit for bit.
+    _window_q, with sums that run left to right across each window;
+    RssiWindow and window_variance remain the reference they match bit for
+    bit.
     """
     (f00, f01), (f10, f11) = params.F
     (q00, q01), (q10, q11) = params.Q

@@ -415,6 +415,24 @@ def read_json(path: str, error: type[Exception] = ValueError):
             raise error(f"{path}: {exc}") from exc
 
 
+def json_objects(items: list, label: str, build, error: type[Exception] = ValueError) -> list:
+    """build(item) for each object of a parsed JSON array, in order.
+
+    An item that is not an object, or whose build raises KeyError,
+    TypeError, ValueError or OverflowError, raises ``error`` with a message
+    that starts "{label} {i}: ", i being the item's index.
+    """
+    out = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise error(f"{label} {i}: must be an object")
+        try:
+            out.append(build(item))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{label} {i}: {exc}") from exc
+    return out
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a sibling temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -36,7 +36,7 @@ from .errors import (
     NoSurveys,
 )
 from .model import (TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace, atomic_write_text,
-                    left_to_right_sum, read_json)
+                    json_objects, left_to_right_sum, read_json)
 
 MISSING_RSSI_DBM = -100.0  # imputed for beacons absent from a signature
 
@@ -45,6 +45,8 @@ NEAR_THRESHOLD_M = 4.0
 DEFAULT_FINGERPRINT_K = 1
 
 _COLLINEAR_SCATTER_M2 = 1e-9
+_PROXIMITY_MAX_ITER = 200
+_PROXIMITY_TOL_M = 1e-9  # a disk violated by no more than this counts as satisfied
 _GN_MAX_ITER = 100
 _GN_STEP_TOL = 1e-10
 _TDOA_MAX_RANGE_SPREADS = 100.0  # a TDoA fix farther out is an asymptote, not a fix
@@ -177,8 +179,7 @@ def _anchor_points(anchors: Sequence[Anchor]) -> np.ndarray:
     return np.asarray([a.position for a in anchors], dtype=float)
 
 
-def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float],
-                     max_iter: int = 200, tol: float = 1e-9) -> PositionEstimate:
+def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float]) -> PositionEstimate:
     """Find a point consistent with "within distance d_i of anchor i".
 
     Runs cyclic projection onto the anchor disks: starting from the
@@ -199,15 +200,15 @@ def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float],
     for i in range(len(anchors)):
         for j in range(i + 1, len(anchors)):
             gap = float(np.linalg.norm(centers[i] - centers[j]))
-            if gap > dists[i] + dists[j] + tol:
+            if gap > dists[i] + dists[j] + _PROXIMITY_TOL_M:
                 feasible = False  # two disks cannot both contain the point
     p = centers.mean(axis=0)
     if feasible:
         settled = False
-        for _ in range(max_iter):
+        for _ in range(_PROXIMITY_MAX_ITER):
             sep = np.linalg.norm(p - centers, axis=1) - dists
             worst = int(np.argmax(sep))
-            if sep[worst] <= tol:
+            if sep[worst] <= _PROXIMITY_TOL_M:
                 settled = True
                 break
             # project onto the most-violated disk
@@ -517,20 +518,15 @@ def db_to_json(db: FingerprintDb) -> dict:
     }
 
 
+def _fingerprint_from_json(item: dict) -> Fingerprint:
+    return Fingerprint(position=(float(item["x"]), float(item["y"])),
+                       signature={str(k): float(v) for k, v in dict(item["signature"]).items()})
+
+
 def db_from_json(doc: dict) -> FingerprintDb:
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError("fingerprint database must be an object with an 'entries' array")
-    entries = []
-    for i, item in enumerate(doc["entries"]):
-        if not isinstance(item, dict):
-            raise ValueError(f"entry {i}: must be an object")
-        try:
-            entries.append(Fingerprint(
-                position=(float(item["x"]), float(item["y"])),
-                signature={str(k): float(v) for k, v in dict(item["signature"]).items()},
-            ))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"entry {i}: {exc}") from exc
+    entries = json_objects(doc["entries"], "entry", _fingerprint_from_json)
     return FingerprintDb(entries=tuple(entries), metric=str(doc.get("metric", "euclidean")))
 
 
@@ -546,25 +542,21 @@ def anchors_from_json(doc: list) -> tuple[Anchor, ...]:
     """Parse an anchor list: [{"beacon_id", "x", "y", "tx_power_dbm"?}, ...]."""
     if not isinstance(doc, list):
         raise ValueError("anchors document must be a JSON array")
-    anchors = []
     seen = set()
-    for i, item in enumerate(doc):
-        if not isinstance(item, dict):
-            raise ValueError(f"anchor {i}: must be an object")
-        try:
-            tx = item.get("tx_power_dbm")
-            anchor = Anchor(
-                beacon_id=str(item["beacon_id"]),
-                position=(float(item["x"]), float(item["y"])),
-                tx_power_dbm=None if tx is None else float(tx),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"anchor {i}: {exc}") from exc
+
+    def build(item: dict) -> Anchor:
+        tx = item.get("tx_power_dbm")
+        anchor = Anchor(
+            beacon_id=str(item["beacon_id"]),
+            position=(float(item["x"]), float(item["y"])),
+            tx_power_dbm=None if tx is None else float(tx),
+        )
         if anchor.beacon_id in seen:
-            raise ValueError(f"anchor {i}: duplicate beacon_id {anchor.beacon_id!r}")
+            raise ValueError(f"duplicate beacon_id {anchor.beacon_id!r}")
         seen.add(anchor.beacon_id)
-        anchors.append(anchor)
-    return tuple(anchors)
+        return anchor
+
+    return tuple(json_objects(doc, "anchor", build))
 
 
 def load_anchors(path: str) -> tuple[Anchor, ...]:

@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidScenario
-from .model import SampleColumns, Trace, VALID_CHANNELS, clamp_rssi, read_json
+from .model import SampleColumns, Trace, VALID_CHANNELS, clamp_rssi, json_objects, read_json
 from .position import Anchor, anchors_from_json
 from .ranging import PathLossModel, distance_to_rssi
 from .rng import SplitMix64, derive_seed
@@ -93,7 +93,8 @@ class Scenario:
 
     device_path lists (start_ms, (x, y)) entries; the device sits at the
     entry whose start time is the latest one not after the current time.
-    The first entry must start at 0 and starts must strictly increase.
+    The first entry must start at 0 and starts must strictly increase. A
+    start is an int that is not a bool, or a float with an integer value.
     """
 
     beacons: tuple[Anchor, ...]
@@ -111,10 +112,13 @@ class Scenario:
         for entry in self.device_path:
             try:
                 start, (x, y) = entry
-                start = int(start)
                 pos = (float(x), float(y))
             except (TypeError, ValueError) as exc:
                 raise InvalidScenario(f"bad device_path entry {entry!r}") from exc
+            if isinstance(start, float) and start.is_integer():
+                start = int(start)
+            elif isinstance(start, bool) or not isinstance(start, int):
+                raise InvalidScenario(f"device_path start_ms must be an integer, got {start!r}")
             if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
                 raise InvalidScenario(f"non-finite device position {entry!r}")
             path.append((start, pos))
@@ -238,6 +242,11 @@ def ranging_experiment(config: SimConfig) -> tuple[tuple[float, Trace], ...]:
     return tuple(out)
 
 
+def _path_entry(item: dict) -> tuple:
+    """One device_path entry; Scenario checks that start_ms is an integer."""
+    return (item["start_ms"], (float(item["x"]), float(item["y"])))
+
+
 def scenario_from_json(doc: dict) -> Scenario:
     """Parse {"beacons": [...], "device_path": [{"start_ms", "x", "y"}]}."""
     if not isinstance(doc, dict):
@@ -250,14 +259,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         beacons = anchors_from_json(raw_beacons)
     except ValueError as exc:
         raise InvalidScenario(f"beacons: {exc}") from exc
-    path = []
-    for i, item in enumerate(raw_path):
-        if not isinstance(item, dict):
-            raise InvalidScenario(f"device_path {i}: must be an object")
-        try:
-            path.append((int(item["start_ms"]), (float(item["x"]), float(item["y"]))))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidScenario(f"device_path {i}: {exc}") from exc
+    path = json_objects(raw_path, "device_path", _path_entry, InvalidScenario)
     return Scenario(beacons=beacons, device_path=tuple(path))
 
 

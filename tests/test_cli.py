@@ -557,3 +557,55 @@ def test_any_set_value_exits_0_or_2(set_inputs, key, value, command):
     before, after = SET_COMMANDS[command]
     argv = [*before, "--set", f"{key}={value}", *(arg.format(**set_inputs) for arg in after)]
     assert main(argv) in (0, 2)
+
+
+# --- locate --method fingerprint bytes ---
+
+FINGERPRINT_DB = {"entries": [
+    {"x": 1.1, "y": 2.2, "signature": {"b0": -66.0, "b1": -75.5, "b2": -76.25}},
+    {"x": 2.2, "y": 0.7, "signature": {"b0": -70.0, "b1": -71.0, "b2": -79.0}},
+    {"x": 6.0, "y": 6.0, "signature": {"b0": -77.0, "b1": -74.0, "b2": -74.0}},
+]}
+# sha256 of the estimate these inputs give, rounded to 12 significant digits
+FINGERPRINT_ESTIMATE_SHA256 = "808157721edff15754861c89324cd0372c90db8f30bb18ee20de0d221c5ad887"
+
+
+def test_locate_fingerprint_matches_pinned_digest(tmp_path, scenario_path, capsys):
+    raw = str(tmp_path / "trace.csv")
+    assert main(["--seed", "9", "--set", "duration_ms=5000", "simulate", scenario_path, raw]) == 0
+    db = write_json(tmp_path / "db.json", FINGERPRINT_DB)
+    out = tmp_path / "est.json"
+    assert main(["--set", "fingerprint_k=2", "locate", raw, db, str(out),
+                 "--method", "fingerprint"]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FINGERPRINT_ESTIMATE_SHA256
+
+
+# --- scenario start_ms ---
+
+def write_two_stop_scenario(path, start: str) -> str:
+    """A scenario whose second device_path entry has start_ms given as JSON text."""
+    path.write_text('{"beacons": [{"beacon_id": "b0", "x": 0, "y": 0}], "device_path": '
+                    '[{"start_ms": 0, "x": 1, "y": 0}, '
+                    '{"start_ms": ' + start + ', "x": 2, "y": 0}]}')
+    return str(path)
+
+
+@pytest.mark.parametrize("start", ["1.9", "true", '"100"'])
+def test_simulate_rejects_non_integer_start_ms(tmp_path, capsys, start):
+    doc = write_two_stop_scenario(tmp_path / "scenario.json", start)
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", doc, str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: InvalidScenario: ")
+    assert not out.exists()
+
+
+def test_simulate_takes_integer_valued_start_ms(tmp_path, capsys):
+    traces = []
+    for start in ("100", "100.0"):
+        doc = write_two_stop_scenario(tmp_path / "scenario.json", start)
+        out = tmp_path / f"trace-{start}.csv"
+        assert main([*QUIET, "simulate", doc, str(out)]) == 0
+        traces.append(out.read_bytes())
+    capsys.readouterr()
+    assert traces[0] == traces[1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
@@ -16,14 +17,19 @@ from microloc.evaluate import (
     HIST_CSV_HEADER,
     PIPELINES,
     SPOT_CSV_HEADER,
+    ErrorReport,
     Histogram,
+    PipelineStats,
+    SpotReport,
     _distances,
     _round12,
+    _write_csv,
     accuracy,
     error_histogram,
     precision,
     ranging_report,
     report_to_dict,
+    rounded,
     window_sweep,
     write_report,
     write_window_sweep,
@@ -284,3 +290,92 @@ def test_column_distances_equal_rssi_to_distance(values, ref, exponent):
     got = _distances(np.array(values, dtype=np.float64), model)
     assert got.dtype == np.float64
     assert got.tolist() == [rssi_to_distance(v, model) for v in values]
+
+
+# --- one rounding walk, one CSV cell format ---
+
+def _reference_report_to_dict(report: ErrorReport) -> dict:
+    """The field-by-field report.json builder that rounded() replaced, as it was."""
+    return {
+        "config": {k: (_round12(v) if isinstance(v, float) else v)
+                   for k, v in report.config.items()},
+        "bin_width_m": _round12(report.bin_width_m),
+        "spots": [
+            {
+                "true_distance_m": _round12(s.true_distance_m),
+                "n_samples": s.n_samples,
+                "pipelines": {
+                    name: {
+                        "mean_est_m": _round12(st.mean_est_m),
+                        "accuracy_m": _round12(st.accuracy_m),
+                        "precision_m": _round12(st.precision_m),
+                        "rms_error_m": _round12(st.rms_error_m),
+                    }
+                    for name, st in s.pipelines.items()
+                },
+            }
+            for s in report.spots
+        ],
+        "histograms": {name: {"edges": [_round12(e) for e in h.edges], "counts": list(h.counts)}
+                       for name, h in report.histograms.items()},
+        "summary": {
+            name: {k: _round12(v) for k, v in vals.items()}
+            for name, vals in report.summary.items()
+        },
+    }
+
+
+def _hand_made_report() -> ErrorReport:
+    stats = PipelineStats(mean_est_m=1 / 3, accuracy_m=0.1 + 0.2, precision_m=2.0,
+                          rms_error_m=np.float64(2) ** 0.5)
+    spot = SpotReport(true_distance_m=0.5, n_samples=7,
+                      pipelines={"dynamic": stats, "raw": stats})
+    return ErrorReport(
+        spots=(spot, spot),
+        histograms={"raw": Histogram(edges=(0.0, 0.1 + 0.2, 0.6000000000000001), counts=(3, 4))},
+        summary={"raw": {"max_spot_rms_m": 1e-20 / 3, "max_sample_error_m": -0.0}},
+        config={"seed": 7, "q": 0.1 + 0.2, "window_n": 10, "q_scale": 1.0, "exponent": 2,
+                "big": 10 ** 20, "label": "x"},
+        bin_width_m=0.30000000000000004,
+        window_sweep=({"window_n": 2, "max_spot_rms_m": 1 / 7, "mean_accuracy_m": 0.5},),
+    )
+
+
+@pytest.mark.parametrize("seed, bin_width_m", [(1, 0.25), (29, 0.1), (42, 1)])
+def test_report_to_dict_matches_field_by_field_reference(seed, bin_width_m):
+    report = ranging_report(SimConfig(seed=seed), bin_width_m=bin_width_m, window_sizes=(2, 5))
+    assert json.dumps(report_to_dict(report)) == json.dumps(_reference_report_to_dict(report))
+    # an int width still gives float edges, so the CSV and JSON artifacts keep their bytes
+    assert all(type(e) is float for h in report.histograms.values() for e in h.edges)
+    assert type(report.bin_width_m) is float
+
+
+def test_report_to_dict_of_hand_made_report_matches_reference():
+    report = _hand_made_report()
+    got = json.dumps(report_to_dict(report), indent=2)
+    assert got == json.dumps(_reference_report_to_dict(report), indent=2)
+    assert '"seed": 7,' in got and '"exponent": 2,' in got and '"q": 0.3,' in got
+
+
+def test_rounded_walks_every_depth_and_keeps_other_values():
+    doc = {"b": (0.1 + 0.2, [np.float64(1) / 3, {"z": 1 / 7, "a": 5}]), "a": None,
+           "t": True, "s": "0.30000000000000004", "i": 10 ** 20}
+    got = rounded(doc)
+    assert got == {"b": [0.3, [0.333333333333, {"z": 0.142857142857, "a": 5}]], "a": None,
+                   "t": True, "s": "0.30000000000000004", "i": 10 ** 20}
+    assert list(got) == ["b", "a", "t", "s", "i"] and list(got["b"][1][1]) == ["z", "a"]
+    assert type(got["b"][1][0]) is float and got["t"] is True and type(got["i"]) is int
+    assert doc["b"][0] == 0.1 + 0.2  # the input is left as it was
+
+
+def test_write_csv_formats_float_cells_only(tmp_path):
+    floats = [0.1 + 0.2, np.float64(2) / 3, -0.0, 1e20]
+    others = [7, np.int64(-3), "x,y", 'say "hi"', ""]
+    path = tmp_path / "cells.csv"
+    _write_csv(str(path), ["h1", "h2"], [floats + others, others])
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerows([["h1", "h2"], [f"{v:.6f}" for v in floats] + others, others])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert expected.getvalue().splitlines()[1].startswith(
+        "0.300000,0.666667,-0.000000,100000000000000000000.000000,7,-3,")

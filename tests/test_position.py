@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -495,3 +496,45 @@ def test_fingerprint_residual_independent_of_string_hashing():
                               capture_output=True, text=True, timeout=60, check=True)
         outs.add(proc.stdout)
     assert len(outs) == 1, outs
+
+
+# --- JSON object arrays: the first bad item is named by its index ---
+
+HUGE_NUMBER = "9" * 400  # a valid JSON integer that overflows float()
+GOOD_ITEMS = {
+    "anchor": '{"beacon_id": "a", "x": 0.0, "y": 1.0}',
+    "entry": '{"x": 0.0, "y": 1.0, "signature": {"a": -60.0}}',
+}
+BAD_ITEMS = {
+    "anchor": {"non-object": ('["a"]', "must be an object"),
+               "missing key": ('{"beacon_id": "b", "y": 1.0}', "'x'"),
+               "huge number": ('{"beacon_id": "b", "x": @, "y": 1.0}',
+                               "int too large to convert to float")},
+    "entry": {"non-object": ("7", "must be an object"),
+              "missing key": ('{"x": 0.0, "y": 1.0}', "'signature'"),
+              "huge number": ('{"x": 0.0, "y": 1.0, "signature": {"a": @}}',
+                              "int too large to convert to float")},
+}
+
+
+def _parse_array(label: str, text: str):
+    items = json.loads(text)
+    return anchors_from_json(items) if label == "anchor" else db_from_json({"entries": items})
+
+
+@pytest.mark.parametrize("kind", ["non-object", "missing key", "huge number"])
+@pytest.mark.parametrize("label", ["anchor", "entry"])
+def test_json_array_error_names_item_index(label, kind):
+    item, message = BAD_ITEMS[label][kind]
+    text = f"[{GOOD_ITEMS[label]}, {item.replace('@', HUGE_NUMBER)}]"
+    with pytest.raises(ValueError) as info:
+        _parse_array(label, text)
+    assert str(info.value) == f"{label} 1: {message}"
+
+
+def test_duplicate_anchor_is_reported_before_a_later_malformed_anchor():
+    doc = json.loads(f"[{GOOD_ITEMS['anchor']}, {GOOD_ITEMS['anchor']}, [1], "
+                     f'{{"beacon_id": "c", "x": {HUGE_NUMBER}, "y": 0}}]')
+    with pytest.raises(ValueError) as info:
+        anchors_from_json(doc)
+    assert str(info.value) == "anchor 1: duplicate beacon_id 'a'"

@@ -325,3 +325,51 @@ def test_scenario_from_json_and_file(tmp_path):
         scenario_from_json({"beacons": []})
     with pytest.raises(InvalidScenario):
         scenario_from_json({"beacons": [{"beacon_id": "b"}], "device_path": []})
+
+
+# --- device_path entries ---
+
+PATH_BEACONS = [{"beacon_id": "b0", "x": 0.0, "y": 0.0}]
+PATH_START = {"start_ms": 0, "x": 1.0, "y": 2.0}
+
+
+@pytest.mark.parametrize("item, message", [
+    ("[0, 1.0, 2.0]", "must be an object"),
+    ('{"start_ms": 100, "y": 2.0}', "'x'"),
+    ('{"x": 1.0, "y": 2.0}', "'start_ms'"),
+    ('{"start_ms": 100, "x": ' + "9" * 400 + ', "y": 2.0}', "int too large to convert to float"),
+])
+def test_device_path_error_names_entry_index(item, message):
+    doc = {"beacons": PATH_BEACONS, "device_path": [PATH_START, json.loads(item)]}
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_json(doc)
+    assert str(info.value) == f"device_path 1: {message}"
+
+
+def test_scenario_beacon_errors_keep_their_prefix():
+    doc = {"beacons": PATH_BEACONS + [PATH_BEACONS[0]], "device_path": [PATH_START]}
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_json(doc)
+    assert str(info.value) == "beacons: anchor 1: duplicate beacon_id 'b0'"
+
+
+@pytest.mark.parametrize("start", [1.9, True, False, "100", None, float("inf"), float("nan")])
+def test_start_ms_must_be_an_integer(start):
+    doc = {"beacons": PATH_BEACONS,
+           "device_path": [PATH_START, {"start_ms": start, "x": 3.0, "y": 4.0}]}
+    with pytest.raises(InvalidScenario, match="start_ms must be an integer"):
+        scenario_from_json(doc)
+    with pytest.raises(InvalidScenario, match="start_ms must be an integer"):
+        Scenario(beacons=(Anchor("b0", (0.0, 0.0)),),
+                 device_path=((0, (1.0, 2.0)), (start, (3.0, 4.0))))
+
+
+def test_start_ms_takes_integer_valued_floats_as_ints():
+    doc = {"beacons": PATH_BEACONS,
+           "device_path": [{"start_ms": 0.0, "x": 1.0, "y": 2.0},
+                           {"start_ms": 5000.0, "x": 3.0, "y": 4.0}]}
+    scenario = scenario_from_json(doc)
+    assert scenario.device_path == ((0, (1.0, 2.0)), (5000, (3.0, 4.0)))
+    assert [type(start) for start, _ in scenario.device_path] == [int, int]
+    doc["device_path"][1]["start_ms"] = 5000
+    assert scenario_from_json(doc) == scenario
