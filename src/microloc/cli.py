@@ -57,11 +57,10 @@ def _coerce(key: str, value) -> int | float:
     if isinstance(value, bool):
         raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
     if isinstance(default, int):
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ValueError(f"config key {key!r}: expected an integer, got {value!r}")
+        try:
+            return model.as_int(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     if isinstance(value, (int, float)):
         try:
             return float(value)

@@ -100,7 +100,7 @@ def error_histogram(errors_m: Sequence[float], bin_width_m: float = DEFAULT_BIN_
     idx = (np.floor(arr / bin_width_m) - k_lo).astype(int)
     counts = np.bincount(idx, minlength=int(n_bins)).tolist()
     k_lo = int(k_lo)
-    edges = tuple(float(k_lo + j) * bin_width_m for j in range(len(counts) + 1))
+    edges = tuple((k_lo + j) * bin_width_m for j in range(len(counts) + 1))
     if any(lo >= hi for lo, hi in zip(edges, edges[1:])):
         raise ValueError(f"bin_width_m={bin_width_m!r} is finer than the float spacing "
                          f"of errors up to {float(arr.max())!r} m")
@@ -202,6 +202,7 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
     report object. Raises the usual filter errors if a generated trace is
     unusable (e.g. total packet loss at a spot).
     """
+    bin_width_m = float(bin_width_m)
     if params is None:
         params = filters.default_params()
     sizes = _window_sizes(window_sizes)
@@ -246,7 +247,7 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
         histograms=histograms,
         summary=summary,
         config=report_config,
-        bin_width_m=float(bin_width_m),
+        bin_width_m=bin_width_m,
         window_sweep=_sweep_rows(sizes, dynamic),
     )
 

@@ -16,13 +16,9 @@ dynamic mode recomputes Q before every step from the variance of a sliding
 window of recent measurements, scaled by q_scale: when the signal is quiet
 the window variance shrinks and the filter trusts its model; when the
 environment shifts, variance grows and the filter re-converges faster.
-A window holds measurements only, never filter state, so each stream's Q
-for every step is computed from its measurements before the filter loop
-starts: every window at once with numpy, warm-up windows included, one lag
-at a time from the oldest, so that each window's sums run left to right.
-RssiWindow and window_variance remain the reference: the Q of each step
-has the bits window_variance gives for the window RssiWindow holds at that
-step.
+A window holds measurements only, never filter state, so _window_q
+computes every step's Q before the filter loop starts, with the bits
+window_variance gives for the window RssiWindow holds at that step.
 
 Timestamps are not consulted during filtering. The transition matrix uses
 the configured dt throughout, which models a nominally periodic
@@ -266,8 +262,9 @@ def _window_q(zs: list[float], window_n: int, q_scale: float) -> list[float]:
     """
     z = np.array(zs)
     n = len(z)
-    count = np.minimum(np.arange(1, n + 1), window_n)
-    lags = range(min(window_n, n) - 1, -1, -1)
+    widest = min(window_n, n)  # no window is longer than the stream
+    count = np.minimum(np.arange(1, n + 1), widest)
+    lags = range(widest - 1, -1, -1)
     total = np.zeros(n)
     squares = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,12 +282,8 @@ def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
     """Run the filter over one beacon's measurements, returning estimates.
 
     window_n None selects the static-Q mode. Otherwise the first step uses
-    the static Q and every later one q_scale * variance * I of its window
-    (the last window_n measurements, as RssiWindow holds them). All of
-    those Qs are computed from the measurements before the loop starts, by
-    _window_q, with sums that run left to right across each window;
-    RssiWindow and window_variance remain the reference they match bit for
-    bit.
+    the static Q and every later one q_scale * variance * I of its window,
+    all of them computed by _window_q before the loop starts.
     """
     (f00, f01), (f10, f11) = params.F
     (q00, q01), (q10, q11) = params.Q

@@ -415,6 +415,15 @@ def read_json(path: str, error: type[Exception] = ValueError):
             raise error(f"{path}: {exc}") from exc
 
 
+def as_int(value) -> int:
+    """An int that is not a bool, or a float with an integer value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def json_objects(items: list, label: str, build, error: type[Exception] = ValueError) -> list:
     """build(item) for each object of a parsed JSON array, in order.
 

@@ -32,7 +32,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidScenario
-from .model import SampleColumns, Trace, VALID_CHANNELS, clamp_rssi, json_objects, read_json
+from .model import (SampleColumns, Trace, VALID_CHANNELS, as_int, clamp_rssi, json_objects,
+                    read_json)
 from .position import Anchor, anchors_from_json
 from .ranging import PathLossModel, distance_to_rssi
 from .rng import SplitMix64, derive_seed
@@ -93,8 +94,7 @@ class Scenario:
 
     device_path lists (start_ms, (x, y)) entries; the device sits at the
     entry whose start time is the latest one not after the current time.
-    The first entry must start at 0 and starts must strictly increase. A
-    start is an int that is not a bool, or a float with an integer value.
+    The first entry must start at 0 and starts must strictly increase.
     """
 
     beacons: tuple[Anchor, ...]
@@ -109,16 +109,16 @@ class Scenario:
             raise InvalidScenario(f"duplicate beacon ids in scenario: {ids}")
         object.__setattr__(self, "beacons", beacons)
         path = []
-        for entry in self.device_path:
+        for i, entry in enumerate(self.device_path):
             try:
                 start, (x, y) = entry
                 pos = (float(x), float(y))
             except (TypeError, ValueError) as exc:
                 raise InvalidScenario(f"bad device_path entry {entry!r}") from exc
-            if isinstance(start, float) and start.is_integer():
-                start = int(start)
-            elif isinstance(start, bool) or not isinstance(start, int):
-                raise InvalidScenario(f"device_path start_ms must be an integer, got {start!r}")
+            try:
+                start = as_int(start)
+            except ValueError as exc:
+                raise InvalidScenario(f"device_path {i}: start_ms: {exc}") from None
             if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
                 raise InvalidScenario(f"non-finite device position {entry!r}")
             path.append((start, pos))

@@ -559,6 +559,24 @@ def test_any_set_value_exits_0_or_2(set_inputs, key, value, command):
     assert main(argv) in (0, 2)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1.5", "config key 'window_n': expected an integer, got 1.5"),
+    ('"3"', "config key 'window_n': expected an integer, got '3'"),
+    ("true", "config key 'window_n': expected a number, got True"),
+])
+def test_integer_key_messages(value, message):
+    with pytest.raises(ValueError) as info:
+        build_config(None, [f"window_n={value}"], None)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("command", ["filter dynamic", "reproduce"])
+def test_window_n_beyond_int64_exits_0(set_inputs, command):
+    before, after = SET_COMMANDS[command]
+    argv = [*before, "--set", "window_n=1e308", *(arg.format(**set_inputs) for arg in after)]
+    assert main(argv) == 0
+
+
 # --- locate --method fingerprint bytes ---
 
 FINGERPRINT_DB = {"entries": [

@@ -12,6 +12,8 @@ import pytest
 from conftest import constant_trace, make_trace
 from microloc.errors import EmptyTrace, InsufficientSamples
 from microloc.filters import (
+    _variance,
+    _window_q,
     KalmanParams,
     KalmanState,
     RssiWindow,
@@ -416,3 +418,14 @@ def test_window_variance_sums_left_to_right():
         squares += (v - mean) ** 2
     assert squares / 10 == 1.925929944387236e-34  # 0.0 with compensated sums
     assert window_variance(RssiWindow(capacity=10, values=values)) == squares / 10
+
+
+@pytest.mark.parametrize("window_n", [2**63, int(1e308)], ids=["2**63", "1e308"])
+def test_window_wider_than_int64_gives_prefix_variances(window_n):
+    # a window wider than the stream never evicts: step i's Q comes from
+    # the whole prefix zs[:i + 1], with the bits _variance gives it
+    rng = np.random.default_rng(7)
+    zs = (-60.0 + 4.0 * rng.standard_normal(40)).tolist()
+    expected = [0.5 * _variance(zs[:i + 1]) for i in range(1, len(zs))]
+    assert _window_q(zs, window_n, 0.5) == expected
+    assert _window_q(zs, window_n, 0.5) == _window_q(zs, len(zs), 0.5)

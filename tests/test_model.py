@@ -14,6 +14,7 @@ from microloc.model import (
     CSV_HEADER,
     RssiSample,
     Trace,
+    as_int,
     load_trace,
     save_trace,
     trace_format_for_path,
@@ -454,3 +455,17 @@ def test_trace_from_rows_has_read_only_columns(timestamps):
     for a in _column_arrays(cols):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3), (-7, -7), (3.0, 3), (-0.0, 0), (1e308, int(1e308)),
+                                             (2**70, 2**70)])
+def test_as_int_takes_ints_and_integer_valued_floats(value, expected):
+    got = as_int(value)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, float("nan"), float("inf"), "3", None, [1]])
+def test_as_int_rejects_everything_else(value):
+    with pytest.raises(ValueError) as info:
+        as_int(value)
+    assert str(info.value) == f"expected an integer, got {value!r}"

@@ -357,9 +357,10 @@ def test_scenario_beacon_errors_keep_their_prefix():
 def test_start_ms_must_be_an_integer(start):
     doc = {"beacons": PATH_BEACONS,
            "device_path": [PATH_START, {"start_ms": start, "x": 3.0, "y": 4.0}]}
-    with pytest.raises(InvalidScenario, match="start_ms must be an integer"):
+    with pytest.raises(InvalidScenario) as info:
         scenario_from_json(doc)
-    with pytest.raises(InvalidScenario, match="start_ms must be an integer"):
+    assert str(info.value) == f"device_path 1: start_ms: expected an integer, got {start!r}"
+    with pytest.raises(InvalidScenario, match="^device_path 1: start_ms: expected an integer"):
         Scenario(beacons=(Anchor("b0", (0.0, 0.0)),),
                  device_path=((0, (1.0, 2.0)), (start, (3.0, 4.0))))
 
