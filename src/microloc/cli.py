@@ -151,32 +151,30 @@ def _estimate_to_dict(est: position.PositionEstimate) -> dict:
 
 def cmd_locate(args, config: dict) -> int:
     trace = model.load_trace(args.trace, model.trace_format_for_path(args.trace))
+    extra: dict = {}  # what the method adds to the estimate, in document order
     if args.method == "fingerprint":
         db = position.load_fingerprint_db(args.ref)
         observation = trace.mean_rssi_by_beacon()
         if not observation:
             raise MicrolocError("trace holds no samples to build an observation from")
         est = position.fingerprint_locate(db, observation, config["fingerprint_k"])
-        doc = _estimate_to_dict(est)
     else:
         anchors = position.load_anchors(args.ref)
         used, dists = _ranged_anchors(trace, anchors, config)
         if args.method == "proximity":
             est = position.proximity_region(used, dists)
-            doc = _estimate_to_dict(est)
-            doc["zones"] = {
+            extra["zones"] = {
                 a.beacon_id: position.classify_proximity(
                     d, config["immediate_m"], config["near_m"]).zone.value
                 for a, d in zip(used, dists)
             }
         elif args.method == "lateration":
             est = position.trilaterate(used, dists)
-            doc = _estimate_to_dict(est)
         else:  # tdoa: range differences against the first matched anchor
             diffs = [d - dists[0] for d in dists[1:]]
             est = position.tdoa_locate(used, diffs)
-            doc = _estimate_to_dict(est)
-        doc["distances_m"] = {a.beacon_id: d for a, d in zip(used, dists)}
+        extra["distances_m"] = {a.beacon_id: d for a, d in zip(used, dists)}
+    doc = {**_estimate_to_dict(est), **extra}
     model.atomic_write_text(args.out, json.dumps(evaluate.rounded(doc), indent=2) + "\n")
     if est.position is None:
         print(f"{args.method}: no feasible position (residual {est.residual:.3f} m)")

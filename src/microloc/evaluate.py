@@ -159,7 +159,10 @@ def _pipeline_stats(trace: Trace, model: ranging.PathLossModel,
 
 
 def _window_sizes(window_sizes: Sequence[int]) -> list[int]:
-    sizes = [int(n) for n in window_sizes]
+    sizes = list(window_sizes)
+    for n in sizes:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"window sizes must be ints, got {n!r}")
     if any(n < 2 for n in sizes):
         raise ValueError("window sizes must all be >= 2")
     return sizes

@@ -310,7 +310,8 @@ def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
 
 
 def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
-            window_n: int | None, q_scale: float, meta: dict[str, str]) -> Trace:
+            window_n: int | None, q_scale: float, **meta: str) -> Trace:
+    """The filtered trace; its metadata adds dt, R and P0, then meta, to the input's."""
     cols = trace.samples
     if len(cols) == 0:
         raise EmptyTrace("cannot filter an empty trace")
@@ -331,7 +332,14 @@ def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
     filtered[order] = ests
     samples = SampleColumns(cols.timestamp_ms, cols.beacon, cols.beacon_ids,
                             clamp_rssi(filtered), cols.tx_power_dbm, cols.channel)
-    return Trace(samples, {**trace.metadata, **meta})
+    metadata = {
+        **trace.metadata,
+        "filter_dt": repr(params.dt),
+        "filter_r": repr(params.R),
+        "filter_p0": repr(params.P0[0][0]),
+        **meta,
+    }
+    return Trace(samples, metadata)
 
 
 def smooth_trace(trace: Trace, params: KalmanParams, x0: float | None = None) -> Trace:
@@ -344,14 +352,8 @@ def smooth_trace(trace: Trace, params: KalmanParams, x0: float | None = None) ->
     empty input, and ValueError when a beacon's estimate overflows to a
     non-finite value.
     """
-    meta = {
-        "filter": "kalman",
-        "filter_dt": repr(params.dt),
-        "filter_q": repr(params.Q[0][0]),
-        "filter_r": repr(params.R),
-        "filter_p0": repr(params.P0[0][0]),
-    }
-    return _smooth(trace, params, x0, None, 1.0, meta)
+    return _smooth(trace, params, x0, None, 1.0, filter="kalman",
+                   filter_q=repr(params.Q[0][0]))
 
 
 def smooth_trace_dynamic(trace: Trace, params: KalmanParams, window_n: int = DEFAULT_WINDOW_N,
@@ -367,12 +369,5 @@ def smooth_trace_dynamic(trace: Trace, params: KalmanParams, window_n: int = DEF
         raise ValueError(f"window_n must be an int >= 2, got {window_n!r}")
     if not math.isfinite(q_scale) or q_scale <= 0.0:
         raise ValueError(f"q_scale must be positive, got {q_scale!r}")
-    meta = {
-        "filter": "kalman_dynamic_q",
-        "filter_dt": repr(params.dt),
-        "filter_r": repr(params.R),
-        "filter_p0": repr(params.P0[0][0]),
-        "filter_window_n": str(window_n),
-        "filter_q_scale": repr(q_scale),
-    }
-    return _smooth(trace, params, x0, window_n, q_scale, meta)
+    return _smooth(trace, params, x0, window_n, q_scale, filter="kalman_dynamic_q",
+                   filter_window_n=str(window_n), filter_q_scale=repr(q_scale))

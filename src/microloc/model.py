@@ -99,8 +99,9 @@ class RssiSample:
                  tx_power_dbm: float | None = None, channel: int = 37):
         if not isinstance(timestamp_ms, int) or not 0 <= timestamp_ms < TIMESTAMP_LIMIT_MS:
             raise ValueError(f"timestamp_ms must be an int in [0, 2**63), got {timestamp_ms!r}")
-        if not beacon_id:
-            raise ValueError("beacon_id must be non-empty")
+        if not isinstance(beacon_id, str) or not beacon_id:
+            raise ValueError("beacon_id must be non-empty" if isinstance(beacon_id, str)
+                             else f"beacon_id must be a str, got {beacon_id!r}")
         if "," in beacon_id or "\r" in beacon_id or "\n" in beacon_id:
             raise ValueError(f"beacon_id contains forbidden characters: {beacon_id!r}")
         if not math.isfinite(rssi_dbm) or not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
@@ -277,14 +278,10 @@ def _first_appearance(beacon: np.ndarray, n_ids: int) -> np.ndarray | None:
     return used[np.argsort(first)]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    if a.flags.writeable:
+def _frozen(a: np.ndarray, owned: bool) -> np.ndarray:
+    """a made read-only, copied first if it is writeable and a caller may still hold it."""
+    if a.flags.writeable and not owned:
         a = a.copy()
-        a.flags.writeable = False
-    return a
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
@@ -312,7 +309,7 @@ def _normalised(cols: SampleColumns, owned: bool = False) -> SampleColumns:
         renumber[used] = np.arange(len(used))
         arrays[1] = renumber[arrays[1]]
         ids = tuple(_take(ids, used))
-    ts, beacon, rssi, tx, channel = map(_freeze if fresh else _frozen, arrays)
+    ts, beacon, rssi, tx, channel = (_frozen(a, fresh) for a in arrays)
     return SampleColumns(ts, beacon, ids, rssi, tx, channel)
 
 
@@ -481,7 +478,8 @@ def _file_trace(rows: Iterable, parse_row, fields: list[Sequence] | None, label,
     holding a value a Trace rejects; only when every row is sound does a
     timestamp running backwards for its beacon fail. Only after the columns
     fail are the rows read, once (they may be a generator), each checked
-    with parse_row and RssiSample. label(i) names row i in messages.
+    with parse_row (for JSON, _json_columns of the one sample) and
+    RssiSample. label(i) names row i in messages.
     """
     trace = None
     if fields is not None:
@@ -631,40 +629,37 @@ def _load_csv(path: str) -> Trace:
     return _file_trace(rows, _csv_row, columns, label, _read_sidecar(path))
 
 
-_NUMBER = {int, float}
+# A JSON sample's typed fields: (field, default, allowed JSON types, what it must be)
+_JSON_FIELDS = (
+    ("timestamp_ms", None, {int}, "an integer"),
+    ("rssi_dbm", None, {int, float}, "a number"),
+    ("tx_power_dbm", None, {int, float, type(None)}, "a number or null"),
+    ("channel", 37, {int}, "an integer"),
+)
+
+
+def _json_columns(items: list) -> list[list]:
+    """The samples' values field by field, beacon ids as str() ("" when absent).
+
+    Raises ValueError "must be an object" if some item is not an object,
+    else "{field} must be {what}" for the first field, in _JSON_FIELDS
+    order, that some item holds with a type it does not allow.
+    """
+    if not set(map(type, items)) <= {dict}:
+        raise ValueError("must be an object")
+    columns = []
+    for field, default, types, what in _JSON_FIELDS:
+        column = [item.get(field, default) for item in items]
+        if not set(map(type, column)) <= types:
+            raise ValueError(f"{field} must be {what}")
+        columns.append(column)
+    ts, rssi, tx, ch = columns
+    return [ts, [str(item.get("beacon_id", "")) for item in items], rssi, tx, ch]
 
 
 def _json_row(item) -> tuple:
-    if not isinstance(item, dict):
-        raise ValueError("must be an object")
-    ts = item.get("timestamp_ms")
-    rssi = item.get("rssi_dbm")
-    tx = item.get("tx_power_dbm")
-    ch = item.get("channel", 37)
-    if isinstance(ts, bool) or not isinstance(ts, int):
-        raise ValueError("timestamp_ms must be an integer")
-    if not isinstance(rssi, (int, float)) or isinstance(rssi, bool):
-        raise ValueError("rssi_dbm must be a number")
-    if tx is not None and (not isinstance(tx, (int, float)) or isinstance(tx, bool)):
-        raise ValueError("tx_power_dbm must be a number or null")
-    if isinstance(ch, bool) or not isinstance(ch, int):
-        raise ValueError("channel must be an integer")
-    return (ts, str(item.get("beacon_id", "")), float(rssi),
-            None if tx is None else float(tx), ch)
-
-
-def _json_fields(items: list) -> list[Sequence] | None:
-    """Every sample's values, field by field, or None if some sample does not parse."""
-    if not set(map(type, items)) <= {dict}:
-        return None
-    ts = [item.get("timestamp_ms") for item in items]
-    rssi = [item.get("rssi_dbm") for item in items]
-    tx = [item.get("tx_power_dbm") for item in items]
-    ch = [item.get("channel", 37) for item in items]
-    if (set(map(type, ts)) <= {int} and set(map(type, rssi)) <= _NUMBER
-            and set(map(type, tx)) <= _NUMBER | {type(None)} and set(map(type, ch)) <= {int}):
-        return [ts, [str(item.get("beacon_id", "")) for item in items], rssi, tx, ch]
-    return None
+    ts, beacon_id, rssi, tx, ch = (column[0] for column in _json_columns([item]))
+    return ts, beacon_id, float(rssi), None if tx is None else float(tx), ch
 
 
 def _load_json(path: str) -> Trace:
@@ -677,7 +672,11 @@ def _load_json(path: str) -> Trace:
     if not isinstance(meta_raw, dict):
         raise TraceFormatError("'metadata' must be an object")
     samples = raw["samples"]
-    return _file_trace(samples, _json_row, _json_fields(samples), lambda i: f"sample {i}",
+    try:
+        fields = _json_columns(samples)
+    except ValueError:
+        fields = None
+    return _file_trace(samples, _json_row, fields, lambda i: f"sample {i}",
                        {str(k): str(v) for k, v in meta_raw.items()})
 
 

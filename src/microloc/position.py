@@ -479,7 +479,7 @@ def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
     for b, v in obs.items():
         if not math.isfinite(v):
             raise ValueError(f"observation rssi for {b!r} must be finite")
-    if not isinstance(k, int) or not 1 <= k <= len(db.entries):
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= len(db.entries):
         raise ArityError(f"k must be in [1, {len(db.entries)}], got {k!r}")
     scored = []
     for idx, entry in enumerate(db.entries):

@@ -67,21 +67,22 @@ class SimConfig:
     channels: tuple[int, ...] = VALID_CHANNELS
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        for name in ("seed", "advertising_interval_ms", "interval_jitter_ms", "duration_ms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not isinstance(self.path_loss, PathLossModel):
             raise ValueError("path_loss must be a PathLossModel")
         if not math.isfinite(self.shadow_sigma_db) or self.shadow_sigma_db < 0.0:
             raise ValueError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db!r}")
-        if not isinstance(self.advertising_interval_ms, int) or self.advertising_interval_ms <= 0:
-            raise ValueError(f"advertising_interval_ms must be a positive int")
-        if (not isinstance(self.interval_jitter_ms, int) or self.interval_jitter_ms < 0
-                or self.interval_jitter_ms >= self.advertising_interval_ms):
+        if self.advertising_interval_ms <= 0:
+            raise ValueError("advertising_interval_ms must be a positive int")
+        if not 0 <= self.interval_jitter_ms < self.advertising_interval_ms:
             raise ValueError("interval_jitter_ms must be in [0, advertising_interval_ms)")
         if not 0.0 <= self.packet_loss_prob < 1.0:
             raise ValueError(f"packet_loss_prob must be in [0, 1), got {self.packet_loss_prob!r}")
-        if not isinstance(self.duration_ms, int) or self.duration_ms <= 0:
-            raise ValueError(f"duration_ms must be a positive int")
+        if self.duration_ms <= 0:
+            raise ValueError("duration_ms must be a positive int")
         chans = tuple(self.channels)
         if not chans or any(c not in VALID_CHANNELS for c in chans):
             raise ValueError(f"channels must be a non-empty subset of {VALID_CHANNELS}")
@@ -113,14 +114,14 @@ class Scenario:
             try:
                 start, (x, y) = entry
                 pos = (float(x), float(y))
-            except (TypeError, ValueError) as exc:
-                raise InvalidScenario(f"bad device_path entry {entry!r}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidScenario(f"device_path {i}: {exc}") from None
             try:
                 start = as_int(start)
             except ValueError as exc:
                 raise InvalidScenario(f"device_path {i}: start_ms: {exc}") from None
             if not (math.isfinite(pos[0]) and math.isfinite(pos[1])):
-                raise InvalidScenario(f"non-finite device position {entry!r}")
+                raise InvalidScenario(f"device_path {i}: non-finite position {pos!r}")
             path.append((start, pos))
         if not path:
             raise InvalidScenario("device_path must have at least one entry")
@@ -243,8 +244,8 @@ def ranging_experiment(config: SimConfig) -> tuple[tuple[float, Trace], ...]:
 
 
 def _path_entry(item: dict) -> tuple:
-    """One device_path entry; Scenario checks that start_ms is an integer."""
-    return (item["start_ms"], (float(item["x"]), float(item["y"])))
+    """One device_path entry as Scenario takes it; Scenario converts and checks its values."""
+    return (item["start_ms"], (item["x"], item["y"]))
 
 
 def scenario_from_json(doc: dict) -> Scenario:

@@ -379,3 +379,18 @@ def test_write_csv_formats_float_cells_only(tmp_path):
     assert path.read_bytes() == expected.getvalue().encode()
     assert expected.getvalue().splitlines()[1].startswith(
         "0.300000,0.666667,-0.000000,100000000000000000000.000000,7,-3,")
+
+
+@pytest.mark.parametrize("size", [2.7, "3", True, 3.0, None])
+def test_window_sizes_must_be_ints_and_are_checked_before_simulating(monkeypatch, size):
+    from microloc import sim
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the window sizes were checked")
+    monkeypatch.setattr(sim, "ranging_experiment", no_simulation)
+    cfg = SimConfig(seed=1, duration_ms=5000)
+    for run in (lambda: window_sweep(cfg, window_sizes=(5, size)),
+                lambda: ranging_report(cfg, window_sizes=(size,))):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == f"window sizes must be ints, got {size!r}"

@@ -469,3 +469,22 @@ def test_as_int_rejects_everything_else(value):
     with pytest.raises(ValueError) as info:
         as_int(value)
     assert str(info.value) == f"expected an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("beacon_id", [0, 5, None, b"a", ("a",)])
+def test_non_str_beacon_id_is_a_value_error(beacon_id):
+    from microloc.model import SampleColumns
+
+    with pytest.raises(ValueError) as info:
+        RssiSample(0, beacon_id, -50.0)
+    assert str(info.value) == f"beacon_id must be a str, got {beacon_id!r}"
+    cols = SampleColumns([0, 1], [0, 1], ["a", beacon_id], [-50.0, -51.0], [np.nan] * 2, [37, 37])
+    with pytest.raises(ValueError) as info:
+        Trace(cols)
+    assert str(info.value) == f"sample 1: beacon_id must be a str, got {beacon_id!r}"
+
+
+def test_empty_beacon_id_message_is_unchanged():
+    with pytest.raises(ValueError) as info:
+        RssiSample(0, "", -50.0)
+    assert str(info.value) == "beacon_id must be non-empty"

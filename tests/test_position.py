@@ -538,3 +538,12 @@ def test_duplicate_anchor_is_reported_before_a_later_malformed_anchor():
     with pytest.raises(ValueError) as info:
         anchors_from_json(doc)
     assert str(info.value) == "anchor 1: duplicate beacon_id 'a'"
+
+
+@pytest.mark.parametrize("k", [True, False, 1.0, "1"])
+def test_fingerprint_k_must_be_an_int_not_a_bool(k):
+    db = FingerprintDb((Fingerprint((0.0, 0.0), {"a": -60.0}),
+                        Fingerprint((1.0, 0.0), {"a": -70.0})))
+    with pytest.raises(ArityError) as info:
+        fingerprint_locate(db, {"a": -60.0}, k=k)
+    assert str(info.value) == f"k must be in [1, 2], got {k!r}"

@@ -374,3 +374,45 @@ def test_start_ms_takes_integer_valued_floats_as_ints():
     assert [type(start) for start, _ in scenario.device_path] == [int, int]
     doc["device_path"][1]["start_ms"] = 5000
     assert scenario_from_json(doc) == scenario
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ('"a"', "2.0", "could not convert string to float: 'a'"),
+    ("null", "2.0", "float() argument must be a string or a real number, not 'NoneType'"),
+    ("9" * 400, "2.0", "int too large to convert to float"),
+    ("1.0", None, "'y'"),
+    ("1e999", "2.0", "non-finite position (inf, 2.0)"),
+], ids=["string", "null", "400-digits", "missing-y", "1e999"])
+def test_device_path_value_errors_are_pinned(x, y, message):
+    y_field = "" if y is None else f', "y": {y}'
+    item = json.loads(f'{{"start_ms": 100, "x": {x}{y_field}}}')
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_json({"beacons": PATH_BEACONS, "device_path": [PATH_START, item]})
+    assert str(info.value) == f"device_path 1: {message}"
+
+
+def test_first_bad_device_path_entry_in_order_is_reported():
+    doc = {"beacons": PATH_BEACONS,
+           "device_path": [PATH_START, {"start_ms": 1.5, "x": 1.0, "y": 1.0},
+                           {"start_ms": 200, "x": "a", "y": 1.0}]}
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_json(doc)
+    assert str(info.value) == "device_path 1: start_ms: expected an integer, got 1.5"
+
+
+@pytest.mark.parametrize("entry", [
+    (0, (10 ** 400, 0.0)), (0, (0.0, "x")), (0, (1.0,)), 5, (0, (math.inf, 0.0)),
+])
+def test_every_scenario_entry_error_names_its_entry(entry):
+    with pytest.raises(InvalidScenario, match="^device_path 0: "):
+        Scenario(beacons=(Anchor("b0", (0.0, 0.0)),), device_path=(entry,))
+
+
+@pytest.mark.parametrize("field", [
+    "seed", "advertising_interval_ms", "interval_jitter_ms", "duration_ms"])
+@pytest.mark.parametrize("value", [True, False, 100.0, "100"])
+def test_sim_config_integers_must_be_ints_not_bools(field, value):
+    kw = {"seed": 1, field: value}
+    with pytest.raises(ValueError) as info:
+        SimConfig(**kw)
+    assert str(info.value) == f"{field} must be an int, got {value!r}"

@@ -436,3 +436,140 @@ def test_csv_load_peak_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert loaded == trace
     assert peak < 32 * 2 ** 20
+
+
+# The JSON loader as it was before its sample types moved into one table
+# (model._JSON_FIELDS): one row check and one column check, each spelling
+# out the four type rules.
+def _reference_json_row(item) -> tuple:
+    if not isinstance(item, dict):
+        raise ValueError("must be an object")
+    ts = item.get("timestamp_ms")
+    rssi = item.get("rssi_dbm")
+    tx = item.get("tx_power_dbm")
+    ch = item.get("channel", 37)
+    if isinstance(ts, bool) or not isinstance(ts, int):
+        raise ValueError("timestamp_ms must be an integer")
+    if not isinstance(rssi, (int, float)) or isinstance(rssi, bool):
+        raise ValueError("rssi_dbm must be a number")
+    if tx is not None and (not isinstance(tx, (int, float)) or isinstance(tx, bool)):
+        raise ValueError("tx_power_dbm must be a number or null")
+    if isinstance(ch, bool) or not isinstance(ch, int):
+        raise ValueError("channel must be an integer")
+    return (ts, str(item.get("beacon_id", "")), float(rssi),
+            None if tx is None else float(tx), ch)
+
+
+def _reference_json_fields(items: list) -> list | None:
+    if not set(map(type, items)) <= {dict}:
+        return None
+    ts = [item.get("timestamp_ms") for item in items]
+    rssi = [item.get("rssi_dbm") for item in items]
+    tx = [item.get("tx_power_dbm") for item in items]
+    ch = [item.get("channel", 37) for item in items]
+    number = {int, float}
+    if (set(map(type, ts)) <= {int} and set(map(type, rssi)) <= number
+            and set(map(type, tx)) <= number | {type(None)} and set(map(type, ch)) <= {int}):
+        return [ts, [str(item.get("beacon_id", "")) for item in items], rssi, tx, ch]
+    return None
+
+
+def _reference_load_json(path: str) -> Trace:
+    raw = model.read_json(path, TraceFormatError)
+    if not isinstance(raw, dict) or "samples" not in raw:
+        raise TraceFormatError("top level must be an object with a 'samples' array")
+    if not isinstance(raw["samples"], list):
+        raise TraceFormatError("'samples' must be an array")
+    meta_raw = raw.get("metadata", {})
+    if not isinstance(meta_raw, dict):
+        raise TraceFormatError("'metadata' must be an object")
+    samples = raw["samples"]
+    return model._file_trace(samples, _reference_json_row, _reference_json_fields(samples),
+                             lambda i: f"sample {i}", {str(k): str(v) for k, v in meta_raw.items()})
+
+
+def _outcome_bits(load, path: str):
+    """_outcome, and every column's bytes when the load gives a Trace."""
+    outcome = _outcome(load, path)
+    if not isinstance(outcome[0], Trace):
+        return outcome
+    cols = outcome[0].samples
+    return outcome + ([a.tobytes() for a in (cols.timestamp_ms, cols.beacon, cols.rssi_dbm,
+                                             cols.tx_power_dbm, cols.channel)],)
+
+
+def _same_as_reference_json(text: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.json")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        load = lambda p: load_trace(p, "json")  # noqa: E731
+        assert _outcome_bits(load, path) == _outcome_bits(_reference_load_json, path)
+
+
+# Values a JSON sample field may be set to; "@1e999" and "@-1e999" are
+# written as those number literals, which json reads as infinities.
+_JSON_VALUE_LIST = [
+    True, False, None, "", "x", "37", "-50.0", 2 ** 63, 2 ** 63 - 1, -1, 10 ** 400, -10 ** 400,
+    "@1e999", "@-1e999", 0, 37, 38, 40, 37.0, 1.5, -0.0, -50, -50.5, -130.0, [], {}, [37]]
+_JSON_VALUES = st.sampled_from(_JSON_VALUE_LIST)
+_NOT_OBJECTS = st.sampled_from([5, 1.5, "x", None, True, [], [1], [{}]])
+_ONE_IN_TWENTY = st.sampled_from([False] * 19 + [True])
+
+
+def _json_dumps(doc, indent: int | None = 2) -> str:
+    text = json.dumps(doc, indent=indent)
+    return text.replace('"@1e999"', "1e999").replace('"@-1e999"', "-1e999")
+
+
+@st.composite
+def json_texts(draw) -> str:
+    """Trace JSON texts in the writer's form, then with fields, samples or metadata changed."""
+    doc = json.loads(_text(draw(traces), "json"))
+    samples = doc["samples"]
+    for _ in range(draw(st.integers(0, 3)) if samples else 0):
+        item = samples[draw(st.integers(0, len(samples) - 1))]
+        field = draw(st.sampled_from(CSV_HEADER + ["other"]))
+        if draw(st.integers(0, 3)) == 0:
+            item.pop(field, None)
+        else:
+            item[field] = draw(_JSON_VALUES)
+    if samples and draw(_ONE_IN_TWENTY):
+        samples[draw(st.integers(0, len(samples) - 1))] = draw(_NOT_OBJECTS)
+    if draw(_ONE_IN_TWENTY):
+        doc["metadata"] = draw(_NOT_OBJECTS | st.just({"n": 1, "none": None, "list": [1]}))
+    if draw(_ONE_IN_TWENTY):
+        doc = draw(st.sampled_from([{"metadata": {}}, {"samples": {}}, {"samples": None}])
+                   | _NOT_OBJECTS)
+    return _json_dumps(doc, draw(st.sampled_from([None, 2])))
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(json_texts())
+def test_json_loader_matches_reference_loader(text):
+    _same_as_reference_json(text)
+
+
+@SETTINGS
+@given(mutated("json"))
+def test_mutated_json_matches_reference_loader(text):
+    _same_as_reference_json(text)
+
+
+_TWO_SAMPLES = Trace([RssiSample(0, "a", -50.0, -59.0, 37), RssiSample(5, "b", -60.5, None, 38)],
+                     {"seed": "1"})
+
+
+@pytest.mark.parametrize("value", _JSON_VALUE_LIST, ids=lambda v: repr(v)[:12])
+@pytest.mark.parametrize("field", CSV_HEADER)
+def test_each_json_field_value_matches_reference_loader(field, value):
+    doc = json.loads(_text(_TWO_SAMPLES, "json"))
+    doc["samples"][1][field] = value
+    _same_as_reference_json(_json_dumps(doc))
+
+
+@pytest.mark.parametrize("field", CSV_HEADER)
+def test_missing_json_field_matches_reference_loader(field):
+    doc = json.loads(_text(_TWO_SAMPLES, "json"))
+    del doc["samples"][1][field]
+    _same_as_reference_json(_json_dumps(doc))
