@@ -315,16 +315,15 @@ def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
     cols = trace.samples
     if len(cols) == 0:
         raise EmptyTrace("cannot filter an empty trace")
-    order, counts = cols.by_beacon()
-    zs = cols.rssi_dbm[order].tolist()
+    order, streams = cols.by_beacon(cols.rssi_dbm)
     ests: list[float] = []
-    for beacon_id, n in zip(cols.beacon_ids, counts):
-        if window_n is not None and n < 2:
+    for beacon_id, zs in zip(cols.beacon_ids, streams):
+        if window_n is not None and len(zs) < 2:
             raise InsufficientSamples(
                 f"dynamic filtering needs at least 2 samples per beacon; "
-                f"beacon {beacon_id!r} has {n}"
+                f"beacon {beacon_id!r} has {len(zs)}"
             )
-        stream = _smooth_stream(zs[len(ests):len(ests) + n], params, x0, window_n, q_scale)
+        stream = _smooth_stream(zs, params, x0, window_n, q_scale)
         if not all(map(math.isfinite, stream)):
             raise ValueError(f"filter diverged on beacon {beacon_id!r}: its state overflowed")
         ests.extend(stream)

@@ -97,17 +97,20 @@ class RssiSample:
     # a sample that clients build once per received advertisement.
     def __init__(self, timestamp_ms: int, beacon_id: str, rssi_dbm: float,
                  tx_power_dbm: float | None = None, channel: int = 37):
-        if not isinstance(timestamp_ms, int) or not 0 <= timestamp_ms < TIMESTAMP_LIMIT_MS:
+        if (type(timestamp_ms) is bool or not isinstance(timestamp_ms, int)
+                or not 0 <= timestamp_ms < TIMESTAMP_LIMIT_MS):
             raise ValueError(f"timestamp_ms must be an int in [0, 2**63), got {timestamp_ms!r}")
         if not isinstance(beacon_id, str) or not beacon_id:
             raise ValueError("beacon_id must be non-empty" if isinstance(beacon_id, str)
                              else f"beacon_id must be a str, got {beacon_id!r}")
         if "," in beacon_id or "\r" in beacon_id or "\n" in beacon_id:
             raise ValueError(f"beacon_id contains forbidden characters: {beacon_id!r}")
-        if not math.isfinite(rssi_dbm) or not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM:
+        if (type(rssi_dbm) is bool or not math.isfinite(rssi_dbm)
+                or not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM):
             raise ValueError(f"rssi_dbm out of range [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]: {rssi_dbm!r}")
         if tx_power_dbm is not None:
-            if not math.isfinite(tx_power_dbm) or not TX_POWER_MIN_DBM <= tx_power_dbm <= TX_POWER_MAX_DBM:
+            if (type(tx_power_dbm) is bool or not math.isfinite(tx_power_dbm)
+                    or not TX_POWER_MIN_DBM <= tx_power_dbm <= TX_POWER_MAX_DBM):
                 raise ValueError(f"tx_power_dbm out of range: {tx_power_dbm!r}")
         if channel not in VALID_CHANNELS:
             raise ValueError(f"channel must be one of {VALID_CHANNELS}, got {channel!r}")
@@ -128,15 +131,6 @@ def _row(timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel) -> RssiSample
     d["tx_power_dbm"] = tx_power_dbm
     d["channel"] = channel
     return s
-
-
-def _row_error(timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel) -> str:
-    """Why RssiSample rejects these values (the message of its ValueError)."""
-    try:
-        RssiSample(timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel)
-    except (ValueError, TypeError) as exc:
-        return str(exc)
-    return "invalid sample"
 
 
 def _take(table: Sequence, index: np.ndarray) -> list:
@@ -215,14 +209,16 @@ class SampleColumns(Sequence):
     def __repr__(self) -> str:
         return f"SampleColumns({len(self)} samples, beacons {self.beacon_ids!r})"
 
-    def by_beacon(self) -> tuple[np.ndarray, list[int]]:
-        """Group the rows by beacon: a stable permutation and each group's size.
+    def by_beacon(self, values: np.ndarray) -> tuple[np.ndarray, list[list]]:
+        """Group the rows by beacon: a stable permutation, and values split per beacon.
 
-        Groups follow beacon_ids order and keep row order within a group.
+        values is one of the columns. Its groups follow beacon_ids order,
+        each a list in row order.
         """
         order = np.argsort(self.beacon, kind="stable")
-        counts = np.bincount(self.beacon, minlength=len(self.beacon_ids))
-        return order, counts.tolist()
+        grouped = values[order].tolist()
+        ends = np.cumsum(np.bincount(self.beacon, minlength=len(self.beacon_ids))).tolist()
+        return order, [grouped[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _index(beacon_id: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -332,7 +328,10 @@ class Trace:
         if isinstance(samples, SampleColumns):
             bad = _first_bad_row(samples)
             if bad is not None:
-                raise ValueError(f"sample {bad}: {_row_error(*samples._values(bad))}")
+                try:
+                    RssiSample(*samples._values(bad))
+                except ValueError as exc:
+                    raise ValueError(f"sample {bad}: {exc}") from None
             cols = _normalised(samples)
         else:
             rows = tuple(samples)
@@ -370,14 +369,8 @@ class Trace:
         depend on how the samples are stored.
         """
         cols = self.samples
-        order, counts = cols.by_beacon()
-        values = cols.rssi_dbm[order].tolist()
-        means = {}
-        start = 0
-        for beacon_id, n in zip(cols.beacon_ids, counts):
-            means[beacon_id] = left_to_right_sum(values[start:start + n]) / n
-            start += n
-        return means
+        _, streams = cols.by_beacon(cols.rssi_dbm)
+        return {b: left_to_right_sum(s) / len(s) for b, s in zip(cols.beacon_ids, streams)}
 
 
 def left_to_right_sum(values: Iterable[float]) -> float:
@@ -459,7 +452,7 @@ def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
     """First row (in given order) whose timestamp is below its beacon's previous one, with that one."""
     if (cols.timestamp_ms[1:] >= cols.timestamp_ms[:-1]).all():
         return None  # no beacon's timestamps go back when none do
-    order, _ = cols.by_beacon()
+    order = np.argsort(cols.beacon, kind="stable")
     ts = cols.timestamp_ms[order]
     beacon = cols.beacon[order]
     drops = np.flatnonzero((beacon[1:] == beacon[:-1]) & (ts[1:] < ts[:-1]))

@@ -17,6 +17,7 @@ All solvers work in a 2-D metric coordinate frame (metres).
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -68,13 +69,19 @@ class Zone(enum.Enum):
 
 
 def _check_point(p, name: str) -> tuple[float, float]:
+    """p as two floats; a coordinate float() cannot convert raises ValueError with its text."""
     try:
         x, y = p
-        x, y = float(x), float(y)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an (x, y) pair") from exc
+    if type(x) is bool or type(y) is bool:
+        raise ValueError(f"{name} must be an (x, y) pair of numbers, got {p!r}")
+    try:
+        x, y = float(x), float(y)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{name} must be finite, got {p!r}")
+        raise ValueError(f"{name} must be finite, got {(x, y)!r}")
     return (x, y)
 
 
@@ -87,13 +94,16 @@ class Anchor:
     tx_power_dbm: float | None = None
 
     def __post_init__(self):
-        if not self.beacon_id:
-            raise ValueError("beacon_id must be non-empty")
+        if not isinstance(self.beacon_id, str) or not self.beacon_id:
+            raise ValueError("beacon_id must be non-empty" if isinstance(self.beacon_id, str)
+                             else f"beacon_id must be a str, got {self.beacon_id!r}")
         object.__setattr__(self, "position", _check_point(self.position, "position"))
         if self.tx_power_dbm is not None:
+            if type(self.tx_power_dbm) is bool:
+                raise ValueError(f"tx_power_dbm must be a number, got {self.tx_power_dbm!r}")
             tx = float(self.tx_power_dbm)
             if not math.isfinite(tx) or not TX_POWER_MIN_DBM <= tx <= TX_POWER_MAX_DBM:
-                raise ValueError(f"tx_power_dbm out of range: {self.tx_power_dbm!r}")
+                raise ValueError(f"tx_power_dbm out of range: {tx!r}")
             object.__setattr__(self, "tx_power_dbm", tx)
 
 
@@ -194,31 +204,28 @@ def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float]) ->
     if np.any(dists <= 0.0):
         raise InvalidDistance("distances_m must be strictly positive")
     centers = _anchor_points(anchors)
-    region = tuple(Circle(a.position, float(d)) for a, d in zip(anchors, dists))
+    region = tuple(Circle(a.position, d) for a, d in zip(anchors, dists))
 
-    feasible = True
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            gap = float(np.linalg.norm(centers[i] - centers[j]))
-            if gap > dists[i] + dists[j] + _PROXIMITY_TOL_M:
-                feasible = False  # two disks cannot both contain the point
+    gaps = ((np.linalg.norm(centers[i] - centers[j]), dists[i] + dists[j])
+            for i, j in itertools.combinations(range(len(anchors)), 2))
+    # infeasible at the first two disks that cannot both contain the point
+    feasible = not any(gap > reach + _PROXIMITY_TOL_M for gap, reach in gaps)
     p = centers.mean(axis=0)
     if feasible:
-        settled = False
         for _ in range(_PROXIMITY_MAX_ITER):
             sep = np.linalg.norm(p - centers, axis=1) - dists
             worst = int(np.argmax(sep))
             if sep[worst] <= _PROXIMITY_TOL_M:
-                settled = True
                 break
             # project onto the most-violated disk
             v = p - centers[worst]
             p = centers[worst] + v * (dists[worst] / float(np.linalg.norm(v)))
-        feasible = settled
+        else:
+            feasible = False
     violation = float(np.max(np.linalg.norm(p - centers, axis=1) - dists))
     residual = max(0.0, violation)
     return PositionEstimate(
-        position=(float(p[0]), float(p[1])) if feasible else None,
+        position=p if feasible else None,
         method=Method.PROXIMITY,
         residual=residual,
         region=region,
@@ -283,8 +290,7 @@ def trilaterate(anchors: Sequence[Anchor], distances_m: Sequence[float]) -> Posi
         raise NoConvergence(_GN_MAX_ITER)
     resid = np.linalg.norm(p - pts, axis=1) - dists
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return PositionEstimate(position=(float(p[0]), float(p[1])), method=Method.LATERATION,
-                            residual=rms)
+    return PositionEstimate(position=p, method=Method.LATERATION, residual=rms)
 
 
 def triangulate(anchors: Sequence[Anchor], bearings_rad: Sequence[float]) -> PositionEstimate:
@@ -318,8 +324,7 @@ def triangulate(anchors: Sequence[Anchor], bearings_rad: Sequence[float]) -> Pos
     if t1 < -1e-12 or t2 < -1e-12:
         raise NoIntersection("rays meet behind an anchor")
     p = a1 + t1 * u1
-    return PositionEstimate(position=(float(p[0]), float(p[1])), method=Method.ANGULATION,
-                            residual=0.0)
+    return PositionEstimate(position=p, method=Method.ANGULATION, residual=0.0)
 
 
 def _tdoa_cost(p: np.ndarray, pts: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -398,8 +403,7 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
         raise NoConvergence(_GN_MAX_ITER)
     cost, p = best
     rms = math.sqrt(cost / len(diffs))
-    return PositionEstimate(position=(float(p[0]), float(p[1])), method=Method.TDOA,
-                            residual=rms)
+    return PositionEstimate(position=p, method=Method.TDOA, residual=rms)
 
 
 # --- fingerprinting ---
@@ -417,9 +421,11 @@ class Fingerprint:
             raise ValueError("signature must be non-empty")
         sig = {}
         for k, v in self.signature.items():
+            if type(v) is bool:
+                raise ValueError(f"bad signature entry {k!r}: {v!r}")
             fv = float(v)
             if not k or not math.isfinite(fv):
-                raise ValueError(f"bad signature entry {k!r}: {v!r}")
+                raise ValueError(f"bad signature entry {k!r}: {fv!r}")
             sig[str(k)] = fv
         object.__setattr__(self, "signature", sig)
 
@@ -519,8 +525,7 @@ def db_to_json(db: FingerprintDb) -> dict:
 
 
 def _fingerprint_from_json(item: dict) -> Fingerprint:
-    return Fingerprint(position=(float(item["x"]), float(item["y"])),
-                       signature={str(k): float(v) for k, v in dict(item["signature"]).items()})
+    return Fingerprint(position=(item["x"], item["y"]), signature=dict(item["signature"]))
 
 
 def db_from_json(doc: dict) -> FingerprintDb:
@@ -545,12 +550,7 @@ def anchors_from_json(doc: list) -> tuple[Anchor, ...]:
     seen = set()
 
     def build(item: dict) -> Anchor:
-        tx = item.get("tx_power_dbm")
-        anchor = Anchor(
-            beacon_id=str(item["beacon_id"]),
-            position=(float(item["x"]), float(item["y"])),
-            tx_power_dbm=None if tx is None else float(tx),
-        )
+        anchor = Anchor(str(item["beacon_id"]), (item["x"], item["y"]), item.get("tx_power_dbm"))
         if anchor.beacon_id in seen:
             raise ValueError(f"duplicate beacon_id {anchor.beacon_id!r}")
         seen.add(anchor.beacon_id)

@@ -27,7 +27,6 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -113,6 +112,8 @@ class Scenario:
         for i, entry in enumerate(self.device_path):
             try:
                 start, (x, y) = entry
+                if type(x) is bool or type(y) is bool:
+                    raise ValueError(f"x and y must be numbers, got {(x, y)!r}")
                 pos = (float(x), float(y))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidScenario(f"device_path {i}: {exc}") from None
@@ -160,16 +161,15 @@ def simulate(scenario: Scenario, config: SimConfig) -> Trace:
     sigma = config.shadow_sigma_db
     model = config.path_loss
     n_chan = len(config.channels)
-    # per-beacon columns, concatenated in beacon order; Trace's stable sort merges them
-    times: list[list[int]] = []
-    levels: list[list[float]] = []
-    channels: list[list[int]] = []
+    # each beacon's samples in turn, in beacon order; Trace's stable sort merges them
+    ts: list[int] = []
+    rssi: list[float] = []
+    chans: list[int] = []
+    counts: list[int] = []
     for b_index, beacon in enumerate(scenario.beacons):
         rng = SplitMix64(derive_seed(config.seed, b_index))
         bx, by = beacon.position
-        ts: list[int] = []
-        rssi: list[float] = []
-        chans: list[int] = []
+        first = len(ts)
         last_t = 0
         for k in range(per_beacon):
             t = k * interval + rng.randint(-jitter, jitter)
@@ -183,19 +183,15 @@ def simulate(scenario: Scenario, config: SimConfig) -> Trace:
                 rssi.append(distance_to_rssi(d, model) + sigma * g)
                 chans.append(config.channels[k % n_chan])
             last_t = t
-        times.append(ts)
-        levels.append(rssi)
-        channels.append(chans)
-    counts = [len(ts) for ts in times]
-    n = sum(counts)
+        counts.append(len(ts) - first)
     tx_power = [math.nan if b.tx_power_dbm is None else b.tx_power_dbm for b in scenario.beacons]
     samples = SampleColumns(
-        timestamp_ms=np.fromiter(chain.from_iterable(times), np.int64, n),
+        timestamp_ms=np.array(ts, dtype=np.int64),
         beacon=np.repeat(np.arange(len(counts)), counts),
         beacon_ids=[b.beacon_id for b in scenario.beacons],
-        rssi_dbm=clamp_rssi(np.fromiter(chain.from_iterable(levels), np.float64, n)),
+        rssi_dbm=clamp_rssi(np.array(rssi, dtype=np.float64)),
         tx_power_dbm=np.repeat(np.array(tx_power, dtype=np.float64), counts),
-        channel=np.fromiter(chain.from_iterable(channels), np.int64, n),
+        channel=np.array(chans, dtype=np.int64),
     )
     metadata = {
         "generator": GENERATOR_ID,

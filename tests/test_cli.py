@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -232,6 +235,38 @@ def test_locate_without_matching_anchors_exits_2(tmp_path, scenario_path, capsys
     assert "NoAnchors" in capsys.readouterr().err
 
 
+def _bool_x(doc, index: int):
+    """A copy of a JSON list of objects whose item index has x = true."""
+    doc = json.loads(json.dumps(doc))
+    doc[index]["x"] = True
+    return doc
+
+
+def test_locate_rejects_bool_in_anchors_file(tmp_path, scenario_path, capsys):
+    trace = simulate_quiet(tmp_path, scenario_path)
+    anchors = write_json(tmp_path / "anchors.json", _bool_x(ANCHORS, 0))
+    assert main(["locate", trace, anchors, str(tmp_path / "o.json")]) == 2
+    assert "error: ValueError: anchor 0: " in capsys.readouterr().err
+
+
+def test_locate_rejects_bool_in_fingerprint_db(tmp_path, scenario_path, capsys):
+    trace = simulate_quiet(tmp_path, scenario_path)
+    entries = _bool_x([{"x": 2.0, "y": 1.0, "signature": {"b0": -66.0}}], 0)
+    db = write_json(tmp_path / "db.json", {"metric": "euclidean", "entries": entries})
+    assert main(["locate", trace, db, str(tmp_path / "o.json"), "--method", "fingerprint"]) == 2
+    assert "error: ValueError: entry 0: " in capsys.readouterr().err
+
+
+def test_simulate_rejects_bool_in_scenario_file(tmp_path, capsys):
+    path = [{"start_ms": 0, "x": 2.0, "y": 1.0}, {"start_ms": 100, "x": 3.0, "y": 1.0}]
+    doc = write_json(tmp_path / "scenario.json",
+                     {"beacons": ANCHORS, "device_path": _bool_x(path, 1)})
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", doc, str(out)]) == 2
+    assert "error: InvalidScenario: device_path 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- reproduce ---
 
 def test_reproduce_writes_reports_deterministically(tmp_path, capsys):
@@ -293,6 +328,18 @@ def test_decode_truncated_frame_exits_2(capsys):
 def test_decode_unknown_protocol_exits_2(capsys):
     assert main(["decode", "dead"]) == 2
     assert "UnknownProtocol" in capsys.readouterr().err
+
+
+def test_console_entry_runs_as_a_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = [sys.executable, "-m", "microloc.cli", "decode"]
+    good = subprocess.run([*run, IBEACON_HEX], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert good.returncode == 0
+    assert json.loads(good.stdout)["frame_type"] == "ibeacon"
+    bad = subprocess.run([*run, "zz00"], env=env, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ")
 
 
 # --- argparse plumbing ---

@@ -484,6 +484,18 @@ def test_non_str_beacon_id_is_a_value_error(beacon_id):
     assert str(info.value) == f"sample 1: beacon_id must be a str, got {beacon_id!r}"
 
 
+@pytest.mark.parametrize("args, message", [
+    ((True, "a", -50.0), "timestamp_ms must be an int in [0, 2**63), got True"),
+    ((0, "a", False), "rssi_dbm out of range [-120.0, 0.0]: False"),
+    ((0, "a", -50.0, True), "tx_power_dbm out of range: True"),
+    ((0, "a", -50.0, False), "tx_power_dbm out of range: False"),
+])
+def test_rssi_sample_rejects_bools(args, message):
+    with pytest.raises(ValueError) as info:
+        RssiSample(*args)
+    assert str(info.value) == message
+
+
 def test_empty_beacon_id_message_is_unchanged():
     with pytest.raises(ValueError) as info:
         RssiSample(0, "", -50.0)

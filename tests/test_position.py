@@ -454,6 +454,31 @@ def test_anchor_validation():
         Anchor("a", (0.0, 0.0), tx_power_dbm=50.0)
 
 
+@pytest.mark.parametrize("beacon_id", [5, None, b"a", ("a",)])
+def test_anchor_beacon_id_must_be_a_str(beacon_id):
+    with pytest.raises(ValueError) as info:
+        Anchor(beacon_id, (0.0, 0.0))
+    assert str(info.value) == f"beacon_id must be a str, got {beacon_id!r}"
+    assert Anchor("r0,0", (0.0, 0.0)).beacon_id == "r0,0"  # commas are allowed in anchor ids
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_not_numbers_in_positions(flag):
+    with pytest.raises(ValueError, match="tx_power_dbm must be a number"):
+        Anchor("a", (0.0, 0.0), tx_power_dbm=flag)
+    with pytest.raises(ValueError, match="pair of numbers"):
+        Anchor("a", (flag, 0.0))
+    with pytest.raises(ValueError, match="pair of numbers"):
+        Circle((0.0, flag), 1.0)
+    with pytest.raises(ValueError, match="pair of numbers"):
+        PositionEstimate(position=(flag, 0.0), method=Method.LATERATION, residual=0.0)
+    with pytest.raises(ValueError, match="pair of numbers"):
+        Fingerprint((0.0, flag), {"a": -60.0})
+    with pytest.raises(ValueError) as info:
+        Fingerprint((0.0, 0.0), {"a": flag})
+    assert str(info.value) == f"bad signature entry 'a': {flag!r}"
+
+
 def test_anchors_json(tmp_path):
     doc = [
         {"beacon_id": "a", "x": 0.0, "y": 1.0, "tx_power_dbm": -59.0},
@@ -530,6 +555,76 @@ def test_json_array_error_names_item_index(label, kind):
     with pytest.raises(ValueError) as info:
         _parse_array(label, text)
     assert str(info.value) == f"{label} 1: {message}"
+
+
+FLOAT_TYPE_ERROR = "float() argument must be a string or a real number, not "
+VALUE_MESSAGES = {  # JSON value text: the message for any numeric field of an item
+    '"a"': "could not convert string to float: 'a'",
+    "null": FLOAT_TYPE_ERROR + "'NoneType'",
+    "[1]": FLOAT_TYPE_ERROR + "'list'",
+    '{"a": 1}': FLOAT_TYPE_ERROR + "'dict'",
+    "@": "int too large to convert to float",
+}
+FIELD_MESSAGES = {  # (label, field, JSON value text): a message only that field gives
+    ("anchor", "x", '"nan"'): "position must be finite, got (nan, 1.0)",
+    ("anchor", "y", '"nan"'): "position must be finite, got (0.0, nan)",
+    ("anchor", "tx_power_dbm", '"nan"'): "tx_power_dbm out of range: nan",
+    ("anchor", "tx_power_dbm", "1" + "0" * 30): "tx_power_dbm out of range: 1e+30",
+    ("anchor", "tx_power_dbm", "null"): None,  # null tx power means unknown
+    ("entry", "x", '"nan"'): "position must be finite, got (nan, 1.0)",
+    ("entry", "y", '"nan"'): "position must be finite, got (0.0, nan)",
+    ("entry", "signature", '"nan"'): "bad signature entry 'a': nan",
+}
+VALUE_FIELDS = [("anchor", "x"), ("anchor", "y"), ("anchor", "tx_power_dbm"),
+                ("entry", "x"), ("entry", "y"), ("entry", "signature")]
+
+
+def _item_with(label: str, field: str, text: str) -> dict:
+    """GOOD_ITEMS[label] with field (for "signature", its value for beacon "a") set to text."""
+    item = json.loads(GOOD_ITEMS[label])
+    value = json.loads(text.replace("@", HUGE_NUMBER))
+    if field == "signature":
+        item["signature"]["a"] = value
+    else:
+        item[field] = value
+    return item
+
+
+@pytest.mark.parametrize("text", [*VALUE_MESSAGES, '"nan"', "1" + "0" * 30])
+@pytest.mark.parametrize("label, field", VALUE_FIELDS)
+def test_json_array_value_messages_are_pinned(label, field, text):
+    message = FIELD_MESSAGES.get((label, field, text), VALUE_MESSAGES.get(text))
+    doc = json.dumps([_item_with(label, field, text)])
+    if message is None:  # 1e30 is a valid coordinate and RSSI
+        _parse_array(label, doc)
+        return
+    with pytest.raises(ValueError) as info:
+        _parse_array(label, doc)
+    assert str(info.value) == f"{label} 0: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "'int' object is not iterable"),
+    ("null", "'NoneType' object is not iterable"),
+    ('"ab"', "dictionary update sequence element #0 has length 1; 2 is required"),
+    ("[1]", "cannot convert dictionary update sequence element #0 to a sequence"),
+    ("{}", "signature must be non-empty"),
+])
+def test_signature_that_is_not_an_object_message_is_pinned(text, message):
+    item = {"x": 0.0, "y": 1.0, "signature": json.loads(text)}
+    with pytest.raises(ValueError) as info:
+        db_from_json({"entries": [item]})
+    assert str(info.value) == f"entry 0: {message}"
+
+
+@pytest.mark.parametrize("label, field", VALUE_FIELDS)
+@pytest.mark.parametrize("text", ["true", "false"])
+def test_json_array_rejects_bool_values(label, field, text):
+    doc = json.dumps([_item_with(label, field, text)])
+    with pytest.raises(ValueError) as info:
+        _parse_array(label, doc)
+    assert str(info.value).startswith(f"{label} 0: ")
+    assert text.capitalize() in str(info.value)
 
 
 def test_duplicate_anchor_is_reported_before_a_later_malformed_anchor():

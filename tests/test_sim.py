@@ -391,6 +391,13 @@ def test_device_path_value_errors_are_pinned(x, y, message):
     assert str(info.value) == f"device_path 1: {message}"
 
 
+@pytest.mark.parametrize("position", [(True, 2.0), (1.0, False)])
+def test_scenario_rejects_bool_coordinates(position):
+    with pytest.raises(InvalidScenario) as info:
+        Scenario(beacons=(Anchor("b0", (0.0, 0.0)),), device_path=((0, position),))
+    assert str(info.value) == f"device_path 0: x and y must be numbers, got {position!r}"
+
+
 def test_first_bad_device_path_entry_in_order_is_reported():
     doc = {"beacons": PATH_BEACONS,
            "device_path": [PATH_START, {"start_ms": 1.5, "x": 1.0, "y": 1.0},
