@@ -101,7 +101,7 @@ class _Frame:
                 if type(value) is not bytes:
                     object.__setattr__(self, name, bytes(value))
             elif kind == "i":
-                if not isinstance(value, int) or not lo <= value <= hi:
+                if type(value) is bool or not isinstance(value, int) or not lo <= value <= hi:
                     raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
             else:  # a float carried as signed 8.8 fixed point
                 if not isinstance(value, (int, float)) or isinstance(value, bool):

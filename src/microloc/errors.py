@@ -70,9 +70,9 @@ class NoConvergence(MicrolocError):
     The iteration count is kept on the exception for diagnostics.
     """
 
-    def __init__(self, iterations: int, message: str | None = None):
+    def __init__(self, iterations: int):
         self.iterations = iterations
-        super().__init__(message or f"no convergence after {iterations} iterations")
+        super().__init__(f"no convergence after {iterations} iterations")
 
 
 class NoIntersection(MicrolocError):

@@ -180,15 +180,11 @@ def _dynamic_stats(spots: Sequence[tuple[float, Trace]], model: ranging.PathLoss
 def _sweep_rows(sizes: Sequence[int],
                 dynamic: dict[int, list[tuple[PipelineStats, np.ndarray]]]) -> tuple[dict, ...]:
     """One window_sweep row per requested size, in order."""
-    rows = []
-    for n in sizes:
-        stats = [st for st, _ in dynamic[n]]
-        rows.append({
-            "window_n": n,
-            "max_spot_rms_m": max(st.rms_error_m for st in stats),
-            "mean_accuracy_m": left_to_right_sum(st.accuracy_m for st in stats) / len(stats),
-        })
-    return tuple(rows)
+    return tuple({"window_n": n,
+                  "max_spot_rms_m": max(st.rms_error_m for st, _ in dynamic[n]),
+                  "mean_accuracy_m": left_to_right_sum(st.accuracy_m for st, _ in dynamic[n])
+                  / len(dynamic[n])}
+                 for n in sizes)
 
 
 def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = None,
@@ -212,24 +208,19 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
     spots = sim.ranging_experiment(config)
     model = config.path_loss
     dynamic = _dynamic_stats(spots, model, params, (window_n, *sizes), q_scale)
-    spot_reports = []
-    pooled_errors: dict[str, list[float]] = {name: [] for name in PIPELINES}
-    for i, (true_d, trace) in enumerate(spots):
-        results = {
-            "raw": _pipeline_stats(trace, model, true_d),
-            "filtered": _pipeline_stats(filters.smooth_trace(trace, params), model, true_d),
-            "dynamic": dynamic[window_n][i],
-        }
-        for name, (_, errors) in results.items():
-            pooled_errors[name].extend(errors.tolist())
-        spot_reports.append(SpotReport(true_d, len(trace.samples),
-                                        {name: stats for name, (stats, _) in results.items()}))
+    table = {  # each pipeline's (stats, errors) at every spot
+        "raw": [_pipeline_stats(trace, model, true_d) for true_d, trace in spots],
+        "filtered": [_pipeline_stats(filters.smooth_trace(trace, params), model, true_d)
+                     for true_d, trace in spots],
+        "dynamic": dynamic[window_n],
+    }
+    pooled_errors = {name: np.concatenate([errs for _, errs in table[name]]) for name in PIPELINES}
     histograms = {name: error_histogram(pooled_errors[name], bin_width_m) for name in PIPELINES}
     summary = {
         name: {
-            "max_spot_rms_m": max(s.pipelines[name].rms_error_m for s in spot_reports),
-            "max_spot_accuracy_m": max(s.pipelines[name].accuracy_m for s in spot_reports),
-            "max_sample_error_m": max(pooled_errors[name]),
+            "max_spot_rms_m": max(stats.rms_error_m for stats, _ in table[name]),
+            "max_spot_accuracy_m": max(stats.accuracy_m for stats, _ in table[name]),
+            "max_sample_error_m": float(pooled_errors[name].max()),
         }
         for name in PIPELINES
     }
@@ -246,7 +237,9 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
         "q_scale": q_scale,
     }
     return ErrorReport(
-        spots=tuple(spot_reports),
+        spots=tuple(SpotReport(true_d, len(trace.samples),
+                               {name: table[name][i][0] for name in PIPELINES})
+                    for i, (true_d, trace) in enumerate(spots)),
         histograms=histograms,
         summary=summary,
         config=report_config,

@@ -27,14 +27,10 @@ CSV (one sample per line, LF endings)::
     tx_power_dbm field means "unknown". Trace metadata, when present, is
     stored next to the file in ``<path>.meta.json``.
 
-    The loader reads the file once as text. A text that holds no '"', CR
-    or NUL, whose line 1 is exactly the header, whose other lines each have
-    exactly four commas (so none is blank), and whose lines are all shorter
-    than csv.field_size_limit() is split at its commas and newlines
-    (``_splits``); the csv module reads any other text. Either way its
-    fields then take one route: whole columns first, rows only to name a
-    bad line. A text that splits cannot fail in the csv module, so a bad
-    sidecar is its first possible error.
+    The loader reads the file once as text, splits it at its commas and
+    newlines where ``_splits`` says that gives the csv module's fields, and
+    has the csv module read any other text. Either way its fields then take
+    one route: whole columns first, rows only to name a bad line.
 
 JSON::
 
@@ -105,12 +101,19 @@ class RssiSample:
                              else f"beacon_id must be a str, got {beacon_id!r}")
         if "," in beacon_id or "\r" in beacon_id or "\n" in beacon_id:
             raise ValueError(f"beacon_id contains forbidden characters: {beacon_id!r}")
-        if (type(rssi_dbm) is bool or not math.isfinite(rssi_dbm)
-                or not RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM):
+        try:  # math.isfinite raises TypeError for anything but a real number
+            rssi_ok = math.isfinite(rssi_dbm) and RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM
+        except TypeError:
+            rssi_ok = False
+        if type(rssi_dbm) is bool or not rssi_ok:
             raise ValueError(f"rssi_dbm out of range [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]: {rssi_dbm!r}")
         if tx_power_dbm is not None:
-            if (type(tx_power_dbm) is bool or not math.isfinite(tx_power_dbm)
-                    or not TX_POWER_MIN_DBM <= tx_power_dbm <= TX_POWER_MAX_DBM):
+            try:
+                tx_ok = (math.isfinite(tx_power_dbm)
+                         and TX_POWER_MIN_DBM <= tx_power_dbm <= TX_POWER_MAX_DBM)
+            except TypeError:
+                tx_ok = False
+            if type(tx_power_dbm) is bool or not tx_ok:
                 raise ValueError(f"tx_power_dbm out of range: {tx_power_dbm!r}")
         if channel not in VALID_CHANNELS:
             raise ValueError(f"channel must be one of {VALID_CHANNELS}, got {channel!r}")
@@ -184,11 +187,7 @@ class SampleColumns(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self.select(index)
-        i = operator.index(index)
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("sample index out of range")
-        return _row(*self._values(i % n))
+        return _row(*self._values(operator.index(index)))
 
     def __iter__(self):
         return map(_row, self.timestamp_ms.tolist(), _take(self.beacon_ids, self.beacon),

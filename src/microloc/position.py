@@ -68,6 +68,16 @@ class Zone(enum.Enum):
     UNKNOWN = "unknown"
 
 
+def _check_number(v, name: str) -> float:
+    """v as a float; a bool, or a value float() cannot convert, raises ValueError."""
+    if type(v) is bool:
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _check_point(p, name: str) -> tuple[float, float]:
     """p as two floats; a coordinate float() cannot convert raises ValueError with its text."""
     try:
@@ -76,10 +86,7 @@ def _check_point(p, name: str) -> tuple[float, float]:
         raise ValueError(f"{name} must be an (x, y) pair") from exc
     if type(x) is bool or type(y) is bool:
         raise ValueError(f"{name} must be an (x, y) pair of numbers, got {p!r}")
-    try:
-        x, y = float(x), float(y)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(str(exc)) from exc
+    x, y = _check_number(x, name), _check_number(y, name)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {(x, y)!r}")
     return (x, y)
@@ -99,9 +106,7 @@ class Anchor:
                              else f"beacon_id must be a str, got {self.beacon_id!r}")
         object.__setattr__(self, "position", _check_point(self.position, "position"))
         if self.tx_power_dbm is not None:
-            if type(self.tx_power_dbm) is bool:
-                raise ValueError(f"tx_power_dbm must be a number, got {self.tx_power_dbm!r}")
-            tx = float(self.tx_power_dbm)
+            tx = _check_number(self.tx_power_dbm, "tx_power_dbm")
             if not math.isfinite(tx) or not TX_POWER_MIN_DBM <= tx <= TX_POWER_MAX_DBM:
                 raise ValueError(f"tx_power_dbm out of range: {tx!r}")
             object.__setattr__(self, "tx_power_dbm", tx)
@@ -114,7 +119,7 @@ class Circle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _check_point(self.center, "center"))
-        r = float(self.radius_m)
+        r = _check_number(self.radius_m, "radius_m")
         if not math.isfinite(r) or r <= 0.0:
             raise ValueError(f"radius_m must be positive, got {self.radius_m!r}")
         object.__setattr__(self, "radius_m", r)
@@ -146,7 +151,7 @@ class PositionEstimate:
             raise ValueError(f"method must be a Method, got {self.method!r}")
         if self.position is not None:
             object.__setattr__(self, "position", _check_point(self.position, "position"))
-        r = float(self.residual)
+        r = _check_number(self.residual, "residual")
         if not math.isfinite(r) or r < 0.0:
             raise ValueError(f"residual must be finite and non-negative, got {self.residual!r}")
         object.__setattr__(self, "residual", r)
@@ -176,12 +181,12 @@ def classify_proximity(distance_m: float, immediate_m: float = IMMEDIATE_THRESHO
     return ProximityZone(Zone.FAR, d)
 
 
-def _as_distances(values: Sequence[float], n: int, name: str) -> np.ndarray:
+def _as_distances(values: Sequence[float], n: int) -> np.ndarray:
     if len(values) != n:
-        raise ArityError(f"{name}: expected {n} values, got {len(values)}")
+        raise ArityError(f"distances_m: expected {n} values, got {len(values)}")
     arr = np.asarray([float(v) for v in values], dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InvalidDistance(f"{name} must be finite and non-negative")
+        raise InvalidDistance("distances_m must be finite and non-negative")
     return arr
 
 
@@ -200,7 +205,7 @@ def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float]) ->
     """
     if len(anchors) == 0:
         raise NoAnchors("proximity region needs at least one anchor")
-    dists = _as_distances(distances_m, len(anchors), "distances_m")
+    dists = _as_distances(distances_m, len(anchors))
     if np.any(dists <= 0.0):
         raise InvalidDistance("distances_m must be strictly positive")
     centers = _anchor_points(anchors)
@@ -261,7 +266,7 @@ def trilaterate(anchors: Sequence[Anchor], distances_m: Sequence[float]) -> Posi
     """
     if len(anchors) < 3:
         raise ArityError(f"trilateration requires at least three anchors, got {len(anchors)}")
-    dists = _as_distances(distances_m, len(anchors), "distances_m")
+    dists = _as_distances(distances_m, len(anchors))
     pts = _anchor_points(anchors)
     _check_spread(pts)
 
@@ -443,8 +448,7 @@ class FingerprintDb:
             raise ValueError(f"metric must be euclidean or manhattan, got {self.metric!r}")
 
 
-def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]],
-                      metric: str = "euclidean") -> FingerprintDb:
+def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]]) -> FingerprintDb:
     """Average each survey trace into a per-beacon signature.
 
     surveys pairs a known position with the trace recorded there. Every
@@ -458,11 +462,11 @@ def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]],
             raise EmptyTrace(f"survey at {position!r} has an empty trace")
         entries.append(Fingerprint(position=tuple(position),
                                    signature=trace.mean_rssi_by_beacon()))
-    return FingerprintDb(entries=tuple(entries), metric=metric)
+    return FingerprintDb(entries=tuple(entries))
 
 
 def _signature_distance(a: Mapping[str, float], b: Mapping[str, float], metric: str) -> float:
-    keys = sorted(set(a) | set(b))  # fixed order: the sum must not depend on string hashing
+    keys = sorted(a.keys() | b.keys())  # fixed order: the sum must not depend on string hashing
     diffs = [a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM) for k in keys]
     if metric == "euclidean":
         return math.sqrt(left_to_right_sum(d * d for d in diffs))  # d * d: see filters._variance
@@ -487,19 +491,16 @@ def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
             raise ValueError(f"observation rssi for {b!r} must be finite")
     if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= len(db.entries):
         raise ArityError(f"k must be in [1, {len(db.entries)}], got {k!r}")
-    scored = []
-    for idx, entry in enumerate(db.entries):
-        if not set(entry.signature) & set(obs):
-            continue
-        scored.append((_signature_distance(entry.signature, obs, db.metric), idx))
+    # (distance, index) tuples sort by distance, then database order
+    scored = sorted((_signature_distance(entry.signature, obs, db.metric), idx)
+                    for idx, entry in enumerate(db.entries)
+                    if not obs.keys().isdisjoint(entry.signature))
     if not scored:
         raise NoComparableEntries("observation shares no beacon with any database entry")
     if k > len(scored):
         raise ArityError(f"k={k} but only {len(scored)} comparable entries")
-    scored.sort(key=lambda t: (t[0], t[1]))
     chosen = scored[:k]
-    xs = [db.entries[i].position[0] for _, i in chosen]
-    ys = [db.entries[i].position[1] for _, i in chosen]
+    xs, ys = zip(*(db.entries[i].position for _, i in chosen))
     residual = left_to_right_sum(d for d, _ in chosen) / k
     return PositionEstimate(
         position=(left_to_right_sum(xs) / k, left_to_right_sum(ys) / k),

@@ -38,12 +38,15 @@ class PathLossModel:
     exponent: float = 2.0
 
     def __post_init__(self):
-        if not math.isfinite(self.ref_power_dbm) or not -100.0 <= self.ref_power_dbm <= 0.0:
+        if (type(self.ref_power_dbm) is bool or not math.isfinite(self.ref_power_dbm)
+                or not -100.0 <= self.ref_power_dbm <= 0.0):
             raise ValueError(f"ref_power_dbm out of range [-100, 0]: {self.ref_power_dbm!r}")
-        if not math.isfinite(self.exponent) or not MIN_EXPONENT < self.exponent <= MAX_EXPONENT:
-            raise ValueError(
-                f"exponent out of range ({MIN_EXPONENT}, {MAX_EXPONENT}]: {self.exponent!r}"
-            )
+        if (type(self.exponent) is bool or not math.isfinite(self.exponent)
+                or not MIN_EXPONENT < self.exponent <= MAX_EXPONENT):
+            raise ValueError(f"exponent out of range ({MIN_EXPONENT}, {MAX_EXPONENT}]: "
+                             f"{self.exponent!r}")
+        object.__setattr__(self, "ref_power_dbm", float(self.ref_power_dbm))
+        object.__setattr__(self, "exponent", float(self.exponent))
 
 
 def model_from_config(config: Mapping[str, object]) -> PathLossModel:

@@ -72,13 +72,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if not isinstance(self.path_loss, PathLossModel):
             raise ValueError("path_loss must be a PathLossModel")
-        if not math.isfinite(self.shadow_sigma_db) or self.shadow_sigma_db < 0.0:
+        if (type(self.shadow_sigma_db) is bool or not math.isfinite(self.shadow_sigma_db)
+                or self.shadow_sigma_db < 0.0):
             raise ValueError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db!r}")
         if self.advertising_interval_ms <= 0:
             raise ValueError("advertising_interval_ms must be a positive int")
         if not 0 <= self.interval_jitter_ms < self.advertising_interval_ms:
             raise ValueError("interval_jitter_ms must be in [0, advertising_interval_ms)")
-        if not 0.0 <= self.packet_loss_prob < 1.0:
+        if type(self.packet_loss_prob) is bool or not 0.0 <= self.packet_loss_prob < 1.0:
             raise ValueError(f"packet_loss_prob must be in [0, 1), got {self.packet_loss_prob!r}")
         if self.duration_ms <= 0:
             raise ValueError("duration_ms must be a positive int")
@@ -86,6 +87,8 @@ class SimConfig:
         if not chans or any(c not in VALID_CHANNELS for c in chans):
             raise ValueError(f"channels must be a non-empty subset of {VALID_CHANNELS}")
         object.__setattr__(self, "channels", chans)
+        object.__setattr__(self, "shadow_sigma_db", float(self.shadow_sigma_db))
+        object.__setattr__(self, "packet_loss_prob", float(self.packet_loss_prob))
 
 
 @dataclass(frozen=True)

@@ -674,3 +674,12 @@ def test_simulate_takes_integer_valued_start_ms(tmp_path, capsys):
         traces.append(out.read_bytes())
     capsys.readouterr()
     assert traces[0] == traces[1]
+
+
+def test_locate_fingerprint_on_header_only_trace_exits_2(tmp_path, capsys):
+    trace = tmp_path / "empty.csv"
+    trace.write_text("timestamp_ms,beacon_id,rssi_dbm,tx_power_dbm,channel\n")
+    db = write_json(tmp_path / "db.json", {"entries": [{"x": 0, "y": 0, "signature": {"b0": -60}}]})
+    assert main(["locate", str(trace), db, str(tmp_path / "o.json"),
+                 "--method", "fingerprint"]) == 2
+    assert "trace holds no samples" in capsys.readouterr().err

@@ -285,3 +285,36 @@ def test_frame_to_dict_fields():
                                               adv_count=5, uptime_ds=10))
     assert d["measured_power_dbm"] is None
     assert d["battery_mv"] == 3000
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IBeaconFrame(UUID16, True, 2, -59),
+    lambda: IBeaconFrame(UUID16, 1, False, -59),
+    lambda: AltBeaconFrame(bytes(20), -59, True),
+    lambda: EddystoneTlmFrame(3000, 20.0, True, 1),
+])
+def test_integer_fields_reject_bools(make):
+    with pytest.raises(ValueError, match="must be an integer in .*, got (True|False)$"):
+        make()
+
+
+def test_bytes_fields_store_bytes():
+    frame = IBeaconFrame(bytearray(UUID16), 1, 2, -59)
+    assert type(frame.uuid) is bytes and frame.uuid == UUID16
+
+
+@pytest.mark.parametrize("temperature, message", [
+    ("20", "temperature_c must be a number, got '20'"),
+    (float("nan"), "temperature_c must not be NaN"),
+])
+def test_tlm_temperature_must_be_a_number(temperature, message):
+    with pytest.raises(ValueError) as info:
+        EddystoneTlmFrame(3000, temperature, 1, 1)
+    assert str(info.value) == message
+
+
+def test_encode_rejects_non_frames_and_non_string_urls():
+    with pytest.raises(TypeError, match="not a beacon frame"):
+        encode(object())
+    with pytest.raises(ValueError, match="url must be a string"):
+        codec.encode_url(5)

@@ -394,3 +394,22 @@ def test_window_sizes_must_be_ints_and_are_checked_before_simulating(monkeypatch
         with pytest.raises(ValueError) as info:
             run()
         assert str(info.value) == f"window sizes must be ints, got {size!r}"
+
+
+def test_report_does_not_depend_on_config_number_types():
+    ints = SimConfig(seed=1, path_loss=PathLossModel(-59, 2), shadow_sigma_db=4,
+                     packet_loss_prob=0)
+    floats = SimConfig(seed=1, path_loss=PathLossModel(-59.0, 2.0), shadow_sigma_db=4.0,
+                       packet_loss_prob=0.0)
+    a = json.dumps(report_to_dict(ranging_report(ints)))
+    assert a == json.dumps(report_to_dict(ranging_report(floats)))
+    assert '"ref_power_dbm": -59.0, "exponent": 2.0, "shadow_sigma_db": 4.0' in a
+
+
+def test_max_sample_error_is_the_largest_error_of_any_spot():
+    from microloc.sim import ranging_experiment
+
+    cfg = SimConfig(seed=5)
+    expected = max(float(np.max(np.abs(_distances(trace.samples.rssi_dbm, cfg.path_loss) - d)))
+                   for d, trace in ranging_experiment(cfg))
+    assert ranging_report(cfg).summary["raw"]["max_sample_error_m"] == expected

@@ -429,3 +429,16 @@ def test_window_wider_than_int64_gives_prefix_variances(window_n):
     expected = [0.5 * _variance(zs[:i + 1]) for i in range(1, len(zs))]
     assert _window_q(zs, window_n, 0.5) == expected
     assert _window_q(zs, window_n, 0.5) == _window_q(zs, len(zs), 0.5)
+
+
+def test_kalman_params_reject_wrong_shapes():
+    params = default_params()
+    with pytest.raises(ValueError, match="F must be a 2x2 matrix"):
+        replace(params, F=((1.0, 0.0), (0.0, 1.0), (0.0, 0.0)))
+    with pytest.raises(ValueError, match="H must be a finite 2-vector"):
+        replace(params, H=(1.0,))
+
+
+def test_window_push_rejects_nan():
+    with pytest.raises(ValueError, match="window value must be finite"):
+        window_push(RssiWindow(3), float("nan"))

@@ -500,3 +500,54 @@ def test_empty_beacon_id_message_is_unchanged():
     with pytest.raises(ValueError) as info:
         RssiSample(0, "", -50.0)
     assert str(info.value) == "beacon_id must be non-empty"
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, "a", "-50"), "rssi_dbm out of range [-120.0, 0.0]: '-50'"),
+    ((0, "a", None), "rssi_dbm out of range [-120.0, 0.0]: None"),
+    ((0, "a", [-50.0]), "rssi_dbm out of range [-120.0, 0.0]: [-50.0]"),
+    ((0, "a", -50.0, "-59"), "tx_power_dbm out of range: '-59'"),
+    ((0, "a", -50.0, 1j), "tx_power_dbm out of range: 1j"),
+])
+def test_rssi_sample_rejects_non_numbers(args, message):
+    with pytest.raises(ValueError) as info:
+        RssiSample(*args)
+    assert str(info.value) == message
+
+
+def test_rssi_sample_accepts_numpy_scalars():
+    s = RssiSample(0, "a", np.float32(-50.5), np.int16(-59))
+    assert s.rssi_dbm == -50.5 and s.tx_power_dbm == -59
+    assert RssiSample(0, "a", np.int64(-50), np.float64(-59.0)).rssi_dbm == -50
+
+
+def test_sample_index_is_checked_by_numpy():
+    samples = Trace((RssiSample(0, "a", -50.0), RssiSample(1, "b", -51.0))).samples
+    assert samples[-1] == samples[1] == RssiSample(1, "b", -51.0)
+    assert samples[-2] == samples[0]
+    for index in (2, -3, 10 ** 30):
+        with pytest.raises(IndexError):
+            samples[index]
+    with pytest.raises(TypeError):
+        samples[1.0]
+
+
+def test_sample_columns_reject_unequal_lengths():
+    from microloc.model import SampleColumns
+
+    with pytest.raises(ValueError, match="same length"):
+        SampleColumns([0, 1], [0], ["a"], [-50.0, -51.0], [np.nan] * 2, [37, 37])
+
+
+def test_for_beacon_of_unknown_id_is_empty():
+    trace = Trace((RssiSample(0, "a", -50.0),))
+    assert trace.for_beacon("zz") == ()
+
+
+def test_atomic_write_onto_a_directory_leaves_no_temp_file(tmp_path):
+    from microloc.model import atomic_write_text
+
+    (tmp_path / "target").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(str(tmp_path / "target"), "text")
+    assert os.listdir(tmp_path) == ["target"]

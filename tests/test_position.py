@@ -642,3 +642,64 @@ def test_fingerprint_k_must_be_an_int_not_a_bool(k):
     with pytest.raises(ArityError) as info:
         fingerprint_locate(db, {"a": -60.0}, k=k)
     assert str(info.value) == f"k must be in [1, 2], got {k!r}"
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "must be a number, got True"),
+    (None, "float() argument must be a string or a real number, not 'NoneType'"),
+    (10 ** 400, "int too large to convert to float"),
+    ("wide", "could not convert string to float: 'wide'"),
+], ids=["bool", "none", "huge-int", "text"])
+def test_radius_and_residual_must_be_numbers(value, message):
+    with pytest.raises(ValueError) as info:
+        Circle((0.0, 0.0), value)
+    assert str(info.value).endswith(message)
+    with pytest.raises(ValueError) as info:
+        PositionEstimate(None, Method.PROXIMITY, value)
+    assert str(info.value).endswith(message)
+
+
+def test_bool_radius_and_residual_name_the_field():
+    with pytest.raises(ValueError, match="^radius_m must be a number, got False$"):
+        Circle((0.0, 0.0), False)
+    with pytest.raises(ValueError, match="^residual must be a number, got True$"):
+        PositionEstimate((0.0, 0.0), Method.LATERATION, True)
+    assert Circle((0.0, 0.0), np.float32(2.5)).radius_m == 2.5
+
+
+def test_proximity_region_that_does_not_settle_has_no_position():
+    # three disks that overlap pairwise but share no point: the projections cycle
+    anchors = [Anchor("a", (0.0, 0.0)), Anchor("b", (2.0, 0.0)), Anchor("c", (1.0, math.sqrt(3.0)))]
+    est = proximity_region(anchors, [1.05] * 3)
+    assert est.position is None
+    assert est.residual == pytest.approx(0.2063, abs=1e-4)
+
+
+def test_fingerprint_locate_rejects_nonfinite_observation_and_too_large_k():
+    db = FingerprintDb((Fingerprint((0.0, 0.0), {"a": -60.0}), Fingerprint((1.0, 0.0), {"b": -60.0})))
+    with pytest.raises(ValueError, match="observation rssi for 'a' must be finite"):
+        fingerprint_locate(db, {"a": float("nan")})
+    with pytest.raises(ArityError, match="k=2 but only 1 comparable entries"):
+        fingerprint_locate(db, {"a": -60.0}, 2)
+
+
+def test_fingerprint_build_takes_only_the_surveys():
+    trace = Trace((RssiSample(0, "a", -60.0),))
+    assert fingerprint_build([((0.0, 0.0), trace)]).metric == "euclidean"
+    with pytest.raises(TypeError):
+        fingerprint_build([((0.0, 0.0), trace)], "manhattan")
+
+
+def test_json_documents_of_the_wrong_type_are_rejected():
+    with pytest.raises(ValueError, match="must be an object with an 'entries' array"):
+        db_from_json([])
+    with pytest.raises(ValueError, match="anchors document must be a JSON array"):
+        anchors_from_json({"beacon_id": "a", "x": 0, "y": 0})
+
+
+def test_no_convergence_message_names_the_iterations():
+    from microloc.errors import NoConvergence
+
+    exc = NoConvergence(100)
+    assert exc.iterations == 100
+    assert str(exc) == "no convergence after 100 iterations"

@@ -129,3 +129,14 @@ def test_time_errors():
 
 def test_speed_of_light_is_exact():
     assert SPEED_OF_LIGHT == 299_792_458.0
+
+
+def test_path_loss_model_stores_floats_and_rejects_bools():
+    model = PathLossModel(-59, 2)
+    assert type(model.ref_power_dbm) is float and type(model.exponent) is float
+    assert model == PathLossModel(-59.0, 2.0)
+    assert PathLossModel(np.float32(-59.0), np.int64(2)) == model
+    with pytest.raises(ValueError, match="ref_power_dbm out of range"):
+        PathLossModel(ref_power_dbm=False)
+    with pytest.raises(ValueError, match="exponent out of range"):
+        PathLossModel(exponent=True)

@@ -423,3 +423,34 @@ def test_sim_config_integers_must_be_ints_not_bools(field, value):
     with pytest.raises(ValueError) as info:
         SimConfig(**kw)
     assert str(info.value) == f"{field} must be an int, got {value!r}"
+
+
+def test_sim_config_stores_floats_and_rejects_bools():
+    cfg = SimConfig(seed=1, shadow_sigma_db=4, packet_loss_prob=0)
+    assert (cfg.shadow_sigma_db, cfg.packet_loss_prob) == (4.0, 0.0)
+    assert type(cfg.shadow_sigma_db) is float and type(cfg.packet_loss_prob) is float
+    with pytest.raises(ValueError, match="shadow_sigma_db must be >= 0, got True"):
+        SimConfig(seed=1, shadow_sigma_db=True)
+    with pytest.raises(ValueError, match=r"packet_loss_prob must be in \[0, 1\), got False"):
+        SimConfig(seed=1, packet_loss_prob=False)
+
+
+def test_simulated_metadata_does_not_depend_on_number_types():
+    scenario = Scenario((Anchor("b0", (0.0, 0.0)),), ((0, (1.0, 0.0)),))
+    ints = SimConfig(seed=3, path_loss=PathLossModel(-59, 2), shadow_sigma_db=4,
+                     packet_loss_prob=0, duration_ms=1000)
+    floats = SimConfig(seed=3, path_loss=PathLossModel(-59.0, 2.0), shadow_sigma_db=4.0,
+                       packet_loss_prob=0.0, duration_ms=1000)
+    a, b = simulate(scenario, ints), simulate(scenario, floats)
+    assert a.metadata == b.metadata and a.samples == b.samples
+    assert a.metadata["shadow_sigma_db"] == "4.0"
+
+
+def test_sim_config_rejects_a_path_loss_that_is_not_a_model():
+    with pytest.raises(ValueError, match="path_loss must be a PathLossModel"):
+        SimConfig(seed=1, path_loss=(-59.0, 2.0))
+
+
+def test_scenario_document_must_be_an_object():
+    with pytest.raises(InvalidScenario, match="scenario must be a JSON object"):
+        scenario_from_json([])
