@@ -303,6 +303,9 @@ def decode_url(data: bytes) -> str:
     return "".join(out)
 
 
+_new_object = object.__new__
+
+
 def decode(payload: bytes) -> BeaconFrame:
     """Decode an advertisement payload into the matching frame type.
 
@@ -329,12 +332,16 @@ def decode(payload: bytes) -> BeaconFrame:
         raise MalformedFrame(f"{layout.frame_type} payload must be {layout.head.hex(' ')} ... "
                              f"{layout.tail.hex(' ')}, got {payload.hex(' ')}")
     values = layout.struct.unpack_from(payload, len(layout.head))
-    if layout.cls is EddystoneUrlFrame:
+    if layout.cls is EddystoneUrlFrame:  # the constructor checks the url encodes
         return EddystoneUrlFrame(*values, decode_url(payload[layout.size:]))
     if layout.cls is EddystoneTlmFrame:
         battery_mv, temperature_raw, adv_count, uptime_ds = values
-        return EddystoneTlmFrame(battery_mv, temperature_raw / 256.0, adv_count, uptime_ds)
-    return layout.cls(*values)
+        values = (battery_mv, temperature_raw / 256.0, adv_count, uptime_ds)
+    # each struct code bounds its field as the constructor's check would, so
+    # the frame is built without running the checks again
+    frame = _new_object(layout.cls)
+    frame.__dict__.update(zip(layout.names, values))
+    return frame
 
 
 def encode(frame: BeaconFrame) -> bytes:

@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EmptyTrace, InsufficientSamples
-from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum
+from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum, real_or_nan
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 Vec2 = tuple[float, float]
@@ -49,11 +49,11 @@ DEFAULT_Q_SCALE = 1.0
 def _as_mat2(m, name: str) -> Mat2:
     try:
         (a, b), (c, d) = m
-        out = ((float(a), float(b)), (float(c), float(d)))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 matrix") from exc
+    out = ((real_or_nan(a), real_or_nan(b)), (real_or_nan(c), real_or_nan(d)))
     if not all(math.isfinite(v) for row in out for v in row):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError(f"{name} must hold finite numbers, got {m!r}")
     return out
 
 
@@ -77,13 +77,14 @@ class KalmanParams:
     P0: Mat2
 
     def __post_init__(self):
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        object.__setattr__(self, "dt", float(self.dt))
+        dt = real_or_nan(self.dt)
+        if not math.isfinite(dt) or dt <= 0.0:
+            raise ValueError(f"dt must be a positive number, got {self.dt!r}")
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "F", _as_mat2(self.F, "F"))
         object.__setattr__(self, "Q", _as_mat2(self.Q, "Q"))
         object.__setattr__(self, "P0", _as_mat2(self.P0, "P0"))
-        h = tuple(float(v) for v in self.H)
+        h = tuple(map(real_or_nan, self.H))
         if len(h) != 2 or not all(math.isfinite(v) for v in h):
             raise ValueError(f"H must be a finite 2-vector, got {self.H!r}")
         if h == (0.0, 0.0):
@@ -91,9 +92,10 @@ class KalmanParams:
         object.__setattr__(self, "H", h)
         _check_cov(self.Q, "Q")
         _check_cov(self.P0, "P0")
-        if not math.isfinite(self.R) or self.R <= 0.0:
-            raise ValueError(f"R must be positive, got {self.R!r}")
-        object.__setattr__(self, "R", float(self.R))
+        r = real_or_nan(self.R)
+        if not math.isfinite(r) or r <= 0.0:
+            raise ValueError(f"R must be a positive number, got {self.R!r}")
+        object.__setattr__(self, "R", r)
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,11 @@ def make_params(dt: float = 0.2, q: float = 0.001, r: float = 0.10,
     """Isotropic parameter set: Q = q*I, P0 = p0*I, standard F and H."""
     return KalmanParams(
         dt=dt,
-        F=((1.0, float(dt)), (0.0, 1.0)),
+        F=((1.0, dt), (0.0, 1.0)),
         H=(1.0, 0.0),
-        Q=((float(q), 0.0), (0.0, float(q))),
-        R=float(r),
-        P0=((float(p0), 0.0), (0.0, float(p0))),
+        Q=((q, 0.0), (0.0, q)),
+        R=r,
+        P0=((p0, 0.0), (0.0, p0)),
     )
 
 

@@ -413,6 +413,23 @@ def as_int(value) -> int:
     return value
 
 
+def real_or_nan(value) -> float:
+    """value as a float when it is a real number other than a bool, else NaN.
+
+    A str or bytes is not a number here, though float() would parse it. NaN
+    fails every range and finiteness check, so a caller's own message, which
+    names its field, covers these values as it covers an out-of-range one.
+    """
+    if type(value) is float:
+        return value
+    if type(value) is bool or isinstance(value, (str, bytes, bytearray)):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def json_objects(items: list, label: str, build, error: type[Exception] = ValueError) -> list:
     """build(item) for each object of a parsed JSON array, in order.
 
@@ -608,14 +625,15 @@ def _load_csv(path: str) -> Trace:
             header = next(reader)
             if header != CSV_HEADER:
                 raise TraceFormatError(f"line 1: bad header {header!r}")
-            rows = list(reader)
+            # a row is named by the line it ends on, as a csv.Error is: a
+            # quoted field may span lines, and a blank line is no row
+            numbered = [(reader.line_num, row) for row in reader if row]
         except StopIteration:
             raise TraceFormatError("line 1: missing header") from None
         except csv.Error as exc:
             raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
-        linenos = [n for n, row in enumerate(rows, start=2) if row]
-        if len(linenos) != len(rows):
-            rows = [row for row in rows if row]
+        linenos = [n for n, _ in numbered]
+        rows = [row for _, row in numbered]
         columns = _csv_fields(rows)
         label = lambda i: f"line {linenos[i]}"
     return _file_trace(rows, _csv_row, columns, label, _read_sidecar(path))

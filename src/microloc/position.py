@@ -20,7 +20,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -181,6 +181,16 @@ def classify_proximity(distance_m: float, immediate_m: float = IMMEDIATE_THRESHO
     return ProximityZone(Zone.FAR, d)
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=1) for real d: the same two ufunc calls, without its dispatch."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) for a real 1-D v, as a float: the same dot product and square root."""
+    return math.sqrt(v.dot(v))
+
+
 def _as_distances(values: Sequence[float], n: int) -> np.ndarray:
     if len(values) != n:
         raise ArityError(f"distances_m: expected {n} values, got {len(values)}")
@@ -211,23 +221,23 @@ def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float]) ->
     centers = _anchor_points(anchors)
     region = tuple(Circle(a.position, d) for a, d in zip(anchors, dists))
 
-    gaps = ((np.linalg.norm(centers[i] - centers[j]), dists[i] + dists[j])
+    gaps = ((_norm(centers[i] - centers[j]), dists[i] + dists[j])
             for i, j in itertools.combinations(range(len(anchors)), 2))
     # infeasible at the first two disks that cannot both contain the point
     feasible = not any(gap > reach + _PROXIMITY_TOL_M for gap, reach in gaps)
     p = centers.mean(axis=0)
     if feasible:
         for _ in range(_PROXIMITY_MAX_ITER):
-            sep = np.linalg.norm(p - centers, axis=1) - dists
+            sep = _row_norms(p - centers) - dists
             worst = int(np.argmax(sep))
             if sep[worst] <= _PROXIMITY_TOL_M:
                 break
             # project onto the most-violated disk
             v = p - centers[worst]
-            p = centers[worst] + v * (dists[worst] / float(np.linalg.norm(v)))
+            p = centers[worst] + v * (dists[worst] / _norm(v))
         else:
             feasible = False
-    violation = float(np.max(np.linalg.norm(p - centers, axis=1) - dists))
+    violation = float(np.max(_row_norms(p - centers) - dists))
     residual = max(0.0, violation)
     return PositionEstimate(
         position=p if feasible else None,
@@ -283,17 +293,16 @@ def trilaterate(anchors: Sequence[Anchor], distances_m: Sequence[float]) -> Posi
     converged = False
     for _ in range(_GN_MAX_ITER):
         diff = p - pts
-        ranges = np.linalg.norm(diff, axis=1)
-        ranges = np.maximum(ranges, 1e-12)
+        ranges = np.maximum(_row_norms(diff), 1e-12)
         resid = ranges - dists
         step = _gn_step(diff / ranges[:, None], resid)
         p = p + step
-        if float(np.linalg.norm(step)) < _GN_STEP_TOL:
+        if _norm(step) < _GN_STEP_TOL:
             converged = True
             break
     if not converged:
         raise NoConvergence(_GN_MAX_ITER)
-    resid = np.linalg.norm(p - pts, axis=1) - dists
+    resid = _row_norms(p - pts) - dists
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return PositionEstimate(position=p, method=Method.LATERATION, residual=rms)
 
@@ -315,7 +324,7 @@ def triangulate(anchors: Sequence[Anchor], bearings_rad: Sequence[float]) -> Pos
         raise ValueError("bearings must be finite")
     a1 = np.asarray(anchors[0].position, dtype=float)
     a2 = np.asarray(anchors[1].position, dtype=float)
-    if float(np.linalg.norm(a2 - a1)) < 1e-12:
+    if _norm(a2 - a1) < 1e-12:
         raise DegenerateGeometry("anchors coincide")
     u1 = np.array([math.cos(th1), math.sin(th1)])
     u2 = np.array([math.cos(th2), math.sin(th2)])
@@ -333,7 +342,7 @@ def triangulate(anchors: Sequence[Anchor], bearings_rad: Sequence[float]) -> Pos
 
 
 def _tdoa_cost(p: np.ndarray, pts: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, float]:
-    ranges = np.maximum(np.linalg.norm(p - pts, axis=1), 1e-12)
+    ranges = np.maximum(_row_norms(p - pts), 1e-12)
     resid = (ranges[1:] - ranges[0]) - diffs
     return resid, float(resid @ resid)
 
@@ -368,7 +377,7 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
     _check_spread(pts)
 
     centroid = pts.mean(axis=0)
-    spread = float(np.max(np.linalg.norm(pts - centroid, axis=1)))
+    spread = float(np.max(_row_norms(pts - centroid)))
     offset = np.array([0.37, 0.23]) * max(spread, 1.0)
     starts = [centroid] + [pt + offset for pt in pts]
     max_range = _TDOA_MAX_RANGE_SPREADS * max(spread, 1.0)
@@ -384,8 +393,8 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
             if key in seen:
                 break  # a cycle: it would replay until _GN_MAX_ITER
             seen.add(key)
-            ranges = np.maximum(np.linalg.norm(p - pts, axis=1), 1e-12)
-            units = (p - pts) / ranges[:, None]
+            diff = p - pts
+            units = diff / np.maximum(_row_norms(diff), 1e-12)[:, None]
             step = _gn_step(units[1:] - units[0], resid)
             # backtrack until the squared misfit stops growing
             scale = 1.0
@@ -399,8 +408,8 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
                 break  # no productive step from here
             p = trial
             resid, cost = t_resid, t_cost
-            if float(np.linalg.norm(step)) < _GN_STEP_TOL or cost < 1e-24:
-                converged = float(np.linalg.norm(p - centroid)) <= max_range
+            if _norm(step) < _GN_STEP_TOL or cost < 1e-24:
+                converged = _norm(p - centroid) <= max_range
                 break
         if converged and (best is None or cost < best[0]):
             best = (cost, p)
@@ -437,8 +446,18 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class FingerprintDb:
+    """Survey entries and the distance metric fingerprint_locate ranks them by.
+
+    Construction also lays the signatures out once as an entries × beacon-ids
+    matrix (ids sorted, absent beacons at MISSING_RSSI_DBM) with a mask of
+    the values each entry holds; neither takes part in ==, repr or db_to_json.
+    """
+
     entries: tuple[Fingerprint, ...]
     metric: str = "euclidean"
+    _columns: dict[str, int] = field(init=False, repr=False, compare=False)
+    _rssi: np.ndarray = field(init=False, repr=False, compare=False)
+    _present: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -446,6 +465,18 @@ class FingerprintDb:
             raise ValueError("fingerprint database must have at least one entry")
         if self.metric not in ("euclidean", "manhattan"):
             raise ValueError(f"metric must be euclidean or manhattan, got {self.metric!r}")
+        ids = sorted({b for e in self.entries for b in e.signature})
+        columns = {b: j for j, b in enumerate(ids)}
+        rows = [i for i, e in enumerate(self.entries) for _ in e.signature]
+        cols = [columns[b] for e in self.entries for b in e.signature]
+        shape = (len(self.entries), len(ids))
+        rssi = np.full(shape, MISSING_RSSI_DBM, order="F")  # a column is contiguous
+        rssi[rows, cols] = [v for e in self.entries for v in e.signature.values()]
+        present = np.zeros(shape, dtype=bool)
+        present[rows, cols] = True
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_rssi", rssi)
+        object.__setattr__(self, "_present", present)
 
 
 def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]]) -> FingerprintDb:
@@ -463,14 +494,6 @@ def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]]) -> F
         entries.append(Fingerprint(position=tuple(position),
                                    signature=trace.mean_rssi_by_beacon()))
     return FingerprintDb(entries=tuple(entries))
-
-
-def _signature_distance(a: Mapping[str, float], b: Mapping[str, float], metric: str) -> float:
-    keys = sorted(a.keys() | b.keys())  # fixed order: the sum must not depend on string hashing
-    diffs = [a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM) for k in keys]
-    if metric == "euclidean":
-        return math.sqrt(left_to_right_sum(d * d for d in diffs))  # d * d: see filters._variance
-    return left_to_right_sum(map(abs, diffs))
 
 
 def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
@@ -491,15 +514,28 @@ def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
             raise ValueError(f"observation rssi for {b!r} must be finite")
     if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= len(db.entries):
         raise ArityError(f"k must be in [1, {len(db.entries)}], got {k!r}")
-    # (distance, index) tuples sort by distance, then database order
-    scored = sorted((_signature_distance(entry.signature, obs, db.metric), idx)
-                    for idx, entry in enumerate(db.entries)
-                    if not obs.keys().isdisjoint(entry.signature))
-    if not scored:
+    columns = db._columns
+    shared = [columns[b] for b in obs if b in columns]
+    comparable = np.flatnonzero(db._present[:, shared].any(axis=1))
+    if len(comparable) == 0:
         raise NoComparableEntries("observation shares no beacon with any database entry")
-    if k > len(scored):
-        raise ArityError(f"k={k} but only {len(scored)} comparable entries")
-    chosen = scored[:k]
+    if k > len(comparable):
+        raise ArityError(f"k={k} but only {len(comparable)} comparable entries")
+    # Each entry's terms, added one beacon id at a time in sorted order (the
+    # sum must not depend on string hashing); an id neither the entry nor the
+    # observation holds adds -100 - -100 = 0.0, which leaves every sum's bits
+    # as they are over that entry's own ids. Python's d * d overflows to inf
+    # silently, and so does this.
+    euclidean = db.metric == "euclidean"
+    total = np.zeros(len(db.entries))
+    with np.errstate(over="ignore"):
+        for b in sorted(columns.keys() | obs.keys()):
+            j = columns.get(b)
+            d = (MISSING_RSSI_DBM if j is None else db._rssi[:, j]) - obs.get(b, MISSING_RSSI_DBM)
+            total += d * d if euclidean else abs(d)
+    distances = (np.sqrt(total) if euclidean else total)[comparable]
+    # (distance, index) tuples sort by distance, then database order
+    chosen = sorted(zip(distances.tolist(), comparable.tolist()))[:k]
     xs, ys = zip(*(db.entries[i].position for _, i in chosen))
     residual = left_to_right_sum(d for d, _ in chosen) / k
     return PositionEstimate(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidDistance, InvalidTime
+from .model import real_or_nan
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by definition
 
@@ -38,15 +39,14 @@ class PathLossModel:
     exponent: float = 2.0
 
     def __post_init__(self):
-        if (type(self.ref_power_dbm) is bool or not math.isfinite(self.ref_power_dbm)
-                or not -100.0 <= self.ref_power_dbm <= 0.0):
+        ref, exponent = real_or_nan(self.ref_power_dbm), real_or_nan(self.exponent)
+        if not -100.0 <= ref <= 0.0:  # NaN fails
             raise ValueError(f"ref_power_dbm out of range [-100, 0]: {self.ref_power_dbm!r}")
-        if (type(self.exponent) is bool or not math.isfinite(self.exponent)
-                or not MIN_EXPONENT < self.exponent <= MAX_EXPONENT):
+        if not MIN_EXPONENT < exponent <= MAX_EXPONENT:
             raise ValueError(f"exponent out of range ({MIN_EXPONENT}, {MAX_EXPONENT}]: "
                              f"{self.exponent!r}")
-        object.__setattr__(self, "ref_power_dbm", float(self.ref_power_dbm))
-        object.__setattr__(self, "exponent", float(self.exponent))
+        object.__setattr__(self, "ref_power_dbm", ref)
+        object.__setattr__(self, "exponent", exponent)
 
 
 def model_from_config(config: Mapping[str, object]) -> PathLossModel:

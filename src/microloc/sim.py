@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidScenario
 from .model import (SampleColumns, Trace, VALID_CHANNELS, as_int, clamp_rssi, json_objects,
-                    read_json)
+                    read_json, real_or_nan)
 from .position import Anchor, anchors_from_json
 from .ranging import PathLossModel, distance_to_rssi
 from .rng import SplitMix64, derive_seed
@@ -72,14 +72,14 @@ class SimConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if not isinstance(self.path_loss, PathLossModel):
             raise ValueError("path_loss must be a PathLossModel")
-        if (type(self.shadow_sigma_db) is bool or not math.isfinite(self.shadow_sigma_db)
-                or self.shadow_sigma_db < 0.0):
+        sigma, loss = real_or_nan(self.shadow_sigma_db), real_or_nan(self.packet_loss_prob)
+        if not math.isfinite(sigma) or sigma < 0.0:
             raise ValueError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db!r}")
         if self.advertising_interval_ms <= 0:
             raise ValueError("advertising_interval_ms must be a positive int")
         if not 0 <= self.interval_jitter_ms < self.advertising_interval_ms:
             raise ValueError("interval_jitter_ms must be in [0, advertising_interval_ms)")
-        if type(self.packet_loss_prob) is bool or not 0.0 <= self.packet_loss_prob < 1.0:
+        if not 0.0 <= loss < 1.0:  # NaN fails
             raise ValueError(f"packet_loss_prob must be in [0, 1), got {self.packet_loss_prob!r}")
         if self.duration_ms <= 0:
             raise ValueError("duration_ms must be a positive int")
@@ -87,8 +87,8 @@ class SimConfig:
         if not chans or any(c not in VALID_CHANNELS for c in chans):
             raise ValueError(f"channels must be a non-empty subset of {VALID_CHANNELS}")
         object.__setattr__(self, "channels", chans)
-        object.__setattr__(self, "shadow_sigma_db", float(self.shadow_sigma_db))
-        object.__setattr__(self, "packet_loss_prob", float(self.packet_loss_prob))
+        object.__setattr__(self, "shadow_sigma_db", sigma)
+        object.__setattr__(self, "packet_loss_prob", loss)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,31 @@ def test_decode_of_damaged_encodings(payload):
     _check_decode(payload)
 
 
+def _as_bytearray(frame):
+    """The same frame built with every bytes field passed as a bytearray."""
+    return type(frame)(*(bytearray(v) if isinstance(v, bytes) else v
+                         for v in vars(frame).values()))
+
+
+@SETTINGS
+@given(st.one_of(
+    frames,
+    frames.map(_as_bytearray),
+    # a whole-degree temperature given as an int is stored as a float
+    st.builds(EddystoneTlmFrame, u16, st.integers(-128, 127), u32, u32),
+))
+def test_decoded_frame_equals_the_constructed_frame(frame):
+    got = decode(encode(frame))
+    assert type(got) is type(frame)
+    assert got == frame and hash(got) == hash(frame)
+    assert [(k, type(v)) for k, v in vars(got).items()] == \
+        [(k, type(v)) for k, v in vars(frame).items()]
+    assert all(type(v) is bytes for v in vars(got).values() if isinstance(v, (bytes, bytearray)))
+    if isinstance(frame, EddystoneTlmFrame):
+        assert type(got.temperature_c) is float
+        assert got.temperature_c.hex() == frame.temperature_c.hex()
+
+
 # --- the decode views, pinned byte for byte ---
 
 DECODE_STDOUT = [

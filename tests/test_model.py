@@ -427,6 +427,14 @@ def test_csv_bad_row_after_blank_lines_names_its_physical_line(tmp_path):
         load_trace(str(p), "csv")
 
 
+def test_csv_bad_row_after_a_field_spanning_lines_names_its_physical_line(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(",".join(CSV_HEADER) + '\n0,a,-50,"-59\n",37\n1,b,-500,,37\n', newline="")
+    with pytest.raises(TraceFormatError) as exc:
+        load_trace(str(p), "csv")
+    assert str(exc.value) == "line 4: rssi_dbm out of range [-120.0, 0.0]: -500.0"
+
+
 def _column_arrays(cols):
     return (cols.timestamp_ms, cols.beacon, cols.rssi_dbm, cols.tx_power_dbm, cols.channel)
 

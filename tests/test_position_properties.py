@@ -1,10 +1,18 @@
-"""Property and cost tests of the TDoA solver: bit-identity with a reference
-start loop that runs every start to its last iteration, the number of cost
-evaluations a stalling fix takes, and the rejection of a far-off fix."""
+"""Property and cost tests of the solvers.
+
+TDoA: bit-identity with a reference start loop that runs every start to its
+last iteration, the number of cost evaluations a stalling fix takes, and the
+rejection of a far-off fix. Fingerprinting: bit-identity of the signature
+matrix search with a per-entry reference. The norm helpers: the bits of
+np.linalg.norm.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -12,8 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from microloc import position
-from microloc.errors import ArityError, InvalidDistance, NoConvergence
-from microloc.position import Anchor, Method, PositionEstimate, tdoa_locate
+from microloc.errors import ArityError, InvalidDistance, NoComparableEntries, NoConvergence
+from microloc.model import left_to_right_sum
+from microloc.position import (MISSING_RSSI_DBM, Anchor, Fingerprint, FingerprintDb, Method,
+                               PositionEstimate, db_to_json, fingerprint_locate, tdoa_locate)
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -136,3 +146,160 @@ def test_fix_along_an_asymptote_is_not_converged():
     with pytest.raises(NoConvergence):
         tdoa_locate(receivers, diffs)
 
+
+
+# --- fingerprinting ---
+
+def _signature_distance(a: Mapping[str, float], b: Mapping[str, float], metric: str) -> float:
+    keys = sorted(a.keys() | b.keys())
+    diffs = [a.get(k, MISSING_RSSI_DBM) - b.get(k, MISSING_RSSI_DBM) for k in keys]
+    if metric == "euclidean":
+        return math.sqrt(left_to_right_sum(d * d for d in diffs))
+    return left_to_right_sum(map(abs, diffs))
+
+
+def reference_fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
+                                 k: int) -> PositionEstimate:
+    """fingerprint_locate before the signature matrix: one sorted key union
+    and one left-to-right sum per database entry."""
+    if not observation:
+        raise ValueError("observation must be non-empty")
+    obs = {str(b): float(v) for b, v in observation.items()}
+    for b, v in obs.items():
+        if not math.isfinite(v):
+            raise ValueError(f"observation rssi for {b!r} must be finite")
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= len(db.entries):
+        raise ArityError(f"k must be in [1, {len(db.entries)}], got {k!r}")
+    scored = sorted((_signature_distance(entry.signature, obs, db.metric), idx)
+                    for idx, entry in enumerate(db.entries)
+                    if not obs.keys().isdisjoint(entry.signature))
+    if not scored:
+        raise NoComparableEntries("observation shares no beacon with any database entry")
+    if k > len(scored):
+        raise ArityError(f"k={k} but only {len(scored)} comparable entries")
+    chosen = scored[:k]
+    xs, ys = zip(*(db.entries[i].position for _, i in chosen))
+    residual = left_to_right_sum(d for d, _ in chosen) / k
+    return PositionEstimate(position=(left_to_right_sum(xs) / k, left_to_right_sum(ys) / k),
+                            method=Method.FINGERPRINT, residual=residual)
+
+
+def _bits(est):
+    """An estimate's floats by float.hex (so -0.0 and 0.0 differ), or the exception."""
+    if not isinstance(est, PositionEstimate):
+        return est
+    return est.method, tuple(map(float.hex, est.position)), est.residual.hex()
+
+
+# eight ids, so signatures overlap, tie and leave gaps, and a sum taken in
+# another order than sorted ids would round differently; "x", "y" and "z"
+# only ever appear in observations
+DB_IDS = tuple("abcdefgh")
+rssi_values = (st.sampled_from((-60.0, -70.0, -100.0, 0.0, -0.0))
+               | st.floats(-120.0, 0.0)
+               | st.floats(-1e200, 1e200, allow_nan=False))
+signatures = st.dictionaries(st.sampled_from(DB_IDS), rssi_values, min_size=1, max_size=8)
+
+
+@st.composite
+def fingerprint_cases(draw):
+    grid = st.integers(-3, 3).map(float)
+    sigs = draw(st.lists(signatures, min_size=1, max_size=7))
+    if draw(st.booleans()):  # a tied copy of some entry, surveyed elsewhere
+        sigs.append(dict(draw(st.sampled_from(sigs))))
+    entries = tuple(Fingerprint((draw(grid), draw(grid)), sig) for sig in sigs)
+    db = FingerprintDb(entries, metric=draw(st.sampled_from(("euclidean", "manhattan"))))
+    observation = draw(st.dictionaries(st.sampled_from(DB_IDS + ("x", "y", "z")), rssi_values,
+                                       max_size=8))
+    k = draw(st.integers(0, len(entries) + 1))
+    return db, observation, k
+
+
+@SETTINGS
+@given(fingerprint_cases())
+def test_fingerprint_locate_equals_per_entry_reference(case):
+    db, observation, k = case
+    got = outcome(lambda d, o: fingerprint_locate(d, o, k), db, observation)
+    want = outcome(lambda d, o: reference_fingerprint_locate(d, o, k), db, observation)
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+def test_fingerprint_sums_that_overflow_match_the_reference(metric, k):
+    db = FingerprintDb((Fingerprint((0.0, 0.0), {"a": 1e200, "b": -60.0}),
+                        Fingerprint((1.0, 0.0), {"a": -1e200}),
+                        Fingerprint((2.0, 0.0), {"b": -1.7e308, "c": 1.7e308})), metric)
+    for observation in ({"a": -1e200}, {"b": 1e200, "z": -60.0}, {"c": -1.7e308, "a": 0.0}):
+        got = outcome(lambda d, o: fingerprint_locate(d, o, k), db, observation)
+        want = outcome(lambda d, o: reference_fingerprint_locate(d, o, k), db, observation)
+        assert _bits(got) == _bits(want)
+
+
+def test_fingerprint_sums_run_in_sorted_id_order():
+    # eight terms whose sums round differently in almost any other order
+    values = [-9.769421, -53.20572, -3.894172, -0.353074, -8.298788, -0.129498, -0.930006,
+              -55.282503]
+    entry = dict(zip(reversed(DB_IDS), values))
+    observation = {b: -0.0 for b in DB_IDS}
+    for metric in ("euclidean", "manhattan"):
+        db = FingerprintDb((Fingerprint((0.0, 0.0), entry),), metric)
+        got = fingerprint_locate(db, observation, 1)
+        assert _bits(got) == _bits(reference_fingerprint_locate(db, observation, 1))
+
+
+def test_signature_matrix_stays_out_of_eq_repr_and_json():
+    entries = (Fingerprint((0.0, 0.0), {"b": -60.0, "a": -70.0}),
+               Fingerprint((1.0, 0.0), {"c": -100.0}))
+    db = FingerprintDb(entries)
+    assert db == FingerprintDb(entries)
+    assert db != FingerprintDb(entries, metric="manhattan")
+    assert repr(db) == f"FingerprintDb(entries={entries!r}, metric='euclidean')"
+    assert set(db_to_json(db)) == {"metric", "entries"}
+    assert [f.name for f in dataclasses.fields(db) if f.compare] == ["entries", "metric"]
+    # ids sorted; an absent beacon reads MISSING_RSSI_DBM and is not present
+    assert db._columns == {"a": 0, "b": 1, "c": 2}
+    assert db._rssi.tolist() == [[-70.0, -60.0, MISSING_RSSI_DBM],
+                                 [MISSING_RSSI_DBM, MISSING_RSSI_DBM, -100.0]]
+    assert db._present.tolist() == [[True, True, False], [False, False, True]]
+    rebuilt = dataclasses.replace(db, metric="manhattan")
+    assert rebuilt._rssi.tolist() == db._rssi.tolist()
+
+
+# --- the norm helpers ---
+
+norm_values = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                                math.inf, -math.inf))
+               | st.floats(allow_nan=False))
+
+
+@SETTINGS
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(norm_values, min_size=n, max_size=n), max_size=6))))
+def test_row_norms_have_the_bits_of_linalg_norm(case):
+    n, rows = case
+    d = np.array(rows, dtype=float).reshape(len(rows), n)
+    with np.errstate(over="ignore"):
+        got, want = position._row_norms(d), np.linalg.norm(d, axis=1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(st.lists(norm_values, max_size=9))
+def test_vector_norm_has_the_bits_of_linalg_norm(values):
+    v = np.array(values, dtype=float)
+    with np.errstate(over="ignore"):
+        got, want = position._norm(v), float(np.linalg.norm(v))
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def test_norms_of_points_have_the_bits_of_linalg_norm():
+    # the solvers' case: 2-D points, at every scale and at the specials
+    rng = np.random.default_rng(0)
+    scaled = rng.standard_normal((2000, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (2000, 1))
+    specials = np.array(list(itertools.product(
+        (0.0, -0.0, 5e-324, 2.2e-308, 1.0, 1e300, -1e300, math.inf, -math.inf), repeat=2)))
+    d = np.concatenate([scaled, specials])
+    with np.errstate(over="ignore"):
+        assert position._row_norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+        assert [position._norm(v).hex() for v in d] == [float(np.linalg.norm(v)).hex() for v in d]

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from microloc.errors import InvalidScenario
+from microloc.filters import default_params, make_params
 from microloc.position import Anchor
 from microloc.ranging import PathLossModel, distance_to_rssi, rssi_to_distance
 from microloc.rng import SplitMix64, derive_seed, mix64
@@ -433,6 +435,28 @@ def test_sim_config_stores_floats_and_rejects_bools():
         SimConfig(seed=1, shadow_sigma_db=True)
     with pytest.raises(ValueError, match=r"packet_loss_prob must be in \[0, 1\), got False"):
         SimConfig(seed=1, packet_loss_prob=False)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_params(dt=True), "dt must be a positive number, got True"),
+    (lambda: replace(default_params(), R=True), "R must be a positive number, got True"),
+    (lambda: replace(default_params(), dt="0.2"), "dt must be a positive number, got '0.2'"),
+    (lambda: make_params(q=True), "Q must hold finite numbers, got ((True, 0.0), (0.0, True))"),
+    (lambda: replace(default_params(), H=("1", 0.0)), "H must be a finite 2-vector, got ('1', 0.0)"),
+    (lambda: PathLossModel("-59"), "ref_power_dbm out of range [-100, 0]: '-59'"),
+    (lambda: PathLossModel(exponent=b"2"), "exponent out of range (0.5, 8.0]: b'2'"),
+    (lambda: PathLossModel(10 ** 400), f"ref_power_dbm out of range [-100, 0]: {10 ** 400}"),
+    (lambda: SimConfig(seed=1, shadow_sigma_db="4"), "shadow_sigma_db must be >= 0, got '4'"),
+    (lambda: SimConfig(seed=1, packet_loss_prob="0.1"),
+     "packet_loss_prob must be in [0, 1), got '0.1'"),
+    (lambda: SimConfig(seed=1, packet_loss_prob=None), "packet_loss_prob must be in [0, 1), got None"),
+], ids=["params-dt-bool", "params-R-bool", "params-dt-str", "params-q-bool", "params-H-str",
+        "path-loss-str", "path-loss-bytes", "path-loss-huge-int", "sim-sigma-str", "sim-loss-str",
+        "sim-loss-none"])
+def test_config_numbers_reject_bools_and_text_naming_the_field(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_simulated_metadata_does_not_depend_on_number_types():

@@ -135,14 +135,13 @@ def _reference_load_csv(path: str) -> Trace:
             header = next(reader)
             if header != CSV_HEADER:
                 raise TraceFormatError(f"line 1: bad header {header!r}")
-            rows = list(reader)
+            numbered = [(reader.line_num, row) for row in reader if row]
         except StopIteration:
             raise TraceFormatError("line 1: missing header") from None
         except csv.Error as exc:
             raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
-    linenos = [n for n, row in enumerate(rows, start=2) if row]
-    if len(linenos) != len(rows):
-        rows = [row for row in rows if row]
+    linenos = [n for n, _ in numbered]
+    rows = [row for _, row in numbered]
     fields = model._csv_fields(rows)
     metadata = model._read_sidecar(path)
     if fields is not None:
