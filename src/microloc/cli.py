@@ -53,20 +53,12 @@ DEFAULT_CONFIG: dict[str, int | float] = {
 
 def _coerce(key: str, value) -> int | float:
     """Coerce a raw override onto the default's type, or raise ValueError."""
-    default = DEFAULT_CONFIG[key]
-    if isinstance(value, bool):
-        raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
-    if isinstance(default, int):
-        try:
+    try:
+        if isinstance(DEFAULT_CONFIG[key], int):
             return model.as_int(value)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from None
-    if isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError(f"config key {key!r}: {value!r} is out of range") from None
-    raise ValueError(f"config key {key!r}: expected a number, got {value!r}")
+        return model.real(value, "value")
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 def build_config(config_path: str | None, overrides: list[str] | None,

@@ -50,6 +50,7 @@ from operator import attrgetter
 from typing import ClassVar
 
 from .errors import FrameTooLong, FrameTooShort, MalformedFrame, UnknownProtocol
+from .model import real
 
 IBEACON_PREFIX = b"\x4c\x00\x02\x15"
 ALTBEACON_CODE = b"\xbe\xac"
@@ -103,16 +104,15 @@ class _Frame:
             elif kind == "i":
                 if type(value) is bool or not isinstance(value, int) or not lo <= value <= hi:
                     raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-            else:  # a float carried as signed 8.8 fixed point
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ValueError(f"{name} must be a number, got {value!r}")
-                scaled = value * 256.0
+            else:  # a float carried as signed 8.8 fixed point, which has no -0.0
+                number = real(value, name) + 0.0
+                scaled = number * 256.0
                 if scaled != scaled:  # NaN
                     raise ValueError(f"{name} must not be NaN")
-                if not float(scaled).is_integer() or not lo <= scaled <= hi:
+                if not scaled.is_integer() or not lo <= scaled <= hi:
                     raise ValueError(f"{name} must be a multiple of 1/256 in "
                                      f"[{lo // 256}, {(hi + 1) // 256}), got {value!r}")
-                object.__setattr__(self, name, float(value))
+                object.__setattr__(self, name, number)
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,7 @@ class _Layout:
             lo = -(1 << (bits - 1)) if code.islower() else 0
             hi = lo + (1 << bits) - 1
             checks.append((name, "f" if fixed else "i", lo, hi))
-        # a fixed-point value is checked last: 1e400 * 256.0 raises OverflowError
-        self.checks = tuple(sorted(checks, key=lambda c: c[1] == "f"))
+        self.checks = tuple(checks)
         cls._layout = self
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import filters, ranging, sim
 from .errors import EmptyInput, InsufficientSamples
-from .model import Trace, atomic_write_text, left_to_right_sum
+from .model import Trace, atomic_write_text, left_to_right_sum, real
 
 PIPELINES = ("raw", "filtered", "dynamic")
 
@@ -47,19 +47,28 @@ HIST_CSV_HEADER = ["pipeline", "bin_lo", "bin_hi", "count"]
 REPORT_KEYS = ("config", "bin_width_m", "spots", "histograms", "summary")
 
 
+def _floats(values: Sequence[float], name: str) -> np.ndarray:
+    """values as a float array: an ndarray as numpy converts it, any other sequence through real."""
+    if isinstance(values, np.ndarray):
+        return np.asarray(values, dtype=float)
+    return np.array([real(v, name) for v in values], dtype=float)
+
+
 def accuracy(estimates_m: Sequence[float], true_m: float) -> float:
     """Mean absolute error of distance estimates against the truth."""
     if len(estimates_m) == 0:
         raise EmptyInput("accuracy needs at least one estimate")
-    arr = np.asarray(estimates_m, dtype=float)
-    return float(np.mean(np.abs(arr - float(true_m))))
+    return float(np.mean(np.abs(_floats(estimates_m, "estimates_m") - real(true_m, "true_m"))))
 
 
 def precision(estimates_m: Sequence[float]) -> float:
-    """Population standard deviation of the estimates themselves."""
+    """Population standard deviation of the estimates themselves; each must be finite."""
     if len(estimates_m) < 2:
         raise InsufficientSamples("precision needs at least two estimates")
-    return float(np.std(np.asarray(estimates_m, dtype=float)))
+    arr = _floats(estimates_m, "estimates_m")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("estimates must be finite")
+    return float(np.std(arr))
 
 
 @dataclass(frozen=True)
@@ -86,9 +95,10 @@ def error_histogram(errors_m: Sequence[float], bin_width_m: float = DEFAULT_BIN_
     """
     if len(errors_m) == 0:
         raise EmptyInput("histogram needs at least one error value")
+    bin_width_m = real(bin_width_m, "bin_width_m")
     if not math.isfinite(bin_width_m) or bin_width_m <= 0.0:
         raise ValueError(f"bin_width_m must be positive, got {bin_width_m!r}")
-    arr = np.asarray(errors_m, dtype=float)
+    arr = _floats(errors_m, "errors_m")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("errors must be finite and non-negative")
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the check below
@@ -196,15 +206,16 @@ def ranging_report(config: sim.SimConfig, params: filters.KalmanParams | None = 
 
     The dynamic pipeline filters each spot once per distinct size in
     (window_n, *window_sizes); window_sweep has one row per requested size.
+    Every size is checked, as _window_sizes checks it, before anything runs.
 
     Deterministic in config.seed: the same seed yields the exact same
     report object. Raises the usual filter errors if a generated trace is
     unusable (e.g. total packet loss at a spot).
     """
-    bin_width_m = float(bin_width_m)
+    bin_width_m = real(bin_width_m, "bin_width_m")
     if params is None:
         params = filters.default_params()
-    sizes = _window_sizes(window_sizes)
+    window_n, *sizes = _window_sizes((window_n, *window_sizes))
     spots = sim.ranging_experiment(config)
     model = config.path_loss
     dynamic = _dynamic_stats(spots, model, params, (window_n, *sizes), q_scale)

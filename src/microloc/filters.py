@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EmptyTrace, InsufficientSamples
-from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum, real_or_nan
+from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum, real
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 Vec2 = tuple[float, float]
@@ -51,7 +51,7 @@ def _as_mat2(m, name: str) -> Mat2:
         (a, b), (c, d) = m
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 matrix") from exc
-    out = ((real_or_nan(a), real_or_nan(b)), (real_or_nan(c), real_or_nan(d)))
+    out = ((real(a, name), real(b, name)), (real(c, name), real(d, name)))
     if not all(math.isfinite(v) for row in out for v in row):
         raise ValueError(f"{name} must hold finite numbers, got {m!r}")
     return out
@@ -77,14 +77,14 @@ class KalmanParams:
     P0: Mat2
 
     def __post_init__(self):
-        dt = real_or_nan(self.dt)
+        dt = real(self.dt, "dt")
         if not math.isfinite(dt) or dt <= 0.0:
             raise ValueError(f"dt must be a positive number, got {self.dt!r}")
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "F", _as_mat2(self.F, "F"))
         object.__setattr__(self, "Q", _as_mat2(self.Q, "Q"))
         object.__setattr__(self, "P0", _as_mat2(self.P0, "P0"))
-        h = tuple(map(real_or_nan, self.H))
+        h = tuple(real(v, "H") for v in self.H)
         if len(h) != 2 or not all(math.isfinite(v) for v in h):
             raise ValueError(f"H must be a finite 2-vector, got {self.H!r}")
         if h == (0.0, 0.0):
@@ -92,7 +92,7 @@ class KalmanParams:
         object.__setattr__(self, "H", h)
         _check_cov(self.Q, "Q")
         _check_cov(self.P0, "P0")
-        r = real_or_nan(self.R)
+        r = real(self.R, "R")
         if not math.isfinite(r) or r <= 0.0:
             raise ValueError(f"R must be a positive number, got {self.R!r}")
         object.__setattr__(self, "R", r)
@@ -110,6 +110,7 @@ class KalmanState:
 def make_params(dt: float = 0.2, q: float = 0.001, r: float = 0.10,
                 p0: float = 100.0) -> KalmanParams:
     """Isotropic parameter set: Q = q*I, P0 = p0*I, standard F and H."""
+    dt, q, r, p0 = real(dt, "dt"), real(q, "q"), real(r, "r"), real(p0, "p0")
     return KalmanParams(
         dt=dt,
         F=((1.0, dt), (0.0, 1.0)),
@@ -127,7 +128,7 @@ def default_params() -> KalmanParams:
 
 def params_from_config(config: Mapping[str, object]) -> KalmanParams:
     """Read dt/p0/q/r from a config mapping; missing keys take make_params' defaults."""
-    return make_params(**{k: float(config[k]) for k in ("dt", "q", "r", "p0") if k in config})
+    return make_params(**{k: config[k] for k in ("dt", "q", "r", "p0") if k in config})
 
 
 def params_to_config(params: KalmanParams) -> dict[str, float]:
@@ -137,7 +138,7 @@ def params_to_config(params: KalmanParams) -> dict[str, float]:
 
 def initial_state(z0: float, params: KalmanParams) -> KalmanState:
     """Start a stream at the first measurement with zero rate and P0."""
-    return KalmanState(x=(float(z0), 0.0), P=params.P0)
+    return KalmanState(x=(real(z0, "z0"), 0.0), P=params.P0)
 
 
 def _predict_xp(x0, x1, p00, p01, p10, p11, f00, f01, f10, f11, q00, q01, q10, q11):
@@ -192,13 +193,14 @@ def predict(state: KalmanState, params: KalmanParams) -> KalmanState:
 
 def update(state: KalmanState, z: float, params: KalmanParams) -> KalmanState:
     """Fold one measurement into the state; the gain used is recorded."""
-    if not math.isfinite(z):
+    zf = real(z, "measurement")
+    if not math.isfinite(zf):
         raise ValueError(f"measurement must be finite, got {z!r}")
     h0, h1 = params.H
     x0, x1 = state.x
     (p00, p01), (p10, p11) = state.P
     x0, x1, p00, p01, p10, p11, k0, k1 = _update_xp(
-        x0, x1, p00, p01, p10, p11, float(z), h0, h1, params.R
+        x0, x1, p00, p01, p10, p11, zf, h0, h1, params.R
     )
     return KalmanState(x=(x0, x1), P=((p00, p01), (p10, p11)), gain=(k0, k1))
 
@@ -215,7 +217,7 @@ class RssiWindow:
             raise ValueError(f"capacity must be an int >= 2, got {self.capacity!r}")
         if len(self.values) > self.capacity:
             raise ValueError(f"window holds {len(self.values)} values, capacity {self.capacity}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(real(v, "window value") for v in self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -223,12 +225,13 @@ class RssiWindow:
 
 def window_push(window: RssiWindow, value: float) -> RssiWindow:
     """Append a value, evicting the oldest when the window is full."""
-    if not math.isfinite(value):
+    v = real(value, "window value")
+    if not math.isfinite(v):
         raise ValueError(f"window value must be finite, got {value!r}")
     values = window.values
     if len(values) == window.capacity:
         values = values[1:]
-    return RssiWindow(capacity=window.capacity, values=values + (float(value),))
+    return RssiWindow(capacity=window.capacity, values=values + (v,))
 
 
 def _variance(values) -> float:
@@ -276,7 +279,7 @@ def _window_q(zs: list[float], window_n: int, q_scale: float) -> list[float]:
         for lag in lags:
             d = z[:n - lag] - mean[lag:]
             squares[lag:] += d * d
-        return (float(q_scale) * (squares[1:] / count[1:])).tolist()
+        return (q_scale * (squares[1:] / count[1:])).tolist()
 
 
 def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
@@ -296,7 +299,7 @@ def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
         qs = _window_q(zs, window_n, q_scale)
         steps = chain([(zs[0], q00, q01, q10, q11)],
                       zip(zs[1:], qs, repeat(0.0), repeat(0.0), qs))
-    sx0 = float(zs[0]) if x0 is None else float(x0)
+    sx0 = float(zs[0]) if x0 is None else x0
     sx1 = 0.0
     (p00, p01), (p10, p11) = params.P0
     out = []
@@ -317,6 +320,7 @@ def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
     cols = trace.samples
     if len(cols) == 0:
         raise EmptyTrace("cannot filter an empty trace")
+    x0 = None if x0 is None else real(x0, "x0")
     order, streams = cols.by_beacon(cols.rssi_dbm)
     ests: list[float] = []
     for beacon_id, zs in zip(cols.beacon_ids, streams):
@@ -368,6 +372,7 @@ def smooth_trace_dynamic(trace: Trace, params: KalmanParams, window_n: int = DEF
     """
     if not isinstance(window_n, int) or window_n < 2:
         raise ValueError(f"window_n must be an int >= 2, got {window_n!r}")
+    q_scale = real(q_scale, "q_scale")
     if not math.isfinite(q_scale) or q_scale <= 0.0:
         raise ValueError(f"q_scale must be positive, got {q_scale!r}")
     return _smooth(trace, params, x0, window_n, q_scale, filter="kalman_dynamic_q",

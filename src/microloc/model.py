@@ -101,24 +101,16 @@ class RssiSample:
                              else f"beacon_id must be a str, got {beacon_id!r}")
         if "," in beacon_id or "\r" in beacon_id or "\n" in beacon_id:
             raise ValueError(f"beacon_id contains forbidden characters: {beacon_id!r}")
-        try:  # math.isfinite raises TypeError for anything but a real number
-            rssi_ok = math.isfinite(rssi_dbm) and RSSI_MIN_DBM <= rssi_dbm <= RSSI_MAX_DBM
-        except TypeError:
-            rssi_ok = False
-        if type(rssi_dbm) is bool or not rssi_ok:
+        rssi = real(rssi_dbm, "rssi_dbm")
+        if not RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM:  # NaN fails
             raise ValueError(f"rssi_dbm out of range [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}]: {rssi_dbm!r}")
-        if tx_power_dbm is not None:
-            try:
-                tx_ok = (math.isfinite(tx_power_dbm)
-                         and TX_POWER_MIN_DBM <= tx_power_dbm <= TX_POWER_MAX_DBM)
-            except TypeError:
-                tx_ok = False
-            if type(tx_power_dbm) is bool or not tx_ok:
-                raise ValueError(f"tx_power_dbm out of range: {tx_power_dbm!r}")
+        tx = None if tx_power_dbm is None else real(tx_power_dbm, "tx_power_dbm")
+        if tx is not None and not TX_POWER_MIN_DBM <= tx <= TX_POWER_MAX_DBM:
+            raise ValueError(f"tx_power_dbm out of range: {tx_power_dbm!r}")
         if channel not in VALID_CHANNELS:
             raise ValueError(f"channel must be one of {VALID_CHANNELS}, got {channel!r}")
-        self.__dict__.update(timestamp_ms=timestamp_ms, beacon_id=beacon_id, rssi_dbm=rssi_dbm,
-                             tx_power_dbm=tx_power_dbm, channel=channel)
+        self.__dict__.update(timestamp_ms=timestamp_ms, beacon_id=beacon_id, rssi_dbm=rssi,
+                             tx_power_dbm=tx, channel=channel)
 
 
 _new_object = object.__new__
@@ -413,21 +405,23 @@ def as_int(value) -> int:
     return value
 
 
-def real_or_nan(value) -> float:
-    """value as a float when it is a real number other than a bool, else NaN.
+def real(value, name: str) -> float:
+    """value as float() gives it, for a value that is a number.
 
-    A str or bytes is not a number here, though float() would parse it. NaN
-    fails every range and finiteness check, so a caller's own message, which
-    names its field, covers these values as it covers an out-of-range one.
+    The one rule for numbers: a bool, numpy bool, str, bytes or bytearray
+    raises ValueError("{name} must be a number, got ..."), though float()
+    would take it. Any other value float() cannot convert raises ValueError
+    with float()'s own text. NaN and infinities pass; each caller checks
+    its own range.
     """
     if type(value) is float:
         return value
-    if type(value) is bool or isinstance(value, (str, bytes, bytearray)):
-        return math.nan
+    if isinstance(value, (bool, np.bool_, str, bytes, bytearray)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def json_objects(items: list, label: str, build, error: type[Exception] = ValueError) -> list:

@@ -37,7 +37,7 @@ from .errors import (
     NoSurveys,
 )
 from .model import (TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace, atomic_write_text,
-                    json_objects, left_to_right_sum, read_json)
+                    json_objects, left_to_right_sum, read_json, real)
 
 MISSING_RSSI_DBM = -100.0  # imputed for beacons absent from a signature
 
@@ -68,25 +68,13 @@ class Zone(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def _check_number(v, name: str) -> float:
-    """v as a float; a bool, or a value float() cannot convert, raises ValueError."""
-    if type(v) is bool:
-        raise ValueError(f"{name} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(str(exc)) from exc
-
-
 def _check_point(p, name: str) -> tuple[float, float]:
-    """p as two floats; a coordinate float() cannot convert raises ValueError with its text."""
+    """p as two floats, each coordinate through model.real."""
     try:
         x, y = p
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be an (x, y) pair") from exc
-    if type(x) is bool or type(y) is bool:
-        raise ValueError(f"{name} must be an (x, y) pair of numbers, got {p!r}")
-    x, y = _check_number(x, name), _check_number(y, name)
+    x, y = real(x, name), real(y, name)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {(x, y)!r}")
     return (x, y)
@@ -106,8 +94,8 @@ class Anchor:
                              else f"beacon_id must be a str, got {self.beacon_id!r}")
         object.__setattr__(self, "position", _check_point(self.position, "position"))
         if self.tx_power_dbm is not None:
-            tx = _check_number(self.tx_power_dbm, "tx_power_dbm")
-            if not math.isfinite(tx) or not TX_POWER_MIN_DBM <= tx <= TX_POWER_MAX_DBM:
+            tx = real(self.tx_power_dbm, "tx_power_dbm")
+            if not TX_POWER_MIN_DBM <= tx <= TX_POWER_MAX_DBM:  # NaN fails
                 raise ValueError(f"tx_power_dbm out of range: {tx!r}")
             object.__setattr__(self, "tx_power_dbm", tx)
 
@@ -119,7 +107,7 @@ class Circle:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _check_point(self.center, "center"))
-        r = _check_number(self.radius_m, "radius_m")
+        r = real(self.radius_m, "radius_m")
         if not math.isfinite(r) or r <= 0.0:
             raise ValueError(f"radius_m must be positive, got {self.radius_m!r}")
         object.__setattr__(self, "radius_m", r)
@@ -151,7 +139,7 @@ class PositionEstimate:
             raise ValueError(f"method must be a Method, got {self.method!r}")
         if self.position is not None:
             object.__setattr__(self, "position", _check_point(self.position, "position"))
-        r = _check_number(self.residual, "residual")
+        r = real(self.residual, "residual")
         if not math.isfinite(r) or r < 0.0:
             raise ValueError(f"residual must be finite and non-negative, got {self.residual!r}")
         object.__setattr__(self, "residual", r)
@@ -165,11 +153,13 @@ def classify_proximity(distance_m: float, immediate_m: float = IMMEDIATE_THRESHO
     Zone boundaries belong to the farther zone: exactly immediate_m is
     near, exactly near_m is still near. NaN distances give Zone.UNKNOWN
     rather than an error, since a failed ranging upstream should degrade
-    rather than crash a pipeline.
+    rather than crash a pipeline. A distance or threshold that is not a
+    number raises ValueError.
     """
+    immediate_m, near_m = real(immediate_m, "immediate_m"), real(near_m, "near_m")
     if not (0.0 < immediate_m < near_m) or not math.isfinite(near_m):
         raise ValueError(f"need 0 < immediate_m < near_m, got {immediate_m!r}, {near_m!r}")
-    d = float(distance_m)
+    d = real(distance_m, "distance_m")
     if math.isnan(d):
         return ProximityZone(Zone.UNKNOWN, d)
     if d < 0.0 or math.isinf(d):
@@ -194,7 +184,7 @@ def _norm(v: np.ndarray) -> float:
 def _as_distances(values: Sequence[float], n: int) -> np.ndarray:
     if len(values) != n:
         raise ArityError(f"distances_m: expected {n} values, got {len(values)}")
-    arr = np.asarray([float(v) for v in values], dtype=float)
+    arr = np.asarray([real(v, "distances_m") for v in values], dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise InvalidDistance("distances_m must be finite and non-negative")
     return arr
@@ -319,7 +309,7 @@ def triangulate(anchors: Sequence[Anchor], bearings_rad: Sequence[float]) -> Pos
             f"triangulation takes exactly two anchors and two bearings, "
             f"got {len(anchors)} and {len(bearings_rad)}"
         )
-    th1, th2 = (float(b) for b in bearings_rad)
+    th1, th2 = (real(b, "bearings_rad") for b in bearings_rad)
     if not (math.isfinite(th1) and math.isfinite(th2)):
         raise ValueError("bearings must be finite")
     a1 = np.asarray(anchors[0].position, dtype=float)
@@ -370,7 +360,7 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
             f"expected {len(receivers) - 1} range differences for {len(receivers)} receivers, "
             f"got {len(range_diffs_m)}"
         )
-    diffs = np.asarray([float(v) for v in range_diffs_m], dtype=float)
+    diffs = np.asarray([real(v, "range_diffs_m") for v in range_diffs_m], dtype=float)
     if not np.all(np.isfinite(diffs)):
         raise InvalidDistance("range differences must be finite")
     pts = _anchor_points(receivers)
@@ -435,9 +425,7 @@ class Fingerprint:
             raise ValueError("signature must be non-empty")
         sig = {}
         for k, v in self.signature.items():
-            if type(v) is bool:
-                raise ValueError(f"bad signature entry {k!r}: {v!r}")
-            fv = float(v)
+            fv = real(v, f"signature entry {k!r}")
             if not k or not math.isfinite(fv):
                 raise ValueError(f"bad signature entry {k!r}: {fv!r}")
             sig[str(k)] = fv
@@ -508,7 +496,7 @@ def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
     """
     if not observation:
         raise ValueError("observation must be non-empty")
-    obs = {str(b): float(v) for b, v in observation.items()}
+    obs = {str(b): real(v, f"observation rssi for {b!r}") for b, v in observation.items()}
     for b, v in obs.items():
         if not math.isfinite(v):
             raise ValueError(f"observation rssi for {b!r} must be finite")

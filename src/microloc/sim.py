@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidScenario
 from .model import (SampleColumns, Trace, VALID_CHANNELS, as_int, clamp_rssi, json_objects,
-                    read_json, real_or_nan)
+                    read_json, real)
 from .position import Anchor, anchors_from_json
 from .ranging import PathLossModel, distance_to_rssi
 from .rng import SplitMix64, derive_seed
@@ -72,7 +72,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if not isinstance(self.path_loss, PathLossModel):
             raise ValueError("path_loss must be a PathLossModel")
-        sigma, loss = real_or_nan(self.shadow_sigma_db), real_or_nan(self.packet_loss_prob)
+        sigma, loss = (real(getattr(self, k), k) for k in ("shadow_sigma_db", "packet_loss_prob"))
         if not math.isfinite(sigma) or sigma < 0.0:
             raise ValueError(f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db!r}")
         if self.advertising_interval_ms <= 0:
@@ -115,10 +115,8 @@ class Scenario:
         for i, entry in enumerate(self.device_path):
             try:
                 start, (x, y) = entry
-                if type(x) is bool or type(y) is bool:
-                    raise ValueError(f"x and y must be numbers, got {(x, y)!r}")
-                pos = (float(x), float(y))
-            except (TypeError, ValueError, OverflowError) as exc:
+                pos = (real(x, "x"), real(y, "y"))
+            except (TypeError, ValueError) as exc:
                 raise InvalidScenario(f"device_path {i}: {exc}") from None
             try:
                 start = as_int(start)

@@ -86,7 +86,8 @@ def test_unknown_and_malformed_overrides_rejected(tmp_path):
         build_config(None, ["window_n"], None)
     with pytest.raises(ValueError, match="cannot parse"):
         build_config(None, ["exponent=abc"], None)
-    with pytest.raises(ValueError, match="expected a number"):
+    with pytest.raises(ValueError,
+                       match="^config key 'exponent': value must be a number, got True$"):
         build_config(None, ["exponent=true"], None)
     with pytest.raises(ValueError, match="JSON object"):
         build_config(write_json(tmp_path / "l.json", [1, 2]), None, None)
@@ -609,7 +610,7 @@ def test_any_set_value_exits_0_or_2(set_inputs, key, value, command):
 @pytest.mark.parametrize("value, message", [
     ("1.5", "config key 'window_n': expected an integer, got 1.5"),
     ('"3"', "config key 'window_n': expected an integer, got '3'"),
-    ("true", "config key 'window_n': expected a number, got True"),
+    ("true", "config key 'window_n': expected an integer, got True"),
 ])
 def test_integer_key_messages(value, message):
     with pytest.raises(ValueError) as info:

@@ -313,6 +313,12 @@ def test_tlm_temperature_must_be_a_number(temperature, message):
     assert str(info.value) == message
 
 
+def test_tlm_negative_zero_temperature_survives_a_round_trip():
+    frame = EddystoneTlmFrame(3000, -0.0, 1, 2)
+    assert codec.frame_to_dict(frame) == codec.frame_to_dict(decode(encode(frame)))
+    assert str(frame.temperature_c) == "0.0"
+
+
 def test_encode_rejects_non_frames_and_non_string_urls():
     with pytest.raises(TypeError, match="not a beacon frame"):
         encode(object())

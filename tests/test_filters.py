@@ -442,3 +442,13 @@ def test_kalman_params_reject_wrong_shapes():
 def test_window_push_rejects_nan():
     with pytest.raises(ValueError, match="window value must be finite"):
         window_push(RssiWindow(3), float("nan"))
+
+
+@pytest.mark.parametrize("key", ["dt", "q", "r", "p0"])
+def test_params_from_config_leaves_each_value_to_the_number_rule(key):
+    with pytest.raises(ValueError) as info:
+        params_from_config({key: True})
+    assert str(info.value) == f"{key} must be a number, got True"
+    with pytest.raises(ValueError) as info:
+        make_params(**{key: "1"})
+    assert str(info.value) == f"{key} must be a number, got '1'"

@@ -494,9 +494,9 @@ def test_non_str_beacon_id_is_a_value_error(beacon_id):
 
 @pytest.mark.parametrize("args, message", [
     ((True, "a", -50.0), "timestamp_ms must be an int in [0, 2**63), got True"),
-    ((0, "a", False), "rssi_dbm out of range [-120.0, 0.0]: False"),
-    ((0, "a", -50.0, True), "tx_power_dbm out of range: True"),
-    ((0, "a", -50.0, False), "tx_power_dbm out of range: False"),
+    ((0, "a", False), "rssi_dbm must be a number, got False"),
+    ((0, "a", -50.0, True), "tx_power_dbm must be a number, got True"),
+    ((0, "a", -50.0, False), "tx_power_dbm must be a number, got False"),
 ])
 def test_rssi_sample_rejects_bools(args, message):
     with pytest.raises(ValueError) as info:
@@ -511,11 +511,11 @@ def test_empty_beacon_id_message_is_unchanged():
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0, "a", "-50"), "rssi_dbm out of range [-120.0, 0.0]: '-50'"),
-    ((0, "a", None), "rssi_dbm out of range [-120.0, 0.0]: None"),
-    ((0, "a", [-50.0]), "rssi_dbm out of range [-120.0, 0.0]: [-50.0]"),
-    ((0, "a", -50.0, "-59"), "tx_power_dbm out of range: '-59'"),
-    ((0, "a", -50.0, 1j), "tx_power_dbm out of range: 1j"),
+    ((0, "a", "-50"), "rssi_dbm must be a number, got '-50'"),
+    ((0, "a", None), "float() argument must be a string or a real number, not 'NoneType'"),
+    ((0, "a", [-50.0]), "float() argument must be a string or a real number, not 'list'"),
+    ((0, "a", -50.0, "-59"), "tx_power_dbm must be a number, got '-59'"),
+    ((0, "a", -50.0, 1j), "float() argument must be a string or a real number, not 'complex'"),
 ])
 def test_rssi_sample_rejects_non_numbers(args, message):
     with pytest.raises(ValueError) as info:

@@ -136,7 +136,14 @@ def test_path_loss_model_stores_floats_and_rejects_bools():
     assert type(model.ref_power_dbm) is float and type(model.exponent) is float
     assert model == PathLossModel(-59.0, 2.0)
     assert PathLossModel(np.float32(-59.0), np.int64(2)) == model
-    with pytest.raises(ValueError, match="ref_power_dbm out of range"):
+    with pytest.raises(ValueError, match="^ref_power_dbm must be a number, got False$"):
         PathLossModel(ref_power_dbm=False)
-    with pytest.raises(ValueError, match="exponent out of range"):
+    with pytest.raises(ValueError, match="^exponent must be a number, got True$"):
         PathLossModel(exponent=True)
+
+
+@pytest.mark.parametrize("key", ["ref_power_dbm", "exponent"])
+def test_model_from_config_leaves_each_value_to_the_number_rule(key):
+    with pytest.raises(ValueError) as info:
+        model_from_config({key: True})
+    assert str(info.value) == f"{key} must be a number, got True"

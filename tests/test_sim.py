@@ -379,7 +379,7 @@ def test_start_ms_takes_integer_valued_floats_as_ints():
 
 
 @pytest.mark.parametrize("x, y, message", [
-    ('"a"', "2.0", "could not convert string to float: 'a'"),
+    ('"a"', "2.0", "x must be a number, got 'a'"),
     ("null", "2.0", "float() argument must be a string or a real number, not 'NoneType'"),
     ("9" * 400, "2.0", "int too large to convert to float"),
     ("1.0", None, "'y'"),
@@ -393,11 +393,12 @@ def test_device_path_value_errors_are_pinned(x, y, message):
     assert str(info.value) == f"device_path 1: {message}"
 
 
-@pytest.mark.parametrize("position", [(True, 2.0), (1.0, False)])
-def test_scenario_rejects_bool_coordinates(position):
+@pytest.mark.parametrize("position, message", [((True, 2.0), "x must be a number, got True"),
+                                               ((1.0, False), "y must be a number, got False")])
+def test_scenario_rejects_bool_coordinates(position, message):
     with pytest.raises(InvalidScenario) as info:
         Scenario(beacons=(Anchor("b0", (0.0, 0.0)),), device_path=((0, position),))
-    assert str(info.value) == f"device_path 0: x and y must be numbers, got {position!r}"
+    assert str(info.value) == f"device_path 0: {message}"
 
 
 def test_first_bad_device_path_entry_in_order_is_reported():
@@ -431,25 +432,26 @@ def test_sim_config_stores_floats_and_rejects_bools():
     cfg = SimConfig(seed=1, shadow_sigma_db=4, packet_loss_prob=0)
     assert (cfg.shadow_sigma_db, cfg.packet_loss_prob) == (4.0, 0.0)
     assert type(cfg.shadow_sigma_db) is float and type(cfg.packet_loss_prob) is float
-    with pytest.raises(ValueError, match="shadow_sigma_db must be >= 0, got True"):
+    with pytest.raises(ValueError, match="^shadow_sigma_db must be a number, got True$"):
         SimConfig(seed=1, shadow_sigma_db=True)
-    with pytest.raises(ValueError, match=r"packet_loss_prob must be in \[0, 1\), got False"):
+    with pytest.raises(ValueError, match="^packet_loss_prob must be a number, got False$"):
         SimConfig(seed=1, packet_loss_prob=False)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: make_params(dt=True), "dt must be a positive number, got True"),
-    (lambda: replace(default_params(), R=True), "R must be a positive number, got True"),
-    (lambda: replace(default_params(), dt="0.2"), "dt must be a positive number, got '0.2'"),
-    (lambda: make_params(q=True), "Q must hold finite numbers, got ((True, 0.0), (0.0, True))"),
-    (lambda: replace(default_params(), H=("1", 0.0)), "H must be a finite 2-vector, got ('1', 0.0)"),
-    (lambda: PathLossModel("-59"), "ref_power_dbm out of range [-100, 0]: '-59'"),
-    (lambda: PathLossModel(exponent=b"2"), "exponent out of range (0.5, 8.0]: b'2'"),
-    (lambda: PathLossModel(10 ** 400), f"ref_power_dbm out of range [-100, 0]: {10 ** 400}"),
-    (lambda: SimConfig(seed=1, shadow_sigma_db="4"), "shadow_sigma_db must be >= 0, got '4'"),
+    (lambda: make_params(dt=True), "dt must be a number, got True"),
+    (lambda: replace(default_params(), R=True), "R must be a number, got True"),
+    (lambda: replace(default_params(), dt="0.2"), "dt must be a number, got '0.2'"),
+    (lambda: make_params(q=True), "q must be a number, got True"),
+    (lambda: replace(default_params(), H=("1", 0.0)), "H must be a number, got '1'"),
+    (lambda: PathLossModel("-59"), "ref_power_dbm must be a number, got '-59'"),
+    (lambda: PathLossModel(exponent=b"2"), "exponent must be a number, got b'2'"),
+    (lambda: PathLossModel(10 ** 400), "int too large to convert to float"),
+    (lambda: SimConfig(seed=1, shadow_sigma_db="4"), "shadow_sigma_db must be a number, got '4'"),
     (lambda: SimConfig(seed=1, packet_loss_prob="0.1"),
-     "packet_loss_prob must be in [0, 1), got '0.1'"),
-    (lambda: SimConfig(seed=1, packet_loss_prob=None), "packet_loss_prob must be in [0, 1), got None"),
+     "packet_loss_prob must be a number, got '0.1'"),
+    (lambda: SimConfig(seed=1, packet_loss_prob=None),
+     "float() argument must be a string or a real number, not 'NoneType'"),
 ], ids=["params-dt-bool", "params-R-bool", "params-dt-str", "params-q-bool", "params-H-str",
         "path-loss-str", "path-loss-bytes", "path-loss-huge-int", "sim-sigma-str", "sim-loss-str",
         "sim-loss-none"])
