@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import EmptyTrace, InsufficientSamples
-from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum, real
+from .model import SampleColumns, Trace, clamp_rssi, left_to_right_sum, real, real_pair
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 Vec2 = tuple[float, float]
@@ -47,14 +47,12 @@ DEFAULT_Q_SCALE = 1.0
 
 
 def _as_mat2(m, name: str) -> Mat2:
+    """m as a 2x2 tuple of floats through model.real; any other shape raises ValueError."""
     try:
         (a, b), (c, d) = m
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a 2x2 matrix") from exc
-    out = ((real(a, name), real(b, name)), (real(c, name), real(d, name)))
-    if not all(math.isfinite(v) for row in out for v in row):
-        raise ValueError(f"{name} must hold finite numbers, got {m!r}")
-    return out
+    return ((real(a, name), real(b, name)), (real(c, name), real(d, name)))
 
 
 def _check_cov(m: Mat2, name: str) -> None:
@@ -81,9 +79,11 @@ class KalmanParams:
         if not math.isfinite(dt) or dt <= 0.0:
             raise ValueError(f"dt must be a positive number, got {self.dt!r}")
         object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "F", _as_mat2(self.F, "F"))
-        object.__setattr__(self, "Q", _as_mat2(self.Q, "Q"))
-        object.__setattr__(self, "P0", _as_mat2(self.P0, "P0"))
+        for name in ("F", "Q", "P0"):
+            m = _as_mat2(getattr(self, name), name)
+            if not all(math.isfinite(v) for row in m for v in row):
+                raise ValueError(f"{name} must hold finite numbers, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, m)
         h = tuple(real(v, "H") for v in self.H)
         if len(h) != 2 or not all(math.isfinite(v) for v in h):
             raise ValueError(f"H must be a finite 2-vector, got {self.H!r}")
@@ -100,11 +100,16 @@ class KalmanParams:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Filter state after a step: estimate, covariance, last gain used."""
+    """Filter state after a step: estimate, covariance, last gain used; infinities allowed."""
 
     x: Vec2
     P: Mat2
     gain: Vec2 = (0.0, 0.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", real_pair(self.x, "x"))
+        object.__setattr__(self, "P", _as_mat2(self.P, "P"))
+        object.__setattr__(self, "gain", real_pair(self.gain, "gain"))
 
 
 def make_params(dt: float = 0.2, q: float = 0.001, r: float = 0.10,
@@ -217,7 +222,11 @@ class RssiWindow:
             raise ValueError(f"capacity must be an int >= 2, got {self.capacity!r}")
         if len(self.values) > self.capacity:
             raise ValueError(f"window holds {len(self.values)} values, capacity {self.capacity}")
-        object.__setattr__(self, "values", tuple(real(v, "window value") for v in self.values))
+        values = tuple(real(v, "window value") for v in self.values)
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"window value must be finite, got {v!r}")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -225,13 +234,10 @@ class RssiWindow:
 
 def window_push(window: RssiWindow, value: float) -> RssiWindow:
     """Append a value, evicting the oldest when the window is full."""
-    v = real(value, "window value")
-    if not math.isfinite(v):
-        raise ValueError(f"window value must be finite, got {value!r}")
     values = window.values
     if len(values) == window.capacity:
         values = values[1:]
-    return RssiWindow(capacity=window.capacity, values=values + (v,))
+    return RssiWindow(capacity=window.capacity, values=values + (value,))
 
 
 def _variance(values) -> float:

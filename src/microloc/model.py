@@ -424,6 +424,15 @@ def real(value, name: str) -> float:
         raise ValueError(str(exc)) from exc
 
 
+def real_pair(value, name: str) -> tuple[float, float]:
+    """value unpacked into two numbers, each through real; any other shape raises ValueError."""
+    try:
+        a, b = value
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a pair of numbers") from exc
+    return (real(a, name), real(b, name))
+
+
 def json_objects(items: list, label: str, build, error: type[Exception] = ValueError) -> list:
     """build(item) for each object of a parsed JSON array, in order.
 
@@ -636,6 +645,7 @@ def _load_csv(path: str) -> Trace:
 # A JSON sample's typed fields: (field, default, allowed JSON types, what it must be)
 _JSON_FIELDS = (
     ("timestamp_ms", None, {int}, "an integer"),
+    ("beacon_id", "", {str}, "a string"),
     ("rssi_dbm", None, {int, float}, "a number"),
     ("tx_power_dbm", None, {int, float, type(None)}, "a number or null"),
     ("channel", 37, {int}, "an integer"),
@@ -643,7 +653,7 @@ _JSON_FIELDS = (
 
 
 def _json_columns(items: list) -> list[list]:
-    """The samples' values field by field, beacon ids as str() ("" when absent).
+    """The samples' values field by field, in CSV header order.
 
     Raises ValueError "must be an object" if some item is not an object,
     else "{field} must be {what}" for the first field, in _JSON_FIELDS
@@ -657,8 +667,7 @@ def _json_columns(items: list) -> list[list]:
         if not set(map(type, column)) <= types:
             raise ValueError(f"{field} must be {what}")
         columns.append(column)
-    ts, rssi, tx, ch = columns
-    return [ts, [str(item.get("beacon_id", "")) for item in items], rssi, tx, ch]
+    return columns
 
 
 def _json_row(item) -> tuple:

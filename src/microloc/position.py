@@ -37,9 +37,10 @@ from .errors import (
     NoSurveys,
 )
 from .model import (TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace, atomic_write_text,
-                    json_objects, left_to_right_sum, read_json, real)
+                    json_objects, left_to_right_sum, read_json, real, real_pair)
 
 MISSING_RSSI_DBM = -100.0  # imputed for beacons absent from a signature
+_NO_ENTRIES = (np.empty(0, dtype=np.intp), np.empty(0))  # an id no fingerprint holds
 
 IMMEDIATE_THRESHOLD_M = 0.5
 NEAR_THRESHOLD_M = 4.0
@@ -69,12 +70,8 @@ class Zone(enum.Enum):
 
 
 def _check_point(p, name: str) -> tuple[float, float]:
-    """p as two floats, each coordinate through model.real."""
-    try:
-        x, y = p
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be an (x, y) pair") from exc
-    x, y = real(x, name), real(y, name)
+    """p as two finite floats, through model.real_pair."""
+    x, y = real_pair(p, name)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {(x, y)!r}")
     return (x, y)
@@ -420,6 +417,8 @@ class Fingerprint:
     signature: dict[str, float]
 
     def __post_init__(self):
+        if not isinstance(self.signature, Mapping):
+            raise ValueError(f"signature must be a mapping, got {self.signature!r}")
         object.__setattr__(self, "position", _check_point(self.position, "position"))
         if not self.signature:
             raise ValueError("signature must be non-empty")
@@ -436,16 +435,14 @@ class Fingerprint:
 class FingerprintDb:
     """Survey entries and the distance metric fingerprint_locate ranks them by.
 
-    Construction also lays the signatures out once as an entries × beacon-ids
-    matrix (ids sorted, absent beacons at MISSING_RSSI_DBM) with a mask of
-    the values each entry holds; neither takes part in ==, repr or db_to_json.
+    Construction also indexes the signatures once by beacon id: for each id,
+    the entries that hold it (an intp array, in database order) and their
+    values (float64). The index takes no part in ==, repr or db_to_json.
     """
 
     entries: tuple[Fingerprint, ...]
     metric: str = "euclidean"
-    _columns: dict[str, int] = field(init=False, repr=False, compare=False)
-    _rssi: np.ndarray = field(init=False, repr=False, compare=False)
-    _present: np.ndarray = field(init=False, repr=False, compare=False)
+    _by_id: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -453,18 +450,16 @@ class FingerprintDb:
             raise ValueError("fingerprint database must have at least one entry")
         if self.metric not in ("euclidean", "manhattan"):
             raise ValueError(f"metric must be euclidean or manhattan, got {self.metric!r}")
-        ids = sorted({b for e in self.entries for b in e.signature})
-        columns = {b: j for j, b in enumerate(ids)}
-        rows = [i for i, e in enumerate(self.entries) for _ in e.signature]
-        cols = [columns[b] for e in self.entries for b in e.signature]
-        shape = (len(self.entries), len(ids))
-        rssi = np.full(shape, MISSING_RSSI_DBM, order="F")  # a column is contiguous
-        rssi[rows, cols] = [v for e in self.entries for v in e.signature.values()]
-        present = np.zeros(shape, dtype=bool)
-        present[rows, cols] = True
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_rssi", rssi)
-        object.__setattr__(self, "_present", present)
+        by_id: dict[str, tuple[list[int], list[float]]] = {}
+        for i, e in enumerate(self.entries):
+            if not isinstance(e, Fingerprint):
+                raise TypeError(f"entry {i} must be a Fingerprint, got {e!r}")
+            for b, v in e.signature.items():
+                rows, values = by_id.setdefault(b, ([], []))
+                rows.append(i)
+                values.append(v)
+        object.__setattr__(self, "_by_id", {b: (np.array(rows, dtype=np.intp), np.array(values))
+                                            for b, (rows, values) in by_id.items()})
 
 
 def fingerprint_build(surveys: Sequence[tuple[tuple[float, float], Trace]]) -> FingerprintDb:
@@ -494,33 +489,40 @@ def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
     NoComparableEntries is raised. Ties rank by database order, and the
     estimate is the plain centroid of the k nearest survey positions.
     """
+    if not isinstance(observation, Mapping):
+        raise ValueError(f"observation must be a mapping, got {observation!r}")
     if not observation:
         raise ValueError("observation must be non-empty")
     obs = {str(b): real(v, f"observation rssi for {b!r}") for b, v in observation.items()}
     for b, v in obs.items():
         if not math.isfinite(v):
             raise ValueError(f"observation rssi for {b!r} must be finite")
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= len(db.entries):
-        raise ArityError(f"k must be in [1, {len(db.entries)}], got {k!r}")
-    columns = db._columns
-    shared = [columns[b] for b in obs if b in columns]
-    comparable = np.flatnonzero(db._present[:, shared].any(axis=1))
+    n = len(db.entries)
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
+        raise ArityError(f"k must be in [1, {n}], got {k!r}")
+    # Each entry's terms, one beacon id at a time in sorted order (no sum may
+    # depend on string hashing). An observed id adds a term to every entry, at
+    # -100 dBm where the entry lacks it; any other id only to the entries that
+    # hold it, as its term for the rest, -100 - -100 = 0.0, leaves a sum's bits
+    # as they are. Python's d * d overflows to inf silently, and so does this.
+    euclidean = db.metric == "euclidean"
+    total = np.zeros(n)
+    shared = np.zeros(n, dtype=bool)  # the entries holding an observed id
+    with np.errstate(over="ignore"):
+        for b in sorted(db._by_id.keys() | obs.keys()):
+            rows, values = db._by_id.get(b, _NO_ENTRIES)
+            if b in obs:
+                shared[rows] = True
+                column = np.full(n, MISSING_RSSI_DBM)
+                column[rows] = values
+                rows, values = slice(None), column
+            d = values - obs.get(b, MISSING_RSSI_DBM)
+            total[rows] += d * d if euclidean else abs(d)
+    comparable = np.flatnonzero(shared)
     if len(comparable) == 0:
         raise NoComparableEntries("observation shares no beacon with any database entry")
     if k > len(comparable):
         raise ArityError(f"k={k} but only {len(comparable)} comparable entries")
-    # Each entry's terms, added one beacon id at a time in sorted order (the
-    # sum must not depend on string hashing); an id neither the entry nor the
-    # observation holds adds -100 - -100 = 0.0, which leaves every sum's bits
-    # as they are over that entry's own ids. Python's d * d overflows to inf
-    # silently, and so does this.
-    euclidean = db.metric == "euclidean"
-    total = np.zeros(len(db.entries))
-    with np.errstate(over="ignore"):
-        for b in sorted(columns.keys() | obs.keys()):
-            j = columns.get(b)
-            d = (MISSING_RSSI_DBM if j is None else db._rssi[:, j]) - obs.get(b, MISSING_RSSI_DBM)
-            total += d * d if euclidean else abs(d)
     distances = (np.sqrt(total) if euclidean else total)[comparable]
     # (distance, index) tuples sort by distance, then database order
     chosen = sorted(zip(distances.tolist(), comparable.tolist()))[:k]
@@ -575,7 +577,7 @@ def anchors_from_json(doc: list) -> tuple[Anchor, ...]:
     seen = set()
 
     def build(item: dict) -> Anchor:
-        anchor = Anchor(str(item["beacon_id"]), (item["x"], item["y"]), item.get("tx_power_dbm"))
+        anchor = Anchor(item["beacon_id"], (item["x"], item["y"]), item.get("tx_power_dbm"))
         if anchor.beacon_id in seen:
             raise ValueError(f"duplicate beacon_id {anchor.beacon_id!r}")
         seen.add(anchor.beacon_id)

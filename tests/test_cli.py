@@ -268,6 +268,26 @@ def test_simulate_rejects_bool_in_scenario_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beacon_id", [None, 5])
+def test_filter_rejects_json_trace_beacon_id_that_is_not_a_string(tmp_path, capsys, beacon_id):
+    sample = {"timestamp_ms": 0, "beacon_id": beacon_id, "rssi_dbm": -60.0}
+    trace = write_json(tmp_path / "trace.json", {"samples": [sample]})
+    assert main(["filter", trace, str(tmp_path / "o.json")]) == 2
+    assert ("error: TraceFormatError: sample 0: beacon_id must be a string"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("beacon_id", [None, 5])
+def test_locate_rejects_anchor_beacon_id_that_is_not_a_string(tmp_path, scenario_path, capsys,
+                                                              beacon_id):
+    trace = simulate_quiet(tmp_path, scenario_path)
+    anchors = write_json(tmp_path / "anchors.json",
+                         [dict(ANCHORS[0], beacon_id=beacon_id), *ANCHORS[1:]])
+    assert main(["locate", trace, anchors, str(tmp_path / "o.json")]) == 2
+    assert (f"error: ValueError: anchor 0: beacon_id must be a str, got {beacon_id!r}"
+            in capsys.readouterr().err)
+
+
 # --- reproduce ---
 
 def test_reproduce_writes_reports_deterministically(tmp_path, capsys):

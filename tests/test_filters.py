@@ -4,6 +4,7 @@ whole-trace smoothing semantics."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -442,6 +443,45 @@ def test_kalman_params_reject_wrong_shapes():
 def test_window_push_rejects_nan():
     with pytest.raises(ValueError, match="window value must be finite"):
         window_push(RssiWindow(3), float("nan"))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_window_rejects_non_finite_values_as_window_push_does(value):
+    with pytest.raises(ValueError) as built:
+        RssiWindow(3, (value, 1.0))
+    with pytest.raises(ValueError) as pushed:
+        window_push(RssiWindow(3, (1.0,)), value)
+    assert str(built.value) == str(pushed.value) == f"window value must be finite, got {value!r}"
+
+
+def test_kalman_state_takes_its_numbers_through_the_number_rule():
+    params = default_params()
+    with pytest.raises(ValueError, match="^x must be a number, got 'x'$"):
+        update(KalmanState(("x", 0.0), params.P0), -60.0, params)
+    with pytest.raises(ValueError, match="^P must be a number, got True$"):
+        KalmanState((0.0, 0.0), ((True, 0.0), (0.0, 1.0)))
+    state = KalmanState((np.float32(-60.0), 0), ((1, np.int64(0)), (0, 1)), (np.float64(0.5), 0))
+    assert state == KalmanState((-60.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (0.5, 0.0))
+    assert all(type(v) is float for v in (*state.x, *state.P[0], *state.P[1], *state.gain))
+
+
+@pytest.mark.parametrize("x, P, gain, message", [
+    ((0.0,), ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), "x must be a pair of numbers"),
+    (None, ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), "x must be a pair of numbers"),
+    ((0.0, 0.0), ((1.0, 0.0),), (0.0, 0.0), "P must be a 2x2 matrix"),
+    ((0.0, 0.0), ((1.0, 0.0, 0.0), (0.0, 1.0)), (0.0, 0.0), "P must be a 2x2 matrix"),
+    ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0, 0.0), "gain must be a pair of numbers"),
+])
+def test_kalman_state_rejects_wrong_shapes(x, P, gain, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        KalmanState(x, P, gain)
+
+
+def test_a_step_that_overflows_returns_its_state():
+    params = default_params()
+    state = predict(KalmanState((1.7e308, 1e308), params.P0), params)
+    assert state.x[0] == math.inf
+    assert math.isnan(update(state, -60.0, params).x[0])
 
 
 @pytest.mark.parametrize("key", ["dt", "q", "r", "p0"])

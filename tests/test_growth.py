@@ -1,0 +1,90 @@
+"""Memory at every file boundary grows with the file, not faster.
+
+Each reader loads a file written at n, 2n and 4n items under tracemalloc.
+Its peak bytes per file byte at 2n and at 4n may be at most 1.25 times
+those at n: linear growth keeps the ratio flat, and anything quadratic
+(an entries x ids matrix, say) doubles it at each step. Only memory is
+counted, never wall time.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import tracemalloc
+
+import pytest
+
+from microloc.model import RssiSample, Trace, load_trace, save_trace
+from microloc.position import (Fingerprint, FingerprintDb, fingerprint_locate, load_anchors,
+                               load_fingerprint_db, save_fingerprint_db)
+from microloc.sim import load_scenario
+
+MAX_GROWTH = 1.25
+
+
+def _write_fingerprint_db(path: str, n: int) -> None:
+    """n entries, each holding its own beacon id and one id they all share."""
+    save_fingerprint_db(FingerprintDb(tuple(
+        Fingerprint((float(i), 0.0), {f"b{i}": -60.0 - i % 30, "shared": -70.0})
+        for i in range(n))), path)
+
+
+def _load_fingerprint_db(path: str) -> None:
+    fingerprint_locate(load_fingerprint_db(path), {"shared": -65.0, "b3": -61.0})
+
+
+def _write_trace(path: str, n: int, format: str) -> None:
+    save_trace(Trace(tuple(RssiSample(100 * i, f"b{i % 20}", -60.0 - i % 40 / 4,
+                                      -59.0 if i % 2 else None, (37, 38, 39)[i % 3])
+                           for i in range(n))), path, format)
+
+
+def _anchors(n: int) -> list[dict]:
+    return [{"beacon_id": f"b{i}", "x": i / 4, "y": i % 7 / 2, "tx_power_dbm": -59.0}
+            for i in range(n)]
+
+
+def _write_anchors(path: str, n: int) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_anchors(n), fh, indent=2)
+
+
+def _write_scenario(path: str, n: int) -> None:
+    path_entries = [{"start_ms": 100 * i, "x": i % 50 / 5, "y": i % 11 / 3} for i in range(n)]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"beacons": _anchors(n // 10), "device_path": path_entries}, fh, indent=2)
+
+
+# boundary -> (writer, reader, n)
+BOUNDARIES = {
+    "fingerprint-db": (_write_fingerprint_db, _load_fingerprint_db, 500),
+    "trace-csv": (lambda p, n: _write_trace(p, n, "csv"), lambda p: load_trace(p, "csv"), 2000),
+    "trace-json": (lambda p, n: _write_trace(p, n, "json"), lambda p: load_trace(p, "json"), 2000),
+    "anchors": (_write_anchors, load_anchors, 500),
+    "scenario": (_write_scenario, load_scenario, 1000),
+}
+
+
+def _peak_per_byte(read, path: str) -> float:
+    gc.collect()  # each size starts from the same collector state
+    tracemalloc.start()
+    try:
+        read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / os.path.getsize(path)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_peak_memory_per_file_byte_stays_flat(boundary, tmp_path):
+    write, read, n = BOUNDARIES[boundary]
+    paths = []
+    for scale in (1, 2, 4):
+        paths.append(str(tmp_path / f"{boundary}-{scale}x"))
+        write(paths[-1], scale * n)
+    read(paths[0])  # once untraced, so first-call caches count at no size
+    base, *larger = (_peak_per_byte(read, p) for p in paths)
+    assert max(larger) <= MAX_GROWTH * base, (boundary, base, larger)

@@ -419,6 +419,26 @@ def test_json_sample_of_wrong_type_is_named(tmp_path, bad, message):
     assert str(exc.value) == f"sample 2: {message}"
 
 
+@pytest.mark.parametrize("beacon_id", [None, 5, 1.5, True, ["b"], {"b": 1}])
+def test_json_beacon_id_that_is_not_a_string_is_named(tmp_path, beacon_id):
+    p = tmp_path / "t.json"
+    # the beacon id comes second in the CSV header, so its rule runs before rssi_dbm's
+    bad = dict(_GOOD_JSON_SAMPLE, beacon_id=beacon_id, rssi_dbm="-60")
+    p.write_text(json.dumps({"samples": [_GOOD_JSON_SAMPLE, bad]}))
+    with pytest.raises(TraceFormatError) as exc:
+        load_trace(str(p), "json")
+    assert str(exc.value) == "sample 1: beacon_id must be a string"
+
+
+def test_json_sample_without_beacon_id_is_named(tmp_path):
+    p = tmp_path / "t.json"
+    bad = {k: v for k, v in _GOOD_JSON_SAMPLE.items() if k != "beacon_id"}
+    p.write_text(json.dumps({"samples": [bad]}))
+    with pytest.raises(TraceFormatError) as exc:
+        load_trace(str(p), "json")
+    assert str(exc.value) == "sample 0: beacon_id must be non-empty"
+
+
 def test_csv_bad_row_after_blank_lines_names_its_physical_line(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(",".join(CSV_HEADER) + "\n0,b,-60.0,-59.0,37\n\n\n100,b,-61.0,,38\n\n"

@@ -66,6 +66,12 @@ def _matrix_entry(name: str, i: int):
     return build
 
 
+def _identity_with(i: int, v) -> tuple:
+    """The 2x2 identity matrix with v at flat index i."""
+    flat = _with([1.0, 0.0, 0.0, 1.0], i, v)
+    return (tuple(flat[:2]), tuple(flat[2:]))
+
+
 @functools.cache
 def _small_sweep(config) -> tuple:
     """Two 2-second spots, in place of ranging_experiment's ten 2-minute ones."""
@@ -95,7 +101,12 @@ SLOTS = {
     "KalmanParams": [lambda v: replace(PARAMS, dt=v), lambda v: replace(PARAMS, R=v),
                      lambda v: replace(PARAMS, H=(v, 0.0)), lambda v: replace(PARAMS, H=(1.0, v)),
                      *(_matrix_entry(name, i) for name in ("F", "Q", "P0") for i in range(4))],
-    "KalmanState": [lambda v: filters.KalmanState((v, 0.0), PARAMS.P0)],
+    "KalmanState": [lambda v: filters.KalmanState((v, 0.0), PARAMS.P0),
+                    lambda v: filters.KalmanState((0.0, v), PARAMS.P0),
+                    *(lambda v, i=i: filters.KalmanState((0.0, 0.0), _identity_with(i, v))
+                      for i in range(4)),
+                    lambda v: filters.KalmanState((0.0, 0.0), PARAMS.P0, (v, 0.0)),
+                    lambda v: filters.KalmanState((0.0, 0.0), PARAMS.P0, (0.0, v))],
     "make_params": [lambda v, k=k: filters.make_params(**{k: v}) for k in ("dt", "q", "r", "p0")],
     "params_from_config": [lambda v, k=k: filters.params_from_config({k: v})
                            for k in ("dt", "q", "r", "p0")],

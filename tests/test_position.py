@@ -462,6 +462,35 @@ def test_anchor_beacon_id_must_be_a_str(beacon_id):
     assert Anchor("r0,0", (0.0, 0.0)).beacon_id == "r0,0"  # commas are allowed in anchor ids
 
 
+@pytest.mark.parametrize("beacon_id", [None, 5, 1.5, True, ["a"]])
+def test_anchors_file_beacon_id_reaches_anchor_unconverted(beacon_id):
+    with pytest.raises(ValueError) as info:
+        anchors_from_json([{"beacon_id": beacon_id, "x": 0.0, "y": 0.0}])
+    assert str(info.value) == f"anchor 0: beacon_id must be a str, got {beacon_id!r}"
+
+
+def test_fingerprint_locate_rejects_an_observation_that_is_not_a_mapping():
+    db = FingerprintDb((Fingerprint((0.0, 0.0), {"a": -60.0}),))
+    with pytest.raises(ValueError) as info:
+        fingerprint_locate(db, [("a", -60.0)])
+    assert str(info.value) == "observation must be a mapping, got [('a', -60.0)]"
+
+
+def test_fingerprint_rejects_a_signature_that_is_not_a_mapping():
+    with pytest.raises(ValueError) as info:
+        Fingerprint((0, 0), [("a", -60.0)])
+    assert str(info.value) == "signature must be a mapping, got [('a', -60.0)]"
+
+
+def test_fingerprint_db_rejects_an_entry_that_is_not_a_fingerprint():
+    good = Fingerprint((0.0, 0.0), {"a": -60.0})
+    with pytest.raises(TypeError) as info:
+        FingerprintDb(("x",))
+    assert str(info.value) == "entry 0 must be a Fingerprint, got 'x'"
+    with pytest.raises(TypeError, match="^entry 1 must be a Fingerprint, got None$"):
+        FingerprintDb((good, None))
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_bools_are_not_numbers_in_positions(flag):
     with pytest.raises(ValueError, match="tx_power_dbm must be a number"):

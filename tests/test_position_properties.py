@@ -2,8 +2,8 @@
 
 TDoA: bit-identity with a reference start loop that runs every start to its
 last iteration, the number of cost evaluations a stalling fix takes, and the
-rejection of a far-off fix. Fingerprinting: bit-identity of the signature
-matrix search with a per-entry reference. The norm helpers: the bits of
+rejection of a far-off fix. Fingerprinting: bit-identity of the per-beacon
+index search with a per-entry reference. The norm helpers: the bits of
 np.linalg.norm.
 """
 
@@ -257,13 +257,14 @@ def test_signature_matrix_stays_out_of_eq_repr_and_json():
     assert repr(db) == f"FingerprintDb(entries={entries!r}, metric='euclidean')"
     assert set(db_to_json(db)) == {"metric", "entries"}
     assert [f.name for f in dataclasses.fields(db) if f.compare] == ["entries", "metric"]
-    # ids sorted; an absent beacon reads MISSING_RSSI_DBM and is not present
-    assert db._columns == {"a": 0, "b": 1, "c": 2}
-    assert db._rssi.tolist() == [[-70.0, -60.0, MISSING_RSSI_DBM],
-                                 [MISSING_RSSI_DBM, MISSING_RSSI_DBM, -100.0]]
-    assert db._present.tolist() == [[True, True, False], [False, False, True]]
+    # each id: the entries that hold it, in database order, and their values
+    want = {"a": ([0], [-70.0]), "b": ([0], [-60.0]), "c": ([1], [-100.0])}
+    assert {b: (rows.tolist(), values.tolist()) for b, (rows, values) in db._by_id.items()} == want
+    assert all(rows.dtype == np.intp and values.dtype == np.float64
+               for rows, values in db._by_id.values())
     rebuilt = dataclasses.replace(db, metric="manhattan")
-    assert rebuilt._rssi.tolist() == db._rssi.tolist()
+    assert {b: (rows.tolist(), values.tolist())
+            for b, (rows, values) in rebuilt._by_id.items()} == want
 
 
 # --- the norm helpers ---

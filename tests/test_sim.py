@@ -348,6 +348,14 @@ def test_device_path_error_names_entry_index(item, message):
     assert str(info.value) == f"device_path 1: {message}"
 
 
+@pytest.mark.parametrize("beacon_id", [None, 5])
+def test_scenario_beacon_id_is_not_converted(beacon_id):
+    doc = {"beacons": [dict(PATH_BEACONS[0], beacon_id=beacon_id)], "device_path": [PATH_START]}
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_json(doc)
+    assert str(info.value) == f"beacons: anchor 0: beacon_id must be a str, got {beacon_id!r}"
+
+
 def test_scenario_beacon_errors_keep_their_prefix():
     doc = {"beacons": PATH_BEACONS + [PATH_BEACONS[0]], "device_path": [PATH_START]}
     with pytest.raises(InvalidScenario) as info:

@@ -439,23 +439,26 @@ def test_csv_load_peak_memory_is_bounded(tmp_path):
 
 # The JSON loader as it was before its sample types moved into one table
 # (model._JSON_FIELDS): one row check and one column check, each spelling
-# out the four type rules.
+# out the five type rules.
 def _reference_json_row(item) -> tuple:
     if not isinstance(item, dict):
         raise ValueError("must be an object")
     ts = item.get("timestamp_ms")
+    beacon_id = item.get("beacon_id", "")
     rssi = item.get("rssi_dbm")
     tx = item.get("tx_power_dbm")
     ch = item.get("channel", 37)
     if isinstance(ts, bool) or not isinstance(ts, int):
         raise ValueError("timestamp_ms must be an integer")
+    if not isinstance(beacon_id, str):
+        raise ValueError("beacon_id must be a string")
     if not isinstance(rssi, (int, float)) or isinstance(rssi, bool):
         raise ValueError("rssi_dbm must be a number")
     if tx is not None and (not isinstance(tx, (int, float)) or isinstance(tx, bool)):
         raise ValueError("tx_power_dbm must be a number or null")
     if isinstance(ch, bool) or not isinstance(ch, int):
         raise ValueError("channel must be an integer")
-    return (ts, str(item.get("beacon_id", "")), float(rssi),
+    return (ts, beacon_id, float(rssi),
             None if tx is None else float(tx), ch)
 
 
@@ -463,13 +466,15 @@ def _reference_json_fields(items: list) -> list | None:
     if not set(map(type, items)) <= {dict}:
         return None
     ts = [item.get("timestamp_ms") for item in items]
+    beacon_ids = [item.get("beacon_id", "") for item in items]
     rssi = [item.get("rssi_dbm") for item in items]
     tx = [item.get("tx_power_dbm") for item in items]
     ch = [item.get("channel", 37) for item in items]
     number = {int, float}
-    if (set(map(type, ts)) <= {int} and set(map(type, rssi)) <= number
+    if (set(map(type, ts)) <= {int} and set(map(type, beacon_ids)) <= {str}
+            and set(map(type, rssi)) <= number
             and set(map(type, tx)) <= number | {type(None)} and set(map(type, ch)) <= {int}):
-        return [ts, [str(item.get("beacon_id", "")) for item in items], rssi, tx, ch]
+        return [ts, beacon_ids, rssi, tx, ch]
     return None
 
 
