@@ -52,6 +52,8 @@ _PROXIMITY_TOL_M = 1e-9  # a disk violated by no more than this counts as satisf
 _GN_MAX_ITER = 100
 _GN_STEP_TOL = 1e-10
 _TDOA_MAX_RANGE_SPREADS = 100.0  # a TDoA fix farther out is an asymptote, not a fix
+_TDOA_BLOCK_PAIRS = 2048  # (start, receiver) pairs run in lockstep at once: bounds a round's memory
+_BACKTRACK_SCALES = np.cumprod(np.full(24, 0.5))[:, None]  # 0.5 ... 2**-24: the halvings after a full step
 
 
 class Method(enum.Enum):
@@ -67,6 +69,14 @@ class Zone(enum.Enum):
     NEAR = "near"
     FAR = "far"
     UNKNOWN = "unknown"
+
+
+def _check_beacon_id(b, name: str) -> str:
+    """b, which must be a non-empty str: the rule for every beacon id."""
+    if not isinstance(b, str) or not b:
+        raise ValueError(f"{name} must be non-empty" if isinstance(b, str)
+                         else f"{name} must be a str, got {b!r}")
+    return b
 
 
 def _check_point(p, name: str) -> tuple[float, float]:
@@ -86,9 +96,7 @@ class Anchor:
     tx_power_dbm: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.beacon_id, str) or not self.beacon_id:
-            raise ValueError("beacon_id must be non-empty" if isinstance(self.beacon_id, str)
-                             else f"beacon_id must be a str, got {self.beacon_id!r}")
+        _check_beacon_id(self.beacon_id, "beacon_id")
         object.__setattr__(self, "position", _check_point(self.position, "position"))
         if self.tx_power_dbm is not None:
             tx = real(self.tx_power_dbm, "tx_power_dbm")
@@ -169,8 +177,11 @@ def classify_proximity(distance_m: float, immediate_m: float = IMMEDIATE_THRESHO
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(d, axis=1) for real d: the same two ufunc calls, without its dispatch."""
-    return np.sqrt(np.add.reduce(d * d, axis=1))
+    """np.linalg.norm(d, axis=-1) for real d, without its dispatch: the same squares,
+    sums and square roots. For points the sum is written out: numpy's reduction
+    over two values is that one addition, and slow on a last axis that short."""
+    sq = d * d
+    return np.sqrt(sq[..., 0] + sq[..., 1] if d.shape[-1] == 2 else np.add.reduce(sq, axis=-1))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -328,10 +339,83 @@ def triangulate(anchors: Sequence[Anchor], bearings_rad: Sequence[float]) -> Pos
     return PositionEstimate(position=p, method=Method.ANGULATION, residual=0.0)
 
 
-def _tdoa_cost(p: np.ndarray, pts: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, float]:
-    ranges = np.maximum(_row_norms(p - pts), 1e-12)
-    resid = (ranges[1:] - ranges[0]) - diffs
-    return resid, float(resid @ resid)
+def _tdoa_cost(p: np.ndarray, pts: np.ndarray, diffs: np.ndarray):
+    """The range-difference residuals at p and their squared sum: a float for
+    one point, an array for a stack (..., 2) of points.
+
+    Each residual row starts 16-byte aligned, as a fresh 1-D array does (an
+    odd length is padded by one): OpenBLAS's Prescott-class ddot rounds
+    differently for a vector at 8 mod 16 bytes.
+    """
+    ranges = np.maximum(_row_norms(p[..., None, :] - pts), 1e-12)
+    m = len(diffs)
+    resid = np.empty(ranges.shape[:-1] + (m + m % 2,))[..., :m]
+    np.subtract(ranges[..., 1:] - ranges[..., :1], diffs, out=resid)
+    cost = np.matmul(resid[..., None, :], resid[..., :, None])[..., 0, 0]
+    return resid, float(cost) if p.ndim == 1 else cost
+
+
+def _gn_steps(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """_gn_step for a stack of Jacobians and of residual rows that start 16-byte
+    aligned. Stacked matmul and solve call BLAS/LAPACK once per matrix, so
+    each step has the bits _gn_step gives it alone."""
+    jac_t = jac.transpose(0, 2, 1)
+    try:
+        return np.linalg.solve(jac_t @ jac, -(jac_t @ resid[..., None]))[..., 0]
+    except np.linalg.LinAlgError:  # a singular JᵀJ somewhere in the stack
+        return np.array([_gn_step(j, r) for j, r in zip(jac, resid)])
+
+
+def _tdoa_fits(starts: np.ndarray, pts: np.ndarray, diffs: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """Gauss-Newton with backtracking from each start, all starts in lockstep:
+    (cost, point) of each start that meets the step or cost stop, in start order.
+
+    A round takes one iteration of every running start. Each start's
+    iterates are bit for bit those of running it alone: every misfit
+    evaluation goes through _tdoa_cost, and every BLAS/LAPACK call sees the
+    operands a lone start would give it. The backtracking scales 0.5 ... 2**-24
+    are tried all at once, for the starts whose full step raised the misfit.
+    """
+    m = len(diffs)
+    ids, p = np.arange(len(starts)), starts
+    resid, cost = _tdoa_cost(p, pts, diffs)
+    seen: list[set[bytes]] = [set() for _ in ids]
+    going = np.ones(len(ids), dtype=bool)
+    fits: dict[int, tuple[float, np.ndarray]] = {}
+    for _ in range(_GN_MAX_ITER):
+        keys = [row.tobytes() for row in p]
+        going &= [key not in s for key, s in zip(keys, seen)]  # a repeated iterate: a cycle
+        if not going.all():
+            rows = np.flatnonzero(going)
+            ids, p, cost, going = ids[rows], p[rows], cost[rows], going[rows]
+            kept, resid = resid[rows], np.empty((len(rows), m + m % 2))[:, :m]
+            resid[:] = kept  # rows start aligned again, as _tdoa_cost makes them
+            seen, keys = [seen[i] for i in rows], [keys[i] for i in rows]
+            if len(ids) == 0:
+                break
+        for key, s in zip(keys, seen):
+            s.add(key)
+        diff = p[:, None, :] - pts
+        units = diff / np.maximum(_row_norms(diff), 1e-12)[..., None]
+        step = _gn_steps(units[:, 1:] - units[:, :1], resid)
+        trial = p + step
+        t_resid, t_cost = _tdoa_cost(trial, pts, diffs)
+        back = np.flatnonzero(~(t_cost <= cost))
+        if len(back):
+            halved = p[back, None] + _BACKTRACK_SCALES * step[back, None]
+            h_resid, h_cost = _tdoa_cost(halved, pts, diffs)
+            ok = h_cost <= cost[back, None]
+            first = ok.argmax(axis=1)  # the largest scale that does not raise the misfit
+            rows = np.arange(len(back))
+            trial[back], t_resid[back], t_cost[back] = (
+                halved[rows, first], h_resid[rows, first], h_cost[rows, first])
+            going[back] = ok[rows, first]  # no productive step from here: not converged
+        p, resid, cost = trial, t_resid, t_cost
+        norms = np.sqrt(np.matmul(step[:, None, :], step[:, :, None])[:, 0, 0])
+        stop = going & ((norms < _GN_STEP_TOL) | (cost < 1e-24))
+        fits.update((i, (float(cost[j]), p[j])) for j, i in zip(np.flatnonzero(stop), ids[stop]))
+        going &= ~stop
+    return [fits[i] for i in sorted(fits)]
 
 
 def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> PositionEstimate:
@@ -341,14 +425,17 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
     receivers[0]), i.e. each later receiver paired against the first.
     Gauss-Newton with backtracking runs from several starting points
     (receiver centroid, then perturbed receiver sites) and the best
-    converged fit wins; the residual is the RMS range-difference misfit.
+    converged fit wins: the first, in start order, of the lowest cost. The
+    residual is the RMS range-difference misfit.
 
-    An iteration is a deterministic map of the iterate alone, so a start
-    whose iterate repeats (bit for bit) is in a cycle that can only run
-    out of iterations; it ends there, unconverged. A start that converges
-    more than _TDOA_MAX_RANGE_SPREADS receiver spreads from the receivers'
-    centroid (running off along a hyperbola's asymptote) does not count as
-    converged. NoConvergence is raised when no start converges.
+    The starts run in lockstep, in blocks of at most _TDOA_BLOCK_PAIRS
+    (start, receiver) pairs, and each start's bits are those of running it
+    alone. An iteration is a deterministic map of the iterate alone, so a
+    start whose iterate repeats (bit for bit) is in a cycle that can only
+    run out of iterations; it ends there, unconverged. A start that
+    converges more than _TDOA_MAX_RANGE_SPREADS receiver spreads from the
+    receivers' centroid (running off along a hyperbola's asymptote) does
+    not count as converged. NoConvergence is raised when no start converges.
     """
     if len(receivers) < 3:
         raise ArityError(f"time-difference fix requires at least three receivers, got {len(receivers)}")
@@ -366,40 +453,15 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
     centroid = pts.mean(axis=0)
     spread = float(np.max(_row_norms(pts - centroid)))
     offset = np.array([0.37, 0.23]) * max(spread, 1.0)
-    starts = [centroid] + [pt + offset for pt in pts]
+    starts = np.vstack((centroid, pts + offset))
     max_range = _TDOA_MAX_RANGE_SPREADS * max(spread, 1.0)
 
+    block = max(1, _TDOA_BLOCK_PAIRS // len(pts))
     best: tuple[float, np.ndarray] | None = None
-    for start in starts:
-        p = start.copy()
-        resid, cost = _tdoa_cost(p, pts, diffs)
-        converged = False
-        seen: set[bytes] = set()
-        for _ in range(_GN_MAX_ITER):
-            key = p.tobytes()
-            if key in seen:
-                break  # a cycle: it would replay until _GN_MAX_ITER
-            seen.add(key)
-            diff = p - pts
-            units = diff / np.maximum(_row_norms(diff), 1e-12)[:, None]
-            step = _gn_step(units[1:] - units[0], resid)
-            # backtrack until the squared misfit stops growing
-            scale = 1.0
-            for _ in range(25):
-                trial = p + scale * step
-                t_resid, t_cost = _tdoa_cost(trial, pts, diffs)
-                if t_cost <= cost:
-                    break
-                scale *= 0.5
-            else:
-                break  # no productive step from here
-            p = trial
-            resid, cost = t_resid, t_cost
-            if _norm(step) < _GN_STEP_TOL or cost < 1e-24:
-                converged = _norm(p - centroid) <= max_range
-                break
-        if converged and (best is None or cost < best[0]):
-            best = (cost, p)
+    for first in range(0, len(starts), block):
+        for cost, p in _tdoa_fits(starts[first:first + block], pts, diffs):
+            if _norm(p - centroid) <= max_range and (best is None or cost < best[0]):
+                best = (cost, p)
     if best is None:
         raise NoConvergence(_GN_MAX_ITER)
     cost, p = best
@@ -424,10 +486,10 @@ class Fingerprint:
             raise ValueError("signature must be non-empty")
         sig = {}
         for k, v in self.signature.items():
-            fv = real(v, f"signature entry {k!r}")
-            if not k or not math.isfinite(fv):
+            fv = real(v, f"signature entry {_check_beacon_id(k, 'signature key')!r}")
+            if not math.isfinite(fv):
                 raise ValueError(f"bad signature entry {k!r}: {fv!r}")
-            sig[str(k)] = fv
+            sig[k] = fv
         object.__setattr__(self, "signature", sig)
 
 
@@ -493,7 +555,8 @@ def fingerprint_locate(db: FingerprintDb, observation: Mapping[str, float],
         raise ValueError(f"observation must be a mapping, got {observation!r}")
     if not observation:
         raise ValueError("observation must be non-empty")
-    obs = {str(b): real(v, f"observation rssi for {b!r}") for b, v in observation.items()}
+    obs = {_check_beacon_id(b, "observation key"): real(v, f"observation rssi for {b!r}")
+           for b, v in observation.items()}
     for b, v in obs.items():
         if not math.isfinite(v):
             raise ValueError(f"observation rssi for {b!r} must be finite")
@@ -559,7 +622,7 @@ def db_from_json(doc: dict) -> FingerprintDb:
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ValueError("fingerprint database must be an object with an 'entries' array")
     entries = json_objects(doc["entries"], "entry", _fingerprint_from_json)
-    return FingerprintDb(entries=tuple(entries), metric=str(doc.get("metric", "euclidean")))
+    return FingerprintDb(entries=tuple(entries), metric=doc.get("metric", "euclidean"))
 
 
 def save_fingerprint_db(db: FingerprintDb, path: str) -> None:

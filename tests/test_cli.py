@@ -225,6 +225,17 @@ def test_locate_fingerprint_empty_db_exits_2(tmp_path, scenario_path, capsys):
     assert "at least one entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("metric", [None, 5])
+def test_locate_fingerprint_names_a_metric_that_is_not_a_string(tmp_path, scenario_path, capsys,
+                                                               metric):
+    trace = simulate_quiet(tmp_path, scenario_path)
+    db = write_json(tmp_path / "db.json", {"metric": metric, "entries": [
+        {"x": 2.0, "y": 1.0, "signature": {"b0": -66.0}}]})
+    assert main(["locate", trace, db, str(tmp_path / "o.json"), "--method", "fingerprint"]) == 2
+    assert (f"error: ValueError: metric must be euclidean or manhattan, got {metric!r}\n"
+            in capsys.readouterr().err)
+
+
 def test_locate_without_matching_anchors_exits_2(tmp_path, scenario_path, capsys):
     trace = simulate_quiet(tmp_path, scenario_path)
     other = write_json(tmp_path / "other.json", [

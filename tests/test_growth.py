@@ -1,24 +1,30 @@
-"""Memory at every file boundary grows with the file, not faster.
+"""Memory at every file boundary grows with the file, and a locate's with
+its anchors, not faster.
 
 Each reader loads a file written at n, 2n and 4n items under tracemalloc.
 Its peak bytes per file byte at 2n and at 4n may be at most 1.25 times
 those at n: linear growth keeps the ratio flat, and anything quadratic
-(an entries x ids matrix, say) doubles it at each step. Only memory is
-counted, never wall time.
+(an entries x ids matrix, say) doubles it at each step. Each locate method
+is held to the same bound in peak bytes per receiver over one call with n,
+2n and 4n receivers (a starts x receivers stack, say, would double it).
+Only memory is counted, never wall time.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import tracemalloc
 
 import pytest
 
+from microloc import position
 from microloc.model import RssiSample, Trace, load_trace, save_trace
-from microloc.position import (Fingerprint, FingerprintDb, fingerprint_locate, load_anchors,
-                               load_fingerprint_db, save_fingerprint_db)
+from microloc.position import (Anchor, Fingerprint, FingerprintDb, fingerprint_locate, load_anchors,
+                               load_fingerprint_db, proximity_region, save_fingerprint_db,
+                               tdoa_locate, trilaterate)
 from microloc.sim import load_scenario
 
 MAX_GROWTH = 1.25
@@ -67,15 +73,14 @@ BOUNDARIES = {
 }
 
 
-def _peak_per_byte(read, path: str) -> float:
+def _peak(call) -> int:
     gc.collect()  # each size starts from the same collector state
     tracemalloc.start()
     try:
-        read(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / os.path.getsize(path)
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -86,5 +91,30 @@ def test_peak_memory_per_file_byte_stays_flat(boundary, tmp_path):
         paths.append(str(tmp_path / f"{boundary}-{scale}x"))
         write(paths[-1], scale * n)
     read(paths[0])  # once untraced, so first-call caches count at no size
-    base, *larger = (_peak_per_byte(read, p) for p in paths)
+    base, *larger = (_peak(lambda: read(p)) / os.path.getsize(p) for p in paths)
     assert max(larger) <= MAX_GROWTH * base, (boundary, base, larger)
+
+
+def _ring(n: int) -> tuple[list[Anchor], list[float]]:
+    """n receivers on a 10 m circle and their exact distances to a point inside it."""
+    receivers = [Anchor(f"r{i}", (10 * math.cos(2 * math.pi * i / n),
+                                  10 * math.sin(2 * math.pi * i / n))) for i in range(n)]
+    return receivers, [math.dist(r.position, (1.0, 2.0)) for r in receivers]
+
+
+# method -> call on (receivers, distances)
+LOCATES = {
+    "tdoa": lambda rs, ds: tdoa_locate(rs, [d - ds[0] for d in ds[1:]]),
+    "lateration": trilaterate,
+    "proximity": proximity_region,
+}
+
+
+@pytest.mark.parametrize("method", LOCATES)
+def test_locate_peak_memory_per_receiver_stays_flat(method):
+    locate, n = LOCATES[method], 60
+    assert (n + 1) * n > position._TDOA_BLOCK_PAIRS  # TDoA's 1 + n starts take several blocks
+    rings = [_ring(scale * n) for scale in (1, 2, 4)]
+    locate(*rings[0])  # once untraced, so first-call caches count at no size
+    base, *larger = (_peak(lambda: locate(rs, ds)) / len(rs) for rs, ds in rings)
+    assert max(larger) <= MAX_GROWTH * base, (method, base, larger)

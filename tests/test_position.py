@@ -482,6 +482,20 @@ def test_fingerprint_rejects_a_signature_that_is_not_a_mapping():
     assert str(info.value) == "signature must be a mapping, got [('a', -60.0)]"
 
 
+@pytest.mark.parametrize("key, message", [
+    (5, "must be a str, got 5"), (None, "must be a str, got None"),
+    (b"a", "must be a str, got b'a'"), ("", "must be non-empty"),
+])
+def test_beacon_id_keys_are_not_converted(key, message):
+    with pytest.raises(ValueError) as info:
+        Fingerprint((0, 0), {key: -60.0})
+    assert str(info.value) == f"signature key {message}"
+    db = FingerprintDb((Fingerprint((0.0, 0.0), {"5": -60.0}),))
+    with pytest.raises(ValueError) as info:
+        fingerprint_locate(db, {key: -60.0})
+    assert str(info.value) == f"observation key {message}"
+
+
 def test_fingerprint_db_rejects_an_entry_that_is_not_a_fingerprint():
     good = Fingerprint((0.0, 0.0), {"a": -60.0})
     with pytest.raises(TypeError) as info:
