@@ -20,6 +20,15 @@ A window holds measurements only, never filter state, so _window_q
 computes every step's Q before the filter loop starts, with the bits
 window_variance gives for the window RssiWindow holds at that step.
 
+P and K never read x or z, so both modes run in two loops, with the bits
+of predict then update at every step: _gains runs the covariance half
+and yields each step's gain K, then _states runs the state half on the
+measurements with those gains. In static mode the gains depend on the
+parameters and the step index alone, so one sequence serves every beacon
+of a call; it stops at the first step whose P is bit-for-bit the P
+before it (step 174 for the defaults), and every later step repeats that
+gain. Dynamic mode feeds _window_q's Q sequence to the same two loops.
+
 Timestamps are not consulted during filtering. The transition matrix uses
 the configured dt throughout, which models a nominally periodic
 advertising stream and keeps results independent of jitter bookkeeping.
@@ -28,9 +37,10 @@ advertising stream and keeps results independent of jitter bookkeeping.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -41,6 +51,8 @@ Mat2 = tuple[tuple[float, float], tuple[float, float]]
 Vec2 = tuple[float, float]
 
 _SYM_TOL = 1e-9
+
+_pack = struct.Struct("4d").pack  # a covariance's bits, for the fixed-point test
 
 DEFAULT_WINDOW_N = 10
 DEFAULT_Q_SCALE = 1.0
@@ -146,54 +158,20 @@ def initial_state(z0: float, params: KalmanParams) -> KalmanState:
     return KalmanState(x=(real(z0, "z0"), 0.0), P=params.P0)
 
 
-def _predict_xp(x0, x1, p00, p01, p10, p11, f00, f01, f10, f11, q00, q01, q10, q11):
-    """One predict step on scalar components. Returns (x0, x1, p00, p01, p10, p11)."""
-    nx0 = f00 * x0 + f01 * x1
-    nx1 = f10 * x0 + f11 * x1
-    a = f00 * p00 + f01 * p10
-    b = f00 * p01 + f01 * p11
-    c = f10 * p00 + f11 * p10
-    d = f10 * p01 + f11 * p11
-    np00 = a * f00 + b * f01 + q00
-    np01 = a * f10 + b * f11 + q01
-    np10 = c * f00 + d * f01 + q10
-    np11 = c * f10 + d * f11 + q11
-    off = 0.5 * (np01 + np10)  # keep P numerically symmetric
-    return nx0, nx1, np00, off, off, np11
-
-
-def _update_xp(x0, x1, p00, p01, p10, p11, z, h0, h1, r):
-    """One measurement update. Returns (x0, x1, p00, p01, p10, p11, k0, k1)."""
-    ph0 = p00 * h0 + p01 * h1
-    ph1 = p10 * h0 + p11 * h1
-    s = h0 * ph0 + h1 * ph1 + r
-    k0 = ph0 / s
-    k1 = ph1 / s
-    innov = z - (h0 * x0 + h1 * x1)
-    nx0 = x0 + k0 * innov
-    nx1 = x1 + k1 * innov
-    m00 = 1.0 - k0 * h0
-    m01 = -k0 * h1
-    m10 = -k1 * h0
-    m11 = 1.0 - k1 * h1
-    np00 = m00 * p00 + m01 * p10
-    np01 = m00 * p01 + m01 * p11
-    np10 = m10 * p00 + m11 * p10
-    np11 = m10 * p01 + m11 * p11
-    off = 0.5 * (np01 + np10)
-    return nx0, nx1, np00, off, off, np11, k0, k1
-
-
 def predict(state: KalmanState, params: KalmanParams) -> KalmanState:
     """Propagate the state one step through F, inflating P by Q."""
     (f00, f01), (f10, f11) = params.F
     (q00, q01), (q10, q11) = params.Q
     x0, x1 = state.x
     (p00, p01), (p10, p11) = state.P
-    x0, x1, p00, p01, p10, p11 = _predict_xp(
-        x0, x1, p00, p01, p10, p11, f00, f01, f10, f11, q00, q01, q10, q11
-    )
-    return KalmanState(x=(x0, x1), P=((p00, p01), (p10, p11)), gain=state.gain)
+    a = f00 * p00 + f01 * p10
+    b = f00 * p01 + f01 * p11
+    c = f10 * p00 + f11 * p10
+    d = f10 * p01 + f11 * p11
+    off = 0.5 * ((a * f10 + b * f11 + q01) + (c * f00 + d * f01 + q10))  # keep P symmetric
+    return KalmanState(x=(f00 * x0 + f01 * x1, f10 * x0 + f11 * x1),
+                       P=((a * f00 + b * f01 + q00, off), (off, c * f10 + d * f11 + q11)),
+                       gain=state.gain)
 
 
 def update(state: KalmanState, z: float, params: KalmanParams) -> KalmanState:
@@ -204,10 +182,20 @@ def update(state: KalmanState, z: float, params: KalmanParams) -> KalmanState:
     h0, h1 = params.H
     x0, x1 = state.x
     (p00, p01), (p10, p11) = state.P
-    x0, x1, p00, p01, p10, p11, k0, k1 = _update_xp(
-        x0, x1, p00, p01, p10, p11, zf, h0, h1, params.R
-    )
-    return KalmanState(x=(x0, x1), P=((p00, p01), (p10, p11)), gain=(k0, k1))
+    ph0 = p00 * h0 + p01 * h1
+    ph1 = p10 * h0 + p11 * h1
+    s = h0 * ph0 + h1 * ph1 + params.R
+    k0 = ph0 / s
+    k1 = ph1 / s
+    innov = zf - (h0 * x0 + h1 * x1)
+    m00 = 1.0 - k0 * h0
+    m01 = -k0 * h1
+    m10 = -k1 * h0
+    m11 = 1.0 - k1 * h1
+    off = 0.5 * ((m00 * p01 + m01 * p11) + (m10 * p00 + m11 * p10))
+    return KalmanState(x=(x0 + k0 * innov, x1 + k1 * innov),
+                       P=((m00 * p00 + m01 * p10, off), (off, m10 * p01 + m11 * p11)),
+                       gain=(k0, k1))
 
 
 @dataclass(frozen=True)
@@ -288,35 +276,72 @@ def _window_q(zs: list[float], window_n: int, q_scale: float) -> list[float]:
         return (q_scale * (squares[1:] / count[1:])).tolist()
 
 
-def _smooth_stream(zs: list[float], params: KalmanParams, x0: float | None,
-                   window_n: int | None, q_scale: float) -> list[float]:
-    """Run the filter over one beacon's measurements, returning estimates.
+def _gains(params: KalmanParams, qs: Iterable[tuple[float, float, float, float]],
+           until_fixed: bool) -> list[Vec2]:
+    """The gain (k0, k1) of each step, step i predicting with Q = qs[i] flattened row-wise.
 
-    window_n None selects the static-Q mode. Otherwise the first step uses
-    the static Q and every later one q_scale * variance * I of its window,
-    all of them computed by _window_q before the loop starts.
+    P and K never read x or z, so the gains of a stream depend on params
+    and its Q sequence alone. The arithmetic is predict's and update's on
+    P. With until_fixed the list ends at the first step whose P has the
+    bits of the P before it: every later step on the same Q repeats that
+    step's gain. Bits, not ==, which holds for 0.0 and -0.0.
     """
     (f00, f01), (f10, f11) = params.F
-    (q00, q01), (q10, q11) = params.Q
     h0, h1 = params.H
     r = params.R
-    steps = zip(zs, repeat(q00), repeat(q01), repeat(q10), repeat(q11))
-    if window_n is not None:
-        qs = _window_q(zs, window_n, q_scale)
-        steps = chain([(zs[0], q00, q01, q10, q11)],
-                      zip(zs[1:], qs, repeat(0.0), repeat(0.0), qs))
-    sx0 = float(zs[0]) if x0 is None else x0
-    sx1 = 0.0
     (p00, p01), (p10, p11) = params.P0
-    out = []
-    for z, cq00, cq01, cq10, cq11 in steps:
-        sx0, sx1, p00, p01, p10, p11 = _predict_xp(
-            sx0, sx1, p00, p01, p10, p11, f00, f01, f10, f11, cq00, cq01, cq10, cq11
-        )
-        sx0, sx1, p00, p01, p10, p11, _, _ = _update_xp(
-            sx0, sx1, p00, p01, p10, p11, z, h0, h1, r
-        )
-        out.append(h0 * sx0 + h1 * sx1)
+    last = _pack(p00, p01, p10, p11)
+    gains: list[Vec2] = []
+    append = gains.append
+    for q00, q01, q10, q11 in qs:
+        a = f00 * p00 + f01 * p10
+        b = f00 * p01 + f01 * p11
+        c = f10 * p00 + f11 * p10
+        d = f10 * p01 + f11 * p11
+        p00 = a * f00 + b * f01 + q00
+        p01 = p10 = 0.5 * ((a * f10 + b * f11 + q01) + (c * f00 + d * f01 + q10))
+        p11 = c * f10 + d * f11 + q11
+        ph0 = p00 * h0 + p01 * h1
+        ph1 = p10 * h0 + p11 * h1
+        s = h0 * ph0 + h1 * ph1 + r
+        k0 = ph0 / s
+        k1 = ph1 / s
+        append((k0, k1))
+        m00 = 1.0 - k0 * h0
+        m01 = -k0 * h1
+        m10 = -k1 * h0
+        m11 = 1.0 - k1 * h1
+        p00, p01, p11 = (m00 * p00 + m01 * p10,
+                         0.5 * ((m00 * p01 + m01 * p11) + (m10 * p00 + m11 * p10)),
+                         m10 * p01 + m11 * p11)
+        p10 = p01
+        if until_fixed:
+            bits = _pack(p00, p01, p10, p11)
+            if bits == last:
+                break
+            last = bits
+    return gains
+
+
+def _states(zs: list[float], gains: Iterable[Vec2], params: KalmanParams,
+            x0: float | None) -> list[float]:
+    """The estimates of one beacon's stream, step i folding in zs[i] with gains[i].
+
+    The arithmetic is predict's and update's on x. The state starts at
+    (zs[0], 0), or (x0, 0) when x0 is given.
+    """
+    (f00, f01), (f10, f11) = params.F
+    h0, h1 = params.H
+    x0 = float(zs[0]) if x0 is None else x0
+    x1 = 0.0
+    out: list[float] = []
+    append = out.append
+    for z, (k0, k1) in zip(zs, gains):
+        x0, x1 = f00 * x0 + f01 * x1, f10 * x0 + f11 * x1
+        innov = z - (h0 * x0 + h1 * x1)
+        x0 = x0 + k0 * innov
+        x1 = x1 + k1 * innov
+        append(h0 * x0 + h1 * x1)
     return out
 
 
@@ -328,14 +353,23 @@ def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
         raise EmptyTrace("cannot filter an empty trace")
     x0 = None if x0 is None else real(x0, "x0")
     order, streams = cols.by_beacon(cols.rssi_dbm)
+    q = (*params.Q[0], *params.Q[1])
+    if window_n is None:  # one gain sequence serves every beacon
+        fixed = _gains(params, repeat(q, max(map(len, streams))), until_fixed=True)
     ests: list[float] = []
     for beacon_id, zs in zip(cols.beacon_ids, streams):
-        if window_n is not None and len(zs) < 2:
+        if window_n is None:
+            gains = chain(fixed, repeat(fixed[-1]))
+        elif len(zs) < 2:
             raise InsufficientSamples(
                 f"dynamic filtering needs at least 2 samples per beacon; "
                 f"beacon {beacon_id!r} has {len(zs)}"
             )
-        stream = _smooth_stream(zs, params, x0, window_n, q_scale)
+        else:  # the static Q first, then each window's
+            qs = _window_q(zs, window_n, q_scale)
+            gains = _gains(params, chain([q], zip(qs, repeat(0.0), repeat(0.0), qs)),
+                           until_fixed=False)
+        stream = _states(zs, gains, params, x0)
         if not all(map(math.isfinite, stream)):
             raise ValueError(f"filter diverged on beacon {beacon_id!r}: its state overflowed")
         ests.extend(stream)

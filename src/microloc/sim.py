@@ -15,6 +15,14 @@ in a fixed order, whether or not the packet survives:
 Keeping the draw count fixed means toggling the loss probability or the
 noise level never shifts the random sequence of later events.
 
+Draws stay one SplitMix64.next_u64 call each, in that order, so a beacon's
+stream is the per-draw generator's. Everything after the draws is
+column-wise over a beacon's events, with the bits the per-draw methods
+give: jitter, loss and the uniforms in exact uint64 arithmetic, the
+timestamps as a running maximum, and one path loss level per device path
+entry. Box-Muller's log and cos stay libm's (Python's math), since
+numpy's transcendentals need not round as libm does.
+
 Received power is log-distance path loss plus zero-mean Gaussian
 shadowing, clamped to the representable RSSI range. Advertising channels
 rotate 37, 38, 39 per event, matching how a beacon hops between the three
@@ -31,11 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidScenario
-from .model import (SampleColumns, Trace, VALID_CHANNELS, as_int, clamp_rssi, json_objects,
-                    read_json, real)
+from .model import (TIMESTAMP_LIMIT_MS, SampleColumns, Trace, VALID_CHANNELS, as_int,
+                    clamp_rssi, json_objects, read_json, real)
 from .position import Anchor, anchors_from_json
 from .ranging import PathLossModel, distance_to_rssi
-from .rng import SplitMix64, derive_seed
+from .rng import _DOUBLE_UNIT, SplitMix64, derive_seed
 
 GENERATOR_ID = "splitmix64-boxmuller-v1"
 
@@ -139,6 +147,16 @@ class Scenario:
         return self.device_path[bisect_right(starts, t_ms) - 1][1]
 
 
+def _uniform(draws: np.ndarray) -> np.ndarray:
+    """SplitMix64.random() of each draw: its top 53 bits times 2**-53, both steps exact."""
+    return (draws >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn (a math function) of each value: the platform libm's bits, which numpy's need not be."""
+    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
+
+
 def simulate(scenario: Scenario, config: SimConfig) -> Trace:
     """Generate the advertisement trace for a scenario.
 
@@ -146,53 +164,73 @@ def simulate(scenario: Scenario, config: SimConfig) -> Trace:
     k * advertising_interval_ms, shifted by uniform jitter and clamped so
     per-beacon timestamps never run backwards. Events whose nominal time
     reaches duration_ms are not generated. Lost packets leave no sample
-    but still consume their draws. More than MAX_SIM_EVENTS events in all
-    raises InvalidScenario before anything is generated.
+    but still consume their draws. More than MAX_SIM_EVENTS events in all,
+    or a duration_ms + interval_jitter_ms past 2**63 ms, the timestamp
+    limit of a trace, raises InvalidScenario before anything is generated.
     """
     interval = config.advertising_interval_ms
+    jitter = config.interval_jitter_ms
     per_beacon = -(-config.duration_ms // interval)
     if len(scenario.beacons) * per_beacon > MAX_SIM_EVENTS:
         raise InvalidScenario(
             f"{len(scenario.beacons)} beacons x {per_beacon} events exceeds the cap of "
             f"{MAX_SIM_EVENTS} simulated advertisements; shorten duration_ms"
         )
-    starts = [s for s, _ in scenario.device_path]
-    positions = [p for _, p in scenario.device_path]
-    jitter = config.interval_jitter_ms
+    if config.duration_ms + jitter > TIMESTAMP_LIMIT_MS:
+        raise InvalidScenario(
+            f"duration_ms + interval_jitter_ms = {config.duration_ms + jitter} exceeds 2**63 ms, "
+            f"past the timestamps a trace can hold; shorten duration_ms"
+        )
+    # every timestamp is below 2**63, so a later path entry is never reached
+    path = [(s, p) for s, p in scenario.device_path if s < TIMESTAMP_LIMIT_MS]
+    starts = np.array([s for s, _ in path], dtype=np.int64)
     sigma = config.shadow_sigma_db
     model = config.path_loss
-    n_chan = len(config.channels)
+    # k * interval < duration_ms for every event k, so by the bound above
+    # k * interval +- jitter stays inside int64; a lone event (k = 0) needs
+    # no interval, which then may be too large for int64
+    nominal = np.arange(per_beacon, dtype=np.int64) * (interval if per_beacon > 1 else 0)
+    channels = np.resize(np.array(config.channels, dtype=np.int64), per_beacon)
+    span = np.uint64(2 * jitter + 1)
+    n_draws = 4 * per_beacon
     # each beacon's samples in turn, in beacon order; Trace's stable sort merges them
-    ts: list[int] = []
-    rssi: list[float] = []
-    chans: list[int] = []
-    counts: list[int] = []
+    ts: list[np.ndarray] = []
+    rssi: list[np.ndarray] = []
+    chans: list[np.ndarray] = []
     for b_index, beacon in enumerate(scenario.beacons):
-        rng = SplitMix64(derive_seed(config.seed, b_index))
+        draw = SplitMix64(derive_seed(config.seed, b_index)).next_u64
+        u = np.fromiter((draw() for _ in range(n_draws)), np.uint64, n_draws).reshape(-1, 4)
+        # 1. jitter, as randint(-jitter, jitter); the running maximum keeps t >= 0 and in order
+        t = nominal + ((u[:, 0] % span).astype(np.int64) - jitter)
+        t = np.maximum.accumulate(np.maximum(t, 0))
+        # 2. the loss gate: lost when random() < packet_loss_prob
+        kept = _uniform(u[:, 1]) >= config.packet_loss_prob
+        t = t[kept]
+        # 3. the shadowing deviate, as normal(): its log(0) guard, then Box-Muller
+        u1 = np.maximum(_uniform(u[kept, 2]), _DOUBLE_UNIT)
+        u2 = _uniform(u[kept, 3])
+        g = 0.0 + np.sqrt(-2.0 * _libm(math.log, u1)) * _libm(math.cos, (2.0 * math.pi) * u2)
+        entry = np.searchsorted(starts, t, side="right") - 1
+        level = np.zeros(len(path))
         bx, by = beacon.position
-        first = len(ts)
-        last_t = 0
-        for k in range(per_beacon):
-            t = k * interval + rng.randint(-jitter, jitter)
-            t = max(t, last_t, 0)
-            lost = rng.random() < config.packet_loss_prob
-            g = rng.normal()
-            if not lost:
-                px, py = positions[bisect_right(starts, t) - 1]
-                d = max(math.hypot(px - bx, py - by), MIN_SIM_DISTANCE_M)
-                ts.append(t)
-                rssi.append(distance_to_rssi(d, model) + sigma * g)
-                chans.append(config.channels[k % n_chan])
-            last_t = t
-        counts.append(len(ts) - first)
+        # the entries kept samples reach, once each: another may be too far for distance_to_rssi
+        for j in dict.fromkeys(entry.tolist()):
+            px, py = path[j][1]
+            d = max(math.hypot(px - bx, py - by), MIN_SIM_DISTANCE_M)
+            level[j] = distance_to_rssi(d, model)
+        ts.append(t)
+        with np.errstate(over="ignore"):  # as float arithmetic: a huge sigma gives inf
+            rssi.append(level[entry] + sigma * g)
+        chans.append(channels[kept])
+    counts = [len(t) for t in ts]
     tx_power = [math.nan if b.tx_power_dbm is None else b.tx_power_dbm for b in scenario.beacons]
     samples = SampleColumns(
-        timestamp_ms=np.array(ts, dtype=np.int64),
+        timestamp_ms=np.concatenate(ts),
         beacon=np.repeat(np.arange(len(counts)), counts),
         beacon_ids=[b.beacon_id for b in scenario.beacons],
-        rssi_dbm=clamp_rssi(np.array(rssi, dtype=np.float64)),
+        rssi_dbm=clamp_rssi(np.concatenate(rssi)),
         tx_power_dbm=np.repeat(np.array(tx_power, dtype=np.float64), counts),
-        channel=np.array(chans, dtype=np.int64),
+        channel=np.concatenate(chans),
     )
     metadata = {
         "generator": GENERATOR_ID,

@@ -531,6 +531,17 @@ def test_simulate_refuses_oversized_request_before_allocating(scenario_path, tmp
     assert not out.exists()
 
 
+def test_simulate_schedule_past_int64_exits_2(scenario_path, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = main(["--set", "duration_ms=9223372036854775813",
+                 "--set", "advertising_interval_ms=4611686018427387904",
+                 "--set", "interval_jitter_ms=0", "simulate", scenario_path, str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidScenario") and "2**63" in err
+    assert not out.exists()
+
+
 def test_simulate_cap_is_on_all_events():
     scenario = sim.Scenario(beacons=tuple(position.Anchor(f"b{i}", (float(i), 0.0))
                                           for i in range(4)),
