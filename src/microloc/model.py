@@ -27,16 +27,22 @@ CSV (one sample per line, LF endings)::
     tx_power_dbm field means "unknown". Trace metadata, when present, is
     stored next to the file in ``<path>.meta.json``.
 
-    The loader reads the file once as text, splits it at its commas and
-    newlines where ``_splits`` says that gives the csv module's fields, and
-    has the csv module read any other text. Either way its fields then take
-    one route: whole columns first, rows only to name a bad line.
+    The loader reads the file a block of lines at a time, splitting each
+    at its commas and newlines, where ``_fields_split`` says that gives the
+    csv module's fields. Any other text is read whole, by that split or by
+    the csv module. Either way its fields then take one route: whole
+    columns first, rows only to name a bad line.
 
 JSON::
 
     {"metadata": {...}, "samples": [{"timestamp_ms": 0, ...}, ...]}
 
-    JSON preserves float values exactly and keeps metadata inline.
+    JSON preserves float values exactly and keeps metadata inline. A file
+    in the writer's exact layout is read by position, a block of samples
+    at a time; json.load reads any other.
+
+Reading and writing go _BLOCK_ROWS rows at a time, so that a load or save
+holds the trace's columns and one block, never the file's text.
 
 Loading enforces that timestamps are non-decreasing per beacon in file
 order; the in-memory Trace is always globally sorted by timestamp with a
@@ -47,11 +53,13 @@ int64 limit.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
 import operator
 import os
+import re
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -212,11 +220,18 @@ class SampleColumns(Sequence):
         return order, [grouped[start:end] for start, end in zip([0] + ends, ends)]
 
 
+def _index_into(position: dict[str, int], beacon_id: Sequence[str]) -> np.ndarray:
+    """Each row's index into position's ids, adding new ids in order of first appearance."""
+    for b in dict.fromkeys(beacon_id):
+        position.setdefault(b, len(position))
+    return np.fromiter(map(position.__getitem__, beacon_id), np.intp, len(beacon_id))
+
+
 def _index(beacon_id: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct ids in order of first appearance, and each row's index into them."""
-    ids = tuple(dict.fromkeys(beacon_id))
-    position = {b: i for i, b in enumerate(ids)}
-    return ids, np.fromiter(map(position.__getitem__, beacon_id), np.intp, len(beacon_id))
+    position: dict[str, int] = {}
+    beacon = _index_into(position, beacon_id)
+    return tuple(position), beacon
 
 
 def _columns(timestamp_ms: Sequence[int], beacon_id: Sequence[str], rssi_dbm: Sequence[float],
@@ -451,13 +466,34 @@ def json_objects(items: list, label: str, build, error: type[Exception] = ValueE
     return out
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a sibling temp file and rename."""
+def _new_file(directory: str, suffix: str) -> tuple[int, str]:
+    """A new file in directory, created exclusively as tempfile.mkstemp does, and its path.
+
+    Unlike mkstemp's 0600, its mode is what open() gives a new file: 0o666
+    less the umask.
+    """
+    flags = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+             | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0))
+    for _ in range(tempfile.TMP_MAX):
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}{suffix}")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no unused temporary name found", directory)
+
+
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, one str or an iterable of str chunks, to path via a sibling temp file and rename.
+
+    The file gets the mode open(path, "w") would give a new file. A write
+    that fails removes the temp file and leaves path as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    fd, tmp = _new_file(directory, os.path.basename(path))
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -538,17 +574,18 @@ def _parse_repeated(texts: Sequence[str], parse) -> list:
 
 
 def _csv_columns(ts: Sequence[str], ids: Sequence[str], rssi: Sequence[str],
-                 tx: Sequence[str], ch: Sequence[str]) -> list[Sequence] | None:
+                 tx: Sequence[str], ch: Sequence[str], parse_tx=_tx_field) -> list[Sequence] | None:
     """A CSV file's field texts parsed column by column, or None if one does not parse.
 
     Timestamps (int64, so that one int64 cannot hold does not parse) and
-    RSSI come as numpy arrays, the rest as lists.
+    RSSI come as numpy arrays, the rest as lists. parse_tx reads a tx
+    power text (a JSON trace's differ: null means unknown).
     """
     n = len(ts)
     try:
         return [np.fromiter(map(int, ts), np.int64, n), ids,
                 np.fromiter(map(float, rssi), np.float64, n),
-                _parse_repeated(tx, _tx_field), _parse_repeated(ch, int)]
+                _parse_repeated(tx, parse_tx), _parse_repeated(ch, int)]
     except (ValueError, OverflowError):
         return None
 
@@ -570,40 +607,136 @@ def _read_sidecar(path: str) -> dict[str, str]:
     return {str(k): str(v) for k, v in raw.items()}
 
 
+# Trace files are read and written this many rows (CSV lines, JSON
+# samples) at a time, so that a load or save holds the trace's columns and
+# one block, never the file's text or a Python object per row of it.
+_BLOCK_ROWS = 1024
+_READ_BYTES = 1 << 18  # what a file is read in while finding where its blocks end
+
+
+def _line_blocks(fh, lines: int, end: int) -> tuple[list[int], int]:
+    """Where to cut binary fh, from where it is to offset end, into blocks of `lines` lines.
+
+    Returns the offset each block ends at (just after its last newline,
+    or end) and how many lines there are, a last line without a newline
+    included. fh is put back where it was.
+    """
+    start = pos = fh.tell()
+    stops: list[int] = []
+    newlines, last = 0, b"\n"
+    while pos < end:
+        chunk = fh.read(min(_READ_BYTES, end - pos))
+        if not chunk:
+            break
+        at = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+        stops += (pos + 1 + at[lines - 1 - newlines % lines::lines]).tolist()
+        newlines += len(at)
+        pos += len(chunk)
+        last = chunk[-1:]
+    fh.seek(start)
+    if pos > (stops[-1] if stops else start):
+        stops.append(pos)
+    return stops, newlines + (last != b"\n")
+
+
+_CHANNELS = frozenset(VALID_CHANNELS)
+
+
+class _ColumnFill:
+    """A trace file's columns, allocated for its n rows and filled a block at a time.
+
+    The arrays are made here alone, in the dtypes a Trace keeps, and beacon
+    numbers ids in order of first appearance, so the Trace takes them
+    without a copy.
+    """
+
+    def __init__(self, n: int):
+        self.arrays = [np.empty(n, dtype) for dtype in
+                       (np.int64, np.intp, np.float64, np.float64, np.uint8)]
+        self.position: dict[str, int] = {}  # beacon id -> its index
+        self.filled = 0
+
+    def add(self, fields: list[Sequence] | None) -> bool:
+        """Store the next rows' values (as _csv_columns gives them).
+
+        False if fields is None or overruns n, or holds a channel or a NaN
+        tx power the Trace would reject (the uint8 and NaN columns could
+        not show it).
+        """
+        if fields is None:
+            return False
+        ts, beacon_id, rssi, tx, channel = fields
+        start, stop = self.filled, self.filled + len(ts)
+        tx_power = np.array(tx, dtype=np.float64)  # None becomes NaN
+        if (stop > len(self.arrays[0]) or not _CHANNELS.issuperset(channel)
+                or np.count_nonzero(np.isnan(tx_power)) != tx.count(None)):
+            return False
+        beacon = _index_into(self.position, beacon_id)
+        for a, values in zip(self.arrays, (ts, beacon, rssi, tx_power, channel)):
+            a[start:stop] = values
+        self.filled = stop
+        return True
+
+    def trace(self, metadata: dict[str, str]) -> Trace | None:
+        """The Trace of the columns, or None.
+
+        None if a row is missing, the Trace rejects one, or a timestamp runs
+        backwards for its beacon.
+        """
+        if self.filled != len(self.arrays[0]):
+            return None
+        for a in self.arrays:
+            a.flags.writeable = False  # no one else holds them: the Trace keeps them uncopied
+        ts, beacon, rssi, tx, channel = self.arrays
+        cols = SampleColumns(ts, beacon, tuple(self.position), rssi, tx, channel)
+        try:
+            trace = Trace(cols, metadata)
+        except ValueError:
+            return None
+        return trace if _first_backwards(cols) is None else None
+
+
 _CSV_HEADER_LINE = ",".join(CSV_HEADER)
 
 
 _NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
-def _splits(text: str) -> bool:
-    """Whether one split of text at its newlines and commas gives csv.reader's fields.
+def _fields_split(raw: bytes) -> bool:
+    """Whether splitting raw's lines at their commas gives csv.reader's fields, five to a line.
 
-    It does when the text holds no '"', CR or NUL, line 1 is exactly the
-    header, every other line has exactly four commas (so none is blank),
-    and every line, the header too, is shorter than csv.field_size_limit();
-    csv.reader raises no error on such a text either.
+    It does when raw holds no '"', CR or NUL, every line has exactly four
+    commas (so none is blank), and every line is shorter than
+    csv.field_size_limit(); csv.reader raises no error on such lines
+    either. Cut at line ends, a text splits when each of its pieces does.
     """
-    line1 = text[:len(_CSV_HEADER_LINE) + 1]
-    if ('"' in text or "\r" in text or "\0" in text
-            or line1 not in (_CSV_HEADER_LINE, _CSV_HEADER_LINE + "\n")):
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
         return False
     # Only commas and newlines, one ",,,,\n" per line: UTF-8 encodes no
     # other character with those bytes, and a line has no fewer bytes than
     # characters.
-    raw = text.encode()
     shape = raw.translate(None, _NOT_COMMA_OR_NEWLINE) + (b"" if raw.endswith(b"\n") else b"\n")
     newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
     return (shape == b",,,,\n" * (len(shape) // 5)
             and np.diff(newlines, prepend=-1, append=len(raw)).max() <= csv.field_size_limit())
 
 
+def _splits(text: str) -> bool:
+    """Whether one split of text at its newlines and commas gives csv.reader's fields.
+
+    It does when line 1 is exactly the header and every line splits
+    (_fields_split).
+    """
+    line1 = text[:len(_CSV_HEADER_LINE) + 1]
+    return line1 in (_CSV_HEADER_LINE, _CSV_HEADER_LINE + "\n") and _fields_split(text.encode())
+
+
 def _split_columns(text: str) -> list[list[str]]:
-    """The field texts of a text that _splits, column by column, the header left out."""
+    """The field texts of lines that split (_fields_split), column by column."""
     fields = text.replace("\n", ",").split(",")
     if text.endswith("\n"):
         fields.pop()  # the empty field after the newline that ends the last line
-    return [fields[k::5] for k in range(5, 10)]
+    return [fields[k::5] for k in range(5)]
 
 
 def _split_rows(text: str):
@@ -612,15 +745,40 @@ def _split_rows(text: str):
     A generator: the text is split again only if the rows are read, so no
     field text needs to stay alive while the Trace is built.
     """
-    yield from zip(*_split_columns(text))
+    rows = zip(*_split_columns(text))
+    next(rows)  # the header
+    yield from rows
 
 
-def _load_csv(path: str) -> Trace:
+def _streamed_csv(path: str) -> Trace | None:
+    """A CSV trace read _BLOCK_ROWS lines at a time, or None to have _whole_csv read it.
+
+    None unless the header and every block split (_fields_split) and
+    parse, and their columns make a Trace in which no timestamp runs
+    backwards: the file then gives what _whole_csv gives, which reads such
+    a text the same way. Only the sidecar's error is raised here, the
+    first error a text that splits can have.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header.rstrip(b"\n") != _CSV_HEADER_LINE.encode() or not _fields_split(header):
+            return None
+        stops, n = _line_blocks(fh, _BLOCK_ROWS, os.fstat(fh.fileno()).st_size)
+        fill = _ColumnFill(n)
+        for stop in stops:
+            raw = fh.read(stop - fh.tell())
+            if not _fields_split(raw) or not fill.add(_csv_columns(*_split_columns(raw.decode()))):
+                return None
+    return fill.trace(_read_sidecar(path))
+
+
+def _whole_csv(path: str) -> Trace:
+    """A CSV trace read whole: the Trace, or the TraceFormatError naming its first bad line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     if _splits(text):
         rows = _split_rows(text)
-        columns = _csv_columns(*_split_columns(text))
+        columns = _csv_columns(*(column[1:] for column in _split_columns(text)))
         label = lambda i: f"line {i + 2}"
     else:
         reader = csv.reader(io.StringIO(text, newline=""))
@@ -675,7 +833,103 @@ def _json_row(item) -> tuple:
     return ts, beacon_id, float(rssi), None if tx is None else float(tx), ch
 
 
-def _load_json(path: str) -> Trace:
+# One row of each file, by whether its tx power is known. "%.4f" formats as
+# "{:.4f}" does, "%r" of a float is float.__repr__ (as in json.dumps), and
+# "%.0s" drops the NaN of an unknown tx power.
+_CSV_ROWS = ("%d,%s,%.4f,%.4f,%d\n", "%d,%s,%.4f,%.0s,%d\n")
+_JSON_ROWS = tuple('    {\n      "timestamp_ms": %d,\n      "beacon_id": %s,\n'
+                   '      "rssi_dbm": %r,\n      "tx_power_dbm": ' + tx + ',\n'
+                   '      "channel": %d\n    }' for tx in ("%r", "null%.0s"))
+_JSON_END = "  ]\n}\n"  # the lines after the last sample's
+
+
+def _json_head(metadata: Mapping[str, str]) -> str:
+    """A JSON trace's text before its first sample, ending '  "samples": [' and a newline."""
+    text = json.dumps({"metadata": dict(sorted(metadata.items())), "samples": []}, indent=2)
+    return text[:-len("]\n}")] + "\n"
+
+
+# The writer's layout, read by position. Its tokens follow JSON's grammar,
+# ASCII digits only and no NaN or Infinity; a number field's token has a
+# fraction or an exponent, as json reads only those with float(). The
+# values, each on its own line of the seven, sit between the pieces.
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_JSON_FLOAT = _JSON_INT + r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+_JSON_PIECES = re.split("%[dsr]", _JSON_ROWS[0])
+_JSON_SAMPLE = re.escape(_JSON_PIECES[0]) + "".join(
+    f"(?:{token}){re.escape(piece)}" for token, piece in zip(
+        (_JSON_INT, _JSON_STRING, _JSON_FLOAT, _JSON_FLOAT + "|null", _JSON_INT), _JSON_PIECES[1:]))
+# patterns, compiled by re's cache on first use: most commands read no JSON trace
+_JSON_BLOCK = f"(?:{_JSON_SAMPLE},\n)*"
+_JSON_LAST_BLOCK = f"(?:{_JSON_SAMPLE},\n)*{_JSON_SAMPLE}\n"
+_JSON_VALUES = tuple(  # each value's text out of its line: after the key, before any comma
+    operator.itemgetter(slice(len(before.rpartition("\n")[2]), -len(after.partition("\n")[0]) or None))
+    for before, after in zip(_JSON_PIECES, _JSON_PIECES[1:]))
+
+
+def _json_tx(token: str) -> float | None:
+    return None if token == "null" else float(token)
+
+
+def _json_head_metadata(fh) -> dict[str, str] | None:
+    """The metadata of a head save_trace could have written, read from binary fh up to the first sample.
+
+    None unless the head is _json_head of the metadata it holds, byte for
+    byte (a value that is not a string is left to the Trace to reject).
+    """
+    lines = [fh.readline()]
+    while lines[-1] != b'  "samples": [\n':
+        if not lines[-1].startswith((b"{\n", b'  "metadata": {', b'    "', b"  },\n")):
+            return None
+        lines.append(fh.readline())
+    head = b"".join(lines).decode()
+    try:
+        doc = json.loads(head + "]\n}")
+    except (ValueError, RecursionError):
+        return None
+    metadata = doc.get("metadata") if isinstance(doc, dict) else None
+    return metadata if isinstance(metadata, dict) and _json_head(metadata) == head else None
+
+
+def _streamed_json(path: str) -> Trace | None:
+    """A JSON trace in save_trace's layout, read _BLOCK_ROWS samples at a time by position.
+
+    None, to have _whole_json read the file, unless the head passes
+    _json_head_metadata, every sample is the writer's seven lines with
+    tokens that _JSON_SAMPLE takes, the file ends as the writer ends it,
+    and the columns make a Trace in which no timestamp runs backwards.
+    Timestamps and channels go through int() and numbers through float(),
+    as json's scanner reads those tokens, and each distinct beacon id
+    token is decoded once by json.loads, so the Trace is _whole_json's.
+    """
+    with open(path, "rb") as fh:
+        metadata = _json_head_metadata(fh)
+        if metadata is None:
+            return None
+        end = os.fstat(fh.fileno()).st_size - len(_JSON_END)
+        stops, n_lines = _line_blocks(fh, 7 * _BLOCK_ROWS, end)
+        fill = _ColumnFill(n_lines // 7)
+        beacon_ids: dict[str, str] = {}  # token -> id
+        for stop in stops:
+            text = fh.read(stop - fh.tell()).decode()
+            if not re.fullmatch(_JSON_LAST_BLOCK if stop == end else _JSON_BLOCK, text):
+                return None
+            lines = text.split("\n")
+            ts, ids, rssi, tx, ch = (list(map(value, lines[k + 1::7]))
+                                     for k, value in enumerate(_JSON_VALUES))
+            for token in set(ids).difference(beacon_ids):
+                beacon_ids[token] = json.loads(token)
+            if not fill.add(_csv_columns(ts, list(map(beacon_ids.__getitem__, ids)), rssi, tx, ch,
+                                         _json_tx)):
+                return None
+        if fh.read(len(_JSON_END) + 1) != _JSON_END.encode():
+            return None
+    return fill.trace(metadata)
+
+
+def _whole_json(path: str) -> Trace:
+    """A JSON trace read whole by json.load: the Trace, or the TraceFormatError naming its first bad sample."""
     raw = read_json(path, TraceFormatError)
     if not isinstance(raw, dict) or "samples" not in raw:
         raise TraceFormatError("top level must be an object with a 'samples' array")
@@ -699,12 +953,23 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     format is "csv" or "json"; anything else raises ValueError. Structural
     problems in the file raise TraceFormatError with a location in the
     message.
+
+    A file is read _BLOCK_ROWS rows at a time into columns allocated for
+    its row count, so the load holds the Trace's columns and one block: a
+    CSV file whose lines split at their commas, or a JSON file in
+    save_trace's exact layout. Any other file, and any file with a value a
+    Trace rejects or a timestamp running backwards, is read again whole
+    (csv module or json.load), which gives the same Trace for any file
+    both read, and names the first bad line or sample.
     """
-    if format == "csv":
-        return _load_csv(path)
-    if format == "json":
-        return _load_json(path)
-    raise ValueError(f"unknown trace format {format!r}")
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown trace format {format!r}")
+    streamed, whole = (_streamed_csv, _whole_csv) if format == "csv" else (_streamed_json, _whole_json)
+    try:
+        trace = streamed(path)
+    except UnicodeDecodeError:
+        trace = None  # the whole read raises it, naming the offset in the file
+    return whole(path) if trace is None else trace
 
 
 def _csv_field(text: str) -> str:
@@ -714,15 +979,6 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
-# One row of each file, by whether its tx power is known. "%.4f" formats as
-# "{:.4f}" does, "%r" of a float is float.__repr__ (as in json.dumps), and
-# "%.0s" drops the NaN of an unknown tx power.
-_CSV_ROWS = ("%d,%s,%.4f,%.4f,%d\n", "%d,%s,%.4f,%.0s,%d\n")
-_JSON_ROWS = tuple('    {\n      "timestamp_ms": %d,\n      "beacon_id": %s,\n'
-                   '      "rssi_dbm": %r,\n      "tx_power_dbm": ' + tx + ',\n'
-                   '      "channel": %d\n    }' for tx in ("%r", "null%.0s"))
-
-
 def _rows(cols: SampleColumns, templates: tuple[str, str], beacon_ids: list[str]):
     """Each row formatted by one % template: templates[0] if its tx power is known, else [1]."""
     return map(str.__mod__, _take(templates, np.isnan(cols.tx_power_dbm)),
@@ -730,19 +986,31 @@ def _rows(cols: SampleColumns, templates: tuple[str, str], beacon_ids: list[str]
                    cols.rssi_dbm.tolist(), cols.tx_power_dbm.tolist(), cols.channel.tolist()))
 
 
-def _csv_text(cols: SampleColumns) -> str:
-    return _CSV_HEADER_LINE + "\n" + "".join(
-        _rows(cols, _CSV_ROWS, [_csv_field(b) for b in cols.beacon_ids]))
+def _row_blocks(cols: SampleColumns, templates: tuple[str, str], beacon_ids: list[str]):
+    """_rows of each block of _BLOCK_ROWS rows in turn."""
+    for start in range(0, len(cols), _BLOCK_ROWS):
+        yield _rows(cols.select(slice(start, start + _BLOCK_ROWS)), templates, beacon_ids)
 
 
-def _json_text(trace: Trace) -> str:
+def _csv_chunks(cols: SampleColumns):
+    yield _CSV_HEADER_LINE + "\n"
+    for rows in _row_blocks(cols, _CSV_ROWS, [_csv_field(b) for b in cols.beacon_ids]):
+        yield "".join(rows)
+
+
+def _json_chunks(trace: Trace):
     """The same text as json.dumps({"metadata": ..., "samples": [...]}, indent=2) + "\\n"."""
     cols = trace.samples
-    head = json.dumps({"metadata": dict(sorted(trace.metadata.items())), "samples": []}, indent=2)
+    head = _json_head(trace.metadata)
     if len(cols) == 0:
-        return head + "\n"
-    rows = _rows(cols, _JSON_ROWS, [json.dumps(b) for b in cols.beacon_ids])
-    return head[:-len("]\n}")] + "\n" + ",\n".join(rows) + "\n  ]\n}\n"
+        yield head[:-1] + "]\n}\n"
+        return
+    yield head
+    separator = ""
+    for rows in _row_blocks(cols, _JSON_ROWS, [json.dumps(b) for b in cols.beacon_ids]):
+        yield separator + ",\n".join(rows)
+        separator = ",\n"
+    yield "\n" + _JSON_END
 
 
 def save_trace(trace: Trace, path: str, format: str = "csv") -> None:
@@ -752,9 +1020,13 @@ def save_trace(trace: Trace, path: str, format: str = "csv") -> None:
     keeps full float precision. For CSV, non-empty metadata goes to a
     ``<path>.meta.json`` sidecar, and a trace without metadata removes any
     sidecar an earlier save left there.
+
+    Rows are formatted and written _BLOCK_ROWS at a time, so a save holds
+    one block of text beyond the trace. The files get the mode open()
+    gives a new file (0o666 less the umask).
     """
     if format == "csv":
-        atomic_write_text(path, _csv_text(trace.samples))
+        atomic_write_text(path, _csv_chunks(trace.samples))
         sidecar = path + ".meta.json"
         if trace.metadata:
             atomic_write_text(sidecar, json.dumps(trace.metadata, indent=2, sort_keys=True) + "\n")
@@ -764,7 +1036,7 @@ def save_trace(trace: Trace, path: str, format: str = "csv") -> None:
             except FileNotFoundError:
                 pass
     elif format == "json":
-        atomic_write_text(path, _json_text(trace))
+        atomic_write_text(path, _json_chunks(trace))
     else:
         raise ValueError(f"unknown trace format {format!r}")
 

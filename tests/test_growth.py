@@ -7,7 +7,11 @@ those at n: linear growth keeps the ratio flat, and anything quadratic
 (an entries x ids matrix, say) doubles it at each step. Each locate method
 is held to the same bound in peak bytes per receiver over one call with n,
 2n and 4n receivers (a starts x receivers stack, say, would double it).
-Only memory is counted, never wall time.
+Trace files are read and written in blocks of rows: a save's peak, and a
+load's peak beyond the columns it returns, may grow at most 1.25 times
+from a file of 4 blocks to one of 16 (holding the file's text, or an
+object per row of it, would quadruple them). Only memory is counted,
+never wall time.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from microloc import position
-from microloc.model import RssiSample, Trace, load_trace, save_trace
+from microloc import model, position
+from microloc.model import RssiSample, SampleColumns, Trace, load_trace, save_trace
 from microloc.position import (Anchor, Fingerprint, FingerprintDb, fingerprint_locate, load_anchors,
                                load_fingerprint_db, proximity_region, save_fingerprint_db,
                                tdoa_locate, trilaterate)
@@ -118,3 +123,30 @@ def test_locate_peak_memory_per_receiver_stays_flat(method):
     locate(*rings[0])  # once untraced, so first-call caches count at no size
     base, *larger = (_peak(lambda: locate(rs, ds)) / len(rs) for rs, ds in rings)
     assert max(larger) <= MAX_GROWTH * base, (method, base, larger)
+
+
+def _trace_rows(n: int) -> Trace:
+    """n rows of 20 interleaved beacons, as _write_trace writes, built from columns."""
+    i = np.arange(n)
+    return Trace(SampleColumns(100 * i, i % 20, [f"b{k}" for k in range(20)], -60.0 - i % 40 / 4,
+                               np.where(i % 2 == 1, -59.0, np.nan), np.array([37, 38, 39])[i % 3]))
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_trace_file_peak_memory_stays_flat_in_blocks(format, tmp_path):
+    sizes = {}
+    for blocks in (4, 16):
+        trace, path = _trace_rows(blocks * model._BLOCK_ROWS), str(tmp_path / f"{blocks}.{format}")
+        save_trace(trace, path, format)  # once untraced, so first-call caches count at no size
+        load_trace(path, format)
+        save = _peak(lambda: save_trace(trace, path, format))
+        loaded = []
+        load = _peak(lambda: loaded.append(load_trace(path, format)))
+        cols = loaded[0].samples
+        assert loaded[0] == trace
+        columns = sum(a.nbytes for a in (cols.timestamp_ms, cols.beacon, cols.rssi_dbm,
+                                         cols.tx_power_dbm, cols.channel))
+        sizes[blocks] = (save, load - columns)
+    (save4, load4), (save16, load16) = sizes[4], sizes[16]
+    assert save16 <= MAX_GROWTH * save4, (format, "save", sizes)
+    assert load16 <= MAX_GROWTH * load4, (format, "load", sizes)

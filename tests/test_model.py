@@ -579,3 +579,37 @@ def test_atomic_write_onto_a_directory_leaves_no_temp_file(tmp_path):
     with pytest.raises(OSError):
         atomic_write_text(str(tmp_path / "target"), "text")
     assert os.listdir(tmp_path) == ["target"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_mode_open_gives(tmp_path, umask, mode):
+    from microloc.model import atomic_write_text
+
+    old = os.umask(umask)
+    try:
+        save_trace(make_trace(1, n=3), str(tmp_path / "t.csv"), "csv")  # with a sidecar
+        save_trace(make_trace(1, n=3), str(tmp_path / "t.json"), "json")
+        (tmp_path / "old.json").write_text("{}")
+        os.chmod(tmp_path / "old.json", 0o600)
+        atomic_write_text(str(tmp_path / "old.json"), "[]\n")  # replaced, as a new file
+    finally:
+        os.umask(old)
+    names = ["t.csv", "t.csv.meta.json", "t.json", "old.json"]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    assert {n: oct(os.stat(tmp_path / n).st_mode & 0o777) for n in names} == dict.fromkeys(names, oct(mode))
+
+
+def test_atomic_write_of_chunks_that_fail_leaves_the_file_as_it_was(tmp_path):
+    from microloc.model import atomic_write_text
+
+    def chunks():
+        yield "new "
+        raise RuntimeError("no more text")
+
+    (tmp_path / "target").write_text("old")
+    with pytest.raises(RuntimeError, match="no more text"):
+        atomic_write_text(str(tmp_path / "target"), chunks())
+    assert os.listdir(tmp_path) == ["target"]
+    assert (tmp_path / "target").read_text() == "old"
+    atomic_write_text(str(tmp_path / "target"), iter(["a", "", "b\n"]))
+    assert (tmp_path / "target").read_text() == "ab\n"

@@ -577,3 +577,186 @@ def test_missing_json_field_matches_reference_loader(field):
     doc = json.loads(_text(_TWO_SAMPLES, "json"))
     del doc["samples"][1][field]
     _same_as_reference_json(_json_dumps(doc))
+
+
+# Trace files are read and written model._BLOCK_ROWS rows at a time. At 1,
+# 2 and 3 rows a block boundary falls on every row, and files written by
+# save_trace are read block by block, not by the whole-file loaders.
+BLOCK_ROWS = [1, 2, 3]
+_FIXTURE_SETTINGS = settings(max_examples=100, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+def _streamed(path: str, fmt: str) -> bool:
+    """Whether the block reader, not the whole-file loader, gives the file's Trace."""
+    return (model._streamed_csv if fmt == "csv" else model._streamed_json)(path) is not None
+
+
+def _written_and_read_as_reference(trace: Trace) -> None:
+    """save_trace writes the reference bytes, and each load gives the reference loader's outcome.
+
+    A CSV text that splits, and every JSON text but an empty trace's, is
+    read block by block.
+    """
+    references = {"csv": (_reference_csv_text, _reference_load_csv),
+                  "json": (_reference_json_text, _reference_load_json)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, (reference_text, reference_load) in references.items():
+            path = os.path.join(tmp, f"t.{fmt}")
+            save_trace(trace, path, fmt)
+            with open(path, encoding="utf-8", newline="") as fh:
+                text = fh.read()
+            assert text == reference_text(trace)
+            load = lambda p: load_trace(p, fmt)  # noqa: E731
+            assert _outcome_bits(load, path) == _outcome_bits(reference_load, path)
+            assert _streamed(path, fmt) == (model._splits(text) if fmt == "csv" else len(trace) > 0)
+    assert _roundtrip(trace, "json") == trace
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@_FIXTURE_SETTINGS
+@given(trace=traces)
+def test_small_blocks_write_and_read_as_reference(monkeypatch, rows, trace):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
+    _written_and_read_as_reference(trace)
+
+
+def _trace_of(n: int, metadata: dict | None = None) -> Trace:
+    return Trace([RssiSample(3 * i, f"b{i % 2}", -50.0 - i / 8, None if i % 3 else -59.0,
+                             (37, 38, 39)[i % 3]) for i in range(n)], metadata)
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS + [model._BLOCK_ROWS])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_block_edges_write_and_read_as_reference(monkeypatch, rows, n):
+    # empty, one row, a boundary just before the last row (n = k * rows + 1)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
+    _written_and_read_as_reference(_trace_of(n))
+    _written_and_read_as_reference(_trace_of(n, {"seed": "1", "é": 'q"\n'}))
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_csv_without_final_newline_matches_reference_loader(monkeypatch, rows, n):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
+    text = _text(_trace_of(n), "csv")[:-1]
+    _same_as_reference(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert _streamed(path, "csv")
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@settings(max_examples=150, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(text=csv_texts(), sidecar=_SIDECARS,
+       limit=st.sampled_from([csv.field_size_limit()] * 2 + [8, 20, 30]))
+def test_small_block_csv_matches_reference_loader(monkeypatch, field_size_limit, rows, text,
+                                                  sidecar, limit):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
+    field_size_limit(limit)
+    _same_as_reference(text, sidecar)
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@_FIXTURE_SETTINGS
+@given(text=json_texts())
+def test_small_block_json_matches_reference_loader(monkeypatch, rows, text):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
+    _same_as_reference_json(text)
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@_FIXTURE_SETTINGS
+@given(data=st.data())
+def test_small_block_mutated_file_matches_reference_loader(monkeypatch, rows, fmt, data):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
+    text = data.draw(mutated(fmt))
+    if fmt == "csv":
+        _same_as_reference(text, data.draw(_SIDECARS))
+    else:
+        _same_as_reference_json(text)
+
+
+_THREE_SAMPLES = Trace([RssiSample(0, "a", -50.0, -59.0, 37), RssiSample(5, "b", -60.5, None, 38),
+                        RssiSample(9, "a", -61.25, 4.5, 39)], {"seed": "1", "run": "x"})
+_WRITTEN = _text(_THREE_SAMPLES, "json")
+
+
+def _edit(old: str, new: str, count: int = 1) -> str:
+    assert _WRITTEN.count(old) >= count, old
+    return _WRITTEN.replace(old, new, count)
+
+
+# One edit of the writer's text each, most of which json.load still reads:
+# the block reader must refuse every one it cannot read as json would, so
+# that the whole-file loader gives the Trace or the error.
+_JSON_EDITS = {
+    "reordered-keys": _edit('      "timestamp_ms": 0,\n      "beacon_id": "a",\n',
+                            '      "beacon_id": "a",\n      "timestamp_ms": 0,\n'),
+    "extra-space-after-colon": _edit('"rssi_dbm": -60.5', '"rssi_dbm":  -60.5'),
+    "space-before-comma": _edit('"timestamp_ms": 5,', '"timestamp_ms": 5 ,'),
+    "trailing-space": _edit('"channel": 38\n', '"channel": 38 \n'),
+    "tab-indent": _edit('      "channel": 37', '\t"channel": 37'),
+    "u-escaped-id": _edit('"beacon_id": "b"', '"beacon_id": "\\u0062"'),
+    "u-escaped-other-id": _edit('"beacon_id": "b"', '"beacon_id": "\\u0061"'),
+    "escaped-slash-id": _edit('"beacon_id": "b"', '"beacon_id": "b\\/c"'),
+    "surrogate-id": _edit('"beacon_id": "b"', '"beacon_id": "\\ud800"'),
+    "raw-utf8-id": _edit('"beacon_id": "b"', '"beacon_id": "é"'),
+    "control-char-id": _edit('"beacon_id": "b"', '"beacon_id": "b\\u0001"'),
+    "rssi-1e2": _edit('"rssi_dbm": -60.5', '"rssi_dbm": -1e2'),
+    "rssi-1E+1": _edit('"rssi_dbm": -60.5', '"rssi_dbm": -1E+1'),
+    "timestamp-1e2": _edit('"timestamp_ms": 5,', '"timestamp_ms": 1e2,'),
+    "channel-38.0": _edit('"channel": 38', '"channel": 38.0'),
+    "rssi-minus-0": _edit('"rssi_dbm": -60.5', '"rssi_dbm": -0'),
+    "rssi-minus-0.0": _edit('"rssi_dbm": -60.5', '"rssi_dbm": -0.0'),
+    "rssi-int": _edit('"rssi_dbm": -60.5', '"rssi_dbm": -60'),
+    "tx-minus-0": _edit('"tx_power_dbm": 4.5', '"tx_power_dbm": -0'),
+    "timestamp-minus-0": _edit('"timestamp_ms": 0,', '"timestamp_ms": -0,'),
+    "timestamp-leading-zero": _edit('"timestamp_ms": 5,', '"timestamp_ms": 05,'),
+    "timestamp-2**63": _edit('"timestamp_ms": 9,', f'"timestamp_ms": {2 ** 63},'),
+    "rssi-NaN": _edit('"rssi_dbm": -60.5', '"rssi_dbm": NaN'),
+    "tx-Infinity": _edit('"tx_power_dbm": 4.5', '"tx_power_dbm": Infinity'),
+    "tx-minus-Infinity": _edit('"tx_power_dbm": 4.5', '"tx_power_dbm": -Infinity'),
+    "rssi-1e999": _edit('"rssi_dbm": -60.5', '"rssi_dbm": -1e999'),
+    "tx-null-as-channel": _edit('"channel": 38', '"channel": null'),
+    "duplicate-key": _edit('      "channel": 38\n', '      "channel": 38,\n      "channel": 39\n'),
+    "duplicate-key-in-place": _edit('      "rssi_dbm": -60.5,\n', '      "channel": 37,\n'),
+    "crlf": _WRITTEN.replace("\n", "\r\n"),
+    "bom": "\ufeff" + _WRITTEN,
+    "no-final-newline": _WRITTEN[:-1],
+    "trailing-whitespace": _WRITTEN + " \n",
+    "second-document": _WRITTEN + "{}\n",
+    "tail-closed-early": _WRITTEN[:-len("\n  ]\n}\n")] + "\n  ]}\n\n",
+    "tail-not-closed": _WRITTEN[:-len("}\n")] + "]\n",
+    "head-only": _WRITTEN[:_WRITTEN.index("    {")],
+    "head-then-end": _WRITTEN[:_WRITTEN.index("    {")] + "  ]\n}\n",
+    "channel-out-of-range": _edit('"channel": 38', '"channel": 294'),
+    "timestamp-backwards": _edit('"timestamp_ms": 9,', '"timestamp_ms": 4,'),
+    "metadata-unsorted": _edit('    "run": "x",\n    "seed": "1"\n', '    "seed": "1",\n    "run": "x"\n'),
+    "metadata-number": _edit('"seed": "1"', '"seed": 1'),
+    "metadata-u-escaped": _edit('"seed": "1"', '"seed": "\\u0031"'),
+    "metadata-duplicate": _edit('    "run": "x",\n', '    "run": "x",\n    "run": "y",\n'),
+    "metadata-nested": _edit('"seed": "1"', '"seed": {"a": [1]}'),
+    "samples-then-metadata": _WRITTEN.replace(
+        '  "metadata": {\n    "run": "x",\n    "seed": "1"\n  },\n', "").replace(
+        "\n  ]\n}\n", '\n  ],\n  "metadata": {\n    "run": "x",\n    "seed": "1"\n  }\n}\n'),
+    "second-samples-key": _WRITTEN.replace("\n  ]\n}\n", '\n  ],\n  "samples": []\n}\n'),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, model._BLOCK_ROWS])
+@pytest.mark.parametrize("edit", _JSON_EDITS)
+def test_json_edits_match_reference_loader(monkeypatch, rows, edit):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
+    _same_as_reference_json(_JSON_EDITS[edit])
+
+
+def test_json_edits_start_from_a_streamed_text(tmp_path):
+    path = str(tmp_path / "t.json")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_WRITTEN)
+    assert _streamed(path, "json")
