@@ -27,11 +27,9 @@ CSV (one sample per line, LF endings)::
     tx_power_dbm field means "unknown". Trace metadata, when present, is
     stored next to the file in ``<path>.meta.json``.
 
-    The loader reads the file a block of lines at a time, splitting each
-    at its commas and newlines, where ``_fields_split`` says that gives the
-    csv module's fields. Any other text is read whole, by that split or by
-    the csv module. Either way its fields then take one route: whole
-    columns first, rows only to name a bad line.
+    The loader reads every file, CRLF, quoted ids and blank lines
+    included, with the csv module a block of rows at a time: whole columns
+    first, then rows, read again one at a time, only to name a bad line.
 
 JSON::
 
@@ -64,6 +62,7 @@ import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -525,9 +524,8 @@ def _file_trace(rows: Iterable, parse_row, fields: list[Sequence] | None, label,
     row does not parse. A row fails, in file order, by not parsing or by
     holding a value a Trace rejects; only when every row is sound does a
     timestamp running backwards for its beacon fail. Only after the columns
-    fail are the rows read, once (they may be a generator), each checked
-    with parse_row (for JSON, _json_columns of the one sample) and
-    RssiSample. label(i) names row i in messages.
+    fail is each row checked, with parse_row and RssiSample. label(i)
+    names row i in messages.
     """
     trace = None
     if fields is not None:
@@ -545,13 +543,16 @@ def _file_trace(rows: Iterable, parse_row, fields: list[Sequence] | None, label,
         raise AssertionError("the columns were rejected but every row checks")
     backwards = _first_backwards(cols)
     if backwards is not None:
-        i, prev = backwards
-        timestamp_ms, beacon_id = cols._values(i)[:2]
-        raise TraceFormatError(
-            f"{label(i)}: timestamp {timestamp_ms} for beacon {beacon_id!r} "
-            f"goes backwards (previous {prev})"
-        )
+        raise _backwards_error(cols, backwards, label(backwards[0]))
     return trace
+
+
+def _backwards_error(cols: SampleColumns, backwards: tuple[int, int], where: str) -> TraceFormatError:
+    """The error of the row _first_backwards found, which where names."""
+    i, prev = backwards
+    timestamp_ms, beacon_id = cols._values(i)[:2]
+    return TraceFormatError(f"{where}: timestamp {timestamp_ms} for beacon {beacon_id!r} "
+                            f"goes backwards (previous {prev})")
 
 
 def _tx_field(text: str) -> float | None:
@@ -611,7 +612,7 @@ def _read_sidecar(path: str) -> dict[str, str]:
 # samples) at a time, so that a load or save holds the trace's columns and
 # one block, never the file's text or a Python object per row of it.
 _BLOCK_ROWS = 1024
-_READ_BYTES = 1 << 18  # what a file is read in while finding where its blocks end
+_READ_BYTES = 1 << 18  # what a file is read in while counting its lines
 
 
 def _line_blocks(fh, lines: int, end: int) -> tuple[list[int], int]:
@@ -643,11 +644,10 @@ _CHANNELS = frozenset(VALID_CHANNELS)
 
 
 class _ColumnFill:
-    """A trace file's columns, allocated for its n rows and filled a block at a time.
+    """A trace file's columns, allocated for at most n rows and filled a block at a time.
 
-    The arrays are made here alone, in the dtypes a Trace keeps, and beacon
-    numbers ids in order of first appearance, so the Trace takes them
-    without a copy.
+    The arrays are made here alone, in a Trace's dtypes, and beacon numbers
+    ids in order of first appearance: a Trace takes the rows filled uncopied.
     """
 
     def __init__(self, n: int):
@@ -677,18 +677,16 @@ class _ColumnFill:
         self.filled = stop
         return True
 
-    def trace(self, metadata: dict[str, str]) -> Trace | None:
-        """The Trace of the columns, or None.
+    def columns(self) -> SampleColumns:
+        """The rows filled, read-only: no one else holds them, so a Trace keeps them uncopied."""
+        ts, beacon, rssi, tx, channel = arrays = [a[:self.filled] for a in self.arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        return SampleColumns(ts, beacon, tuple(self.position), rssi, tx, channel)
 
-        None if a row is missing, the Trace rejects one, or a timestamp runs
-        backwards for its beacon.
-        """
-        if self.filled != len(self.arrays[0]):
-            return None
-        for a in self.arrays:
-            a.flags.writeable = False  # no one else holds them: the Trace keeps them uncopied
-        ts, beacon, rssi, tx, channel = self.arrays
-        cols = SampleColumns(ts, beacon, tuple(self.position), rssi, tx, channel)
+    def trace(self, metadata: dict[str, str]) -> Trace | None:
+        """The Trace of the rows filled, or None if it rejects one or a timestamp runs backwards."""
+        cols = self.columns()
         try:
             trace = Trace(cols, metadata)
         except ValueError:
@@ -696,108 +694,73 @@ class _ColumnFill:
         return trace if _first_backwards(cols) is None else None
 
 
-_CSV_HEADER_LINE = ",".join(CSV_HEADER)
+def _csv_row_bound(fh) -> int:
+    """How many line ends binary fh holds (LF, CRLF or a lone CR, as csv.reader ends lines).
 
-
-_NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
-
-
-def _fields_split(raw: bytes) -> bool:
-    """Whether splitting raw's lines at their commas gives csv.reader's fields, five to a line.
-
-    It does when raw holds no '"', CR or NUL, every line has exactly four
-    commas (so none is blank), and every line is shorter than
-    csv.field_size_limit(); csv.reader raises no error on such lines
-    either. Cut at line ends, a text splits when each of its pieces does.
+    Each row, the header's too, ends at one or at the end of the file, so
+    no more rows follow the header. A CRLF cut between two reads counts twice.
     """
-    if b'"' in raw or b"\r" in raw or b"\0" in raw:
-        return False
-    # Only commas and newlines, one ",,,,\n" per line: UTF-8 encodes no
-    # other character with those bytes, and a line has no fewer bytes than
-    # characters.
-    shape = raw.translate(None, _NOT_COMMA_OR_NEWLINE) + (b"" if raw.endswith(b"\n") else b"\n")
-    newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    return (shape == b",,,,\n" * (len(shape) // 5)
-            and np.diff(newlines, prepend=-1, append=len(raw)).max() <= csv.field_size_limit())
+    ends = 0
+    while chunk := fh.read(_READ_BYTES):
+        ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    return ends
 
 
-def _splits(text: str) -> bool:
-    """Whether one split of text at its newlines and commas gives csv.reader's fields.
+def _csv_blocks(fh, size: int):
+    """csv.reader's non-blank rows of text fh after the header, `size` at a time.
 
-    It does when line 1 is exactly the header and every line splits
-    (_fields_split).
+    Yields each block with the line its last row ends on (a quoted field
+    may span lines). A missing or bad header, or a csv.Error, raises
+    TraceFormatError naming its line.
     """
-    line1 = text[:len(_CSV_HEADER_LINE) + 1]
-    return line1 in (_CSV_HEADER_LINE, _CSV_HEADER_LINE + "\n") and _fields_split(text.encode())
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise TraceFormatError("line 1: missing header" if header is None
+                                   else f"line 1: bad header {header!r}")
+        rows = filter(None, reader)
+        while block := list(islice(rows, size)):
+            yield reader.line_num, block
+    except csv.Error as exc:
+        raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def _split_columns(text: str) -> list[list[str]]:
-    """The field texts of lines that split (_fields_split), column by column."""
-    fields = text.replace("\n", ",").split(",")
-    if text.endswith("\n"):
-        fields.pop()  # the empty field after the newline that ends the last line
-    return [fields[k::5] for k in range(5)]
+def _load_csv(path: str) -> Trace:
+    """A CSV trace read by csv.reader _BLOCK_ROWS rows at a time, or the TraceFormatError naming its line.
 
-
-def _split_rows(text: str):
-    """Each row's field texts, for a text that _splits; row i is on line i + 2.
-
-    A generator: the text is split again only if the rows are read, so no
-    field text needs to stay alive while the Trace is built.
-    """
-    rows = zip(*_split_columns(text))
-    next(rows)  # the header
-    yield from rows
-
-
-def _streamed_csv(path: str) -> Trace | None:
-    """A CSV trace read _BLOCK_ROWS lines at a time, or None to have _whole_csv read it.
-
-    None unless the header and every block split (_fields_split) and
-    parse, and their columns make a Trace in which no timestamp runs
-    backwards: the file then gives what _whole_csv gives, which reads such
-    a text the same way. Only the sidecar's error is raised here, the
-    first error a text that splits can have.
+    Errors come as in a whole-file read: the header, a csv.Error anywhere,
+    the sidecar, the first bad row (read again a row at a time, once the
+    columns fail), then a timestamp running backwards.
     """
     with open(path, "rb") as fh:
-        header = fh.readline()
-        if header.rstrip(b"\n") != _CSV_HEADER_LINE.encode() or not _fields_split(header):
-            return None
-        stops, n = _line_blocks(fh, _BLOCK_ROWS, os.fstat(fh.fileno()).st_size)
-        fill = _ColumnFill(n)
-        for stop in stops:
-            raw = fh.read(stop - fh.tell())
-            if not _fields_split(raw) or not fill.add(_csv_columns(*_split_columns(raw.decode()))):
-                return None
-    return fill.trace(_read_sidecar(path))
-
-
-def _whole_csv(path: str) -> Trace:
-    """A CSV trace read whole: the Trace, or the TraceFormatError naming its first bad line."""
+        fill = _ColumnFill(_csv_row_bound(fh))
+    parsed = True
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for _, rows in _csv_blocks(fh, _BLOCK_ROWS):
+                parsed = parsed and fill.add(_csv_fields(rows))  # read on: a later csv.Error wins
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.read()  # decoded in one piece, the error names its offset in the file, not in a chunk
+        raise
+    metadata = _read_sidecar(path)
+    trace = fill.trace(metadata) if parsed else None
+    if trace is not None:
+        return trace
+    cols = fill.columns()  # every row when each block parsed
+    backwards = _first_backwards(cols) if parsed else None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if _splits(text):
-        rows = _split_rows(text)
-        columns = _csv_columns(*(column[1:] for column in _split_columns(text)))
-        label = lambda i: f"line {i + 2}"
-    else:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(reader)
-            if header != CSV_HEADER:
-                raise TraceFormatError(f"line 1: bad header {header!r}")
-            # a row is named by the line it ends on, as a csv.Error is: a
-            # quoted field may span lines, and a blank line is no row
-            numbered = [(reader.line_num, row) for row in reader if row]
-        except StopIteration:
-            raise TraceFormatError("line 1: missing header") from None
-        except csv.Error as exc:
-            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
-        linenos = [n for n, _ in numbered]
-        rows = [row for _, row in numbered]
-        columns = _csv_fields(rows)
-        label = lambda i: f"line {linenos[i]}"
-    return _file_trace(rows, _csv_row, columns, label, _read_sidecar(path))
+        for i, (line, [row]) in enumerate(_csv_blocks(fh, 1)):
+            try:
+                RssiSample(*_csv_row(row))
+            except (ValueError, OverflowError) as exc:
+                raise TraceFormatError(f"line {line}: {exc}") from None
+            if backwards is not None and i == backwards[0]:
+                where = f"line {line}"
+    if backwards is None:
+        raise AssertionError("the columns were rejected but every row checks")
+    raise _backwards_error(cols, backwards, where)
 
 
 # A JSON sample's typed fields: (field, default, allowed JSON types, what it must be)
@@ -857,12 +820,10 @@ _JSON_INT = r"-?(?:0|[1-9][0-9]*)"
 _JSON_FLOAT = _JSON_INT + r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
 _JSON_PIECES = re.split("%[dsr]", _JSON_ROWS[0])
+# compiled by re's cache on first use: most commands read no JSON trace
 _JSON_SAMPLE = re.escape(_JSON_PIECES[0]) + "".join(
     f"(?:{token}){re.escape(piece)}" for token, piece in zip(
         (_JSON_INT, _JSON_STRING, _JSON_FLOAT, _JSON_FLOAT + "|null", _JSON_INT), _JSON_PIECES[1:]))
-# patterns, compiled by re's cache on first use: most commands read no JSON trace
-_JSON_BLOCK = f"(?:{_JSON_SAMPLE},\n)*"
-_JSON_LAST_BLOCK = f"(?:{_JSON_SAMPLE},\n)*{_JSON_SAMPLE}\n"
 _JSON_VALUES = tuple(  # each value's text out of its line: after the key, before any comma
     operator.itemgetter(slice(len(before.rpartition("\n")[2]), -len(after.partition("\n")[0]) or None))
     for before, after in zip(_JSON_PIECES, _JSON_PIECES[1:]))
@@ -913,7 +874,9 @@ def _streamed_json(path: str) -> Trace | None:
         beacon_ids: dict[str, str] = {}  # token -> id
         for stop in stops:
             text = fh.read(stop - fh.tell()).decode()
-            if not re.fullmatch(_JSON_LAST_BLOCK if stop == end else _JSON_BLOCK, text):
+            if stop == end and text.endswith("\n"):
+                text = text[:-1] + ",\n"  # the last sample ends "\n", the others ",\n"
+            if re.sub(_JSON_SAMPLE + ",\n", "", text):  # samples end to end, each matched alone
                 return None
             lines = text.split("\n")
             ts, ids, rssi, tx, ch = (list(map(value, lines[k + 1::7]))
@@ -955,21 +918,23 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     message.
 
     A file is read _BLOCK_ROWS rows at a time into columns allocated for
-    its row count, so the load holds the Trace's columns and one block: a
-    CSV file whose lines split at their commas, or a JSON file in
-    save_trace's exact layout. Any other file, and any file with a value a
-    Trace rejects or a timestamp running backwards, is read again whole
-    (csv module or json.load), which gives the same Trace for any file
-    both read, and names the first bad line or sample.
+    its row count, so the load holds the Trace's columns and one block:
+    every CSV file, by the csv module, and a JSON file in save_trace's
+    exact layout. A CSV file whose columns fail is read again a row at a
+    time to name its first bad line. Any other JSON file, and one with a
+    value a Trace rejects or a timestamp running backwards, is read again
+    whole by json.load, which gives the same Trace for any file both read,
+    and names the first bad sample.
     """
-    if format not in ("csv", "json"):
+    if format == "csv":
+        return _load_csv(path)
+    if format != "json":
         raise ValueError(f"unknown trace format {format!r}")
-    streamed, whole = (_streamed_csv, _whole_csv) if format == "csv" else (_streamed_json, _whole_json)
     try:
-        trace = streamed(path)
+        trace = _streamed_json(path)
     except UnicodeDecodeError:
-        trace = None  # the whole read raises it, naming the offset in the file
-    return whole(path) if trace is None else trace
+        trace = None  # json.load raises it, naming the offset in the file
+    return _whole_json(path) if trace is None else trace
 
 
 def _csv_field(text: str) -> str:
@@ -993,7 +958,7 @@ def _row_blocks(cols: SampleColumns, templates: tuple[str, str], beacon_ids: lis
 
 
 def _csv_chunks(cols: SampleColumns):
-    yield _CSV_HEADER_LINE + "\n"
+    yield ",".join(CSV_HEADER) + "\n"
     for rows in _row_blocks(cols, _CSV_ROWS, [_csv_field(b) for b in cols.beacon_ids]):
         yield "".join(rows)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from microloc import cli, evaluate, filters, position, sim
 from microloc.cli import DEFAULT_CONFIG, build_config, main
 from microloc.errors import InvalidScenario
-from microloc.model import load_trace
+from microloc.model import RssiSample, Trace, load_trace, save_trace
 
 
 def write_json(path, doc) -> str:
@@ -148,6 +148,22 @@ def test_filter_dynamic_rejects_single_sample_stream(tmp_path, capsys):
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["filter", str(tmp_path / "absent.csv"), str(tmp_path / "o.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset", [100, 400_000])
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_invalid_utf8_names_its_offset_in_the_file(tmp_path, capsys, format, offset):
+    # a file read a block at a time still names the byte's offset in the
+    # file, not in the piece being decoded
+    path = str(tmp_path / f"t.{format}")
+    save_trace(Trace([RssiSample(i, f"b{i % 3}", -60.0 - i % 7, -59.0, 37 + i % 3)
+                      for i in range(15_000)]), path, format)
+    assert os.path.getsize(path) > 400_000
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(b"\xff")
+    assert main(["filter", path, str(tmp_path / "o.csv")]) == 2
+    assert f"can't decode byte 0xff in position {offset}: invalid start byte" in capsys.readouterr().err
 
 
 # --- locate ---

@@ -125,21 +125,44 @@ def test_locate_peak_memory_per_receiver_stays_flat(method):
     assert max(larger) <= MAX_GROWTH * base, (method, base, larger)
 
 
-def _trace_rows(n: int) -> Trace:
+def _trace_rows(n: int, beacon_id: str = "b{}") -> Trace:
     """n rows of 20 interleaved beacons, as _write_trace writes, built from columns."""
     i = np.arange(n)
-    return Trace(SampleColumns(100 * i, i % 20, [f"b{k}" for k in range(20)], -60.0 - i % 40 / 4,
-                               np.where(i % 2 == 1, -59.0, np.nan), np.array([37, 38, 39])[i % 3]))
+    return Trace(SampleColumns(100 * i, i % 20, [beacon_id.format(k) for k in range(20)],
+                               -60.0 - i % 40 / 4, np.where(i % 2 == 1, -59.0, np.nan),
+                               np.array([37, 38, 39])[i % 3]))
 
 
-@pytest.mark.parametrize("format", ["csv", "json"])
-def test_trace_file_peak_memory_stays_flat_in_blocks(format, tmp_path):
+def _to_crlf(path: str) -> None:
+    with open(path, "rb") as fh:
+        text = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(text.replace(b"\n", b"\r\n"))
+
+
+# format, beacon id template, and what is done to the file before it is
+# loaded: CSV with CRLF line ends, and CSV whose ids the writer quotes
+# (b"k), stream as the writer's LF text does
+TRACE_FILES = {
+    "csv": ("csv", "b{}", None),
+    "json": ("json", "b{}", None),
+    "csv-crlf": ("csv", "b{}", _to_crlf),
+    "csv-quoted-ids": ("csv", 'b"{}', None),
+}
+
+
+@pytest.mark.parametrize("case", TRACE_FILES)
+def test_trace_file_peak_memory_stays_flat_in_blocks(case, tmp_path):
+    format, beacon_id, edit = TRACE_FILES[case]
     sizes = {}
     for blocks in (4, 16):
-        trace, path = _trace_rows(blocks * model._BLOCK_ROWS), str(tmp_path / f"{blocks}.{format}")
+        trace = _trace_rows(blocks * model._BLOCK_ROWS, beacon_id)
+        path = str(tmp_path / f"{blocks}.{format}")
         save_trace(trace, path, format)  # once untraced, so first-call caches count at no size
         load_trace(path, format)
         save = _peak(lambda: save_trace(trace, path, format))
+        if edit is not None:
+            edit(path)
         loaded = []
         load = _peak(lambda: loaded.append(load_trace(path, format)))
         cols = loaded[0].samples

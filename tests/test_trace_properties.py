@@ -355,21 +355,16 @@ _WRITER_LINES = ["2,a,-60.0000,-59.0000,37", "5,b,-61.5000,,38"]
     (_WRITER_LINES + ["1,a,-62.2500,-59.0000,39"],
      "line 4: timestamp 1 for beacon 'a' goes backwards (previous 2)"),
 ], ids=["rssi-out-of-range", "timestamp-backwards"])
-def test_split_text_is_diagnosed_from_its_split_fields(tmp_path, monkeypatch, lines, message):
+def test_split_text_is_diagnosed_from_its_split_fields(tmp_path, lines, message):
     path = str(tmp_path / "t.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join([_HEADER] + lines) + "\n")
     with pytest.raises(TraceFormatError) as with_reader:
         _reference_load_csv(path)
     assert str(with_reader.value) == message
-
-    def no_reader(*args, **kwargs):
-        raise AssertionError("a text that splits is read by csv.reader")
-
-    monkeypatch.setattr(csv, "reader", no_reader)
-    with pytest.raises(TraceFormatError, match="^line 4: ") as without_reader:
+    with pytest.raises(TraceFormatError, match="^line 4: ") as loaded:
         load_trace(path, "csv")
-    assert str(without_reader.value) == message
+    assert str(loaded.value) == message
 
 
 def _reference_csv_text(trace: Trace) -> str:
@@ -415,9 +410,9 @@ def test_writers_match_reference_bytes(trace):
 
 
 def test_csv_load_peak_memory_is_bounded(tmp_path):
-    # 60,000 rows of 20 interleaved beacons, as a site trace: the csv.reader
-    # loader, which keeps a list per row, peaks at 37.4 MiB here, the split
-    # path at 22.6 MiB.
+    # 60,000 rows of 20 interleaved beacons, as a site trace: the loader,
+    # which holds the columns and one block of rows, peaks at 3.1 MiB here,
+    # as it does on the same rows with CRLF line ends.
     n = 60_000
     rng = np.random.default_rng(0)
     beacon = np.arange(n) % 20
@@ -588,15 +583,15 @@ _FIXTURE_SETTINGS = settings(max_examples=100, deadline=None, suppress_health_ch
 
 
 def _streamed(path: str, fmt: str) -> bool:
-    """Whether the block reader, not the whole-file loader, gives the file's Trace."""
-    return (model._streamed_csv if fmt == "csv" else model._streamed_json)(path) is not None
+    """Whether the JSON block reader, not json.load, gives the file's Trace (every CSV streams)."""
+    assert fmt == "json"
+    return model._streamed_json(path) is not None
 
 
 def _written_and_read_as_reference(trace: Trace) -> None:
     """save_trace writes the reference bytes, and each load gives the reference loader's outcome.
 
-    A CSV text that splits, and every JSON text but an empty trace's, is
-    read block by block.
+    Every JSON text but an empty trace's is read block by block.
     """
     references = {"csv": (_reference_csv_text, _reference_load_csv),
                   "json": (_reference_json_text, _reference_load_json)}
@@ -609,7 +604,8 @@ def _written_and_read_as_reference(trace: Trace) -> None:
             assert text == reference_text(trace)
             load = lambda p: load_trace(p, fmt)  # noqa: E731
             assert _outcome_bits(load, path) == _outcome_bits(reference_load, path)
-            assert _streamed(path, fmt) == (model._splits(text) if fmt == "csv" else len(trace) > 0)
+            if fmt == "json":
+                assert _streamed(path, fmt) == (len(trace) > 0)
     assert _roundtrip(trace, "json") == trace
 
 
@@ -641,11 +637,6 @@ def test_csv_without_final_newline_matches_reference_loader(monkeypatch, rows, n
     monkeypatch.setattr(model, "_BLOCK_ROWS", rows)
     text = _text(_trace_of(n), "csv")[:-1]
     _same_as_reference(text)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        assert _streamed(path, "csv")
 
 
 @pytest.mark.parametrize("rows", BLOCK_ROWS)
