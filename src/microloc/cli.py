@@ -24,35 +24,40 @@ internal fault.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import codec, evaluate, filters, model, position, ranging, sim
 from .errors import EmptyInput, MicrolocError, NoAnchors
+
+if TYPE_CHECKING:
+    from . import model, position, sim
+
+# Each command imports only the modules it runs, and calls their functions
+# through the module (sim.simulate), so that one replaced there is called.
 
 # SimConfig fields that are config keys under the same name
 _SIM_KEYS = ("seed", "shadow_sigma_db", "advertising_interval_ms", "interval_jitter_ms",
              "packet_loss_prob", "duration_ms")
 
-_SIM_DEFAULTS = sim.SimConfig(seed=0)
-
-# Every default is the library's own; _coerce takes each key's type from it.
+# Every default is the library's own, as tests/test_cli.py holds; _coerce
+# takes each key's type from it.
 DEFAULT_CONFIG: dict[str, int | float] = {
-    **{key: getattr(_SIM_DEFAULTS, key) for key in _SIM_KEYS},
-    **dataclasses.asdict(_SIM_DEFAULTS.path_loss),
-    **filters.params_to_config(filters.default_params()),
-    "window_n": filters.DEFAULT_WINDOW_N,
-    "q_scale": filters.DEFAULT_Q_SCALE,
-    "fingerprint_k": position.DEFAULT_FINGERPRINT_K,
-    "bin_width_m": evaluate.DEFAULT_BIN_WIDTH_M,
-    "immediate_m": position.IMMEDIATE_THRESHOLD_M,
-    "near_m": position.NEAR_THRESHOLD_M,
+    # sim.SimConfig
+    "seed": 0, "shadow_sigma_db": 4.0, "advertising_interval_ms": 100, "interval_jitter_ms": 10,
+    "packet_loss_prob": 0.0, "duration_ms": 120_000,
+    # ranging.PathLossModel
+    "ref_power_dbm": -59.0, "exponent": 2.0,
+    # filters.KalmanParams, then the dynamic filter's window and Q scale
+    "dt": 0.2, "q": 0.001, "r": 0.1, "p0": 100.0, "window_n": 10, "q_scale": 1.0,
+    # position and evaluate
+    "fingerprint_k": 1, "bin_width_m": 0.25, "immediate_m": 0.5, "near_m": 4.0,
 }
 
 
 def _coerce(key: str, value) -> int | float:
     """Coerce a raw override onto the default's type, or raise ValueError."""
+    from . import model
     try:
         if isinstance(DEFAULT_CONFIG[key], int):
             return model.as_int(value)
@@ -66,6 +71,7 @@ def build_config(config_path: str | None, overrides: list[str] | None,
     """Merge defaults, config file, --set pairs and --seed, in that order."""
     config = dict(DEFAULT_CONFIG)
     if config_path is not None:
+        from . import model
         doc = model.read_json(config_path)
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
@@ -90,11 +96,13 @@ def build_config(config_path: str | None, overrides: list[str] | None,
 
 
 def _sim_config(config: dict) -> sim.SimConfig:
+    from . import ranging, sim
     return sim.SimConfig(path_loss=ranging.model_from_config(config),
                          **{key: config[key] for key in _SIM_KEYS})
 
 
 def cmd_simulate(args, config: dict) -> int:
+    from . import model, sim
     scenario = sim.load_scenario(args.scenario)
     trace = sim.simulate(scenario, _sim_config(config))
     model.save_trace(trace, args.out, model.trace_format_for_path(args.out))
@@ -103,6 +111,7 @@ def cmd_simulate(args, config: dict) -> int:
 
 
 def cmd_filter(args, config: dict) -> int:
+    from . import filters, model
     trace = model.load_trace(args.infile, model.trace_format_for_path(args.infile))
     params = filters.params_from_config(config)
     if args.mode == "static":
@@ -118,6 +127,7 @@ def cmd_filter(args, config: dict) -> int:
 def _ranged_anchors(trace: model.Trace, anchors: tuple[position.Anchor, ...],
                     config: dict) -> tuple[list[position.Anchor], list[float]]:
     """Distance per anchor that appears in the trace, via mean RSSI."""
+    from . import ranging
     means = trace.mean_rssi_by_beacon()
     used: list[position.Anchor] = []
     dists: list[float] = []
@@ -142,6 +152,7 @@ def _estimate_to_dict(est: position.PositionEstimate) -> dict:
 
 
 def cmd_locate(args, config: dict) -> int:
+    from . import model, position
     trace = model.load_trace(args.trace, model.trace_format_for_path(args.trace))
     extra: dict = {}  # what the method adds to the estimate, in document order
     if args.method == "fingerprint":
@@ -167,7 +178,7 @@ def cmd_locate(args, config: dict) -> int:
             est = position.tdoa_locate(used, diffs)
         extra["distances_m"] = {a.beacon_id: d for a, d in zip(used, dists)}
     doc = {**_estimate_to_dict(est), **extra}
-    model.atomic_write_text(args.out, json.dumps(evaluate.rounded(doc), indent=2) + "\n")
+    model.atomic_write_text(args.out, json.dumps(model.rounded(doc), indent=2) + "\n")
     if est.position is None:
         print(f"{args.method}: no feasible position (residual {est.residual:.3f} m)")
     else:
@@ -177,6 +188,7 @@ def cmd_locate(args, config: dict) -> int:
 
 
 def cmd_reproduce(args, config: dict) -> int:
+    from . import evaluate, filters
     sizes = [int(tok) for tok in (args.sweep_window or "").split(",") if tok.strip()]
     if args.sweep_window and not sizes:
         raise EmptyInput("--sweep-window needs at least one window size")
@@ -196,6 +208,7 @@ def cmd_reproduce(args, config: dict) -> int:
 
 
 def cmd_decode(args, config: dict) -> int:
+    from . import codec
     text = args.payload.replace(":", "").replace(" ", "")
     try:
         payload = bytes.fromhex(text)

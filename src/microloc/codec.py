@@ -174,14 +174,8 @@ class EddystoneEidFrame(_Frame):
     eid: bytes  # 8-byte ephemeral identifier
 
 
-BeaconFrame = (
-    IBeaconFrame
-    | AltBeaconFrame
-    | EddystoneUidFrame
-    | EddystoneUrlFrame
-    | EddystoneTlmFrame
-    | EddystoneEidFrame
-)
+BeaconFrame = (IBeaconFrame | AltBeaconFrame | EddystoneUidFrame | EddystoneUrlFrame
+               | EddystoneTlmFrame | EddystoneEidFrame)
 
 
 class _Layout:
@@ -251,15 +245,11 @@ def encode_url(url: str) -> bytes:
     """
     if not isinstance(url, str):
         raise ValueError("url must be a string")
-    scheme_code = None
-    rest = ""
-    for code, prefix in _SCHEMES_BY_LENGTH:
-        if url.startswith(prefix):
-            scheme_code = code
-            rest = url[len(prefix):]
-            break
+    scheme_code, prefix = next(((code, prefix) for code, prefix in _SCHEMES_BY_LENGTH
+                                if url.startswith(prefix)), (None, ""))
     if scheme_code is None:
         raise ValueError(f"url must start with one of {sorted(URL_SCHEMES.values())}")
+    rest = url[len(prefix):]
     body = bytearray()
     i = 0
     while i < len(rest):

@@ -13,9 +13,9 @@ and a summary keyed on worst-spot RMS error. accuracy here means mean
 absolute error against the true distance; precision means the spread
 (population standard deviation) of the estimates, independent of truth.
 
-Artifacts are written in one place per format: rounded() takes every
-float of a JSON document to 12 significant digits, and _write_csv writes
-every float cell with six decimals. The report builders pass raw values.
+Artifacts are written in one place per format: model.rounded() takes
+every float of a JSON document to 12 significant digits, _write_csv every
+float cell to six decimals. The report builders pass raw values.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import filters, ranging, sim
 from .errors import EmptyInput, InsufficientSamples
-from .model import Trace, atomic_write_text, left_to_right_sum, real
+from .model import Trace, _round12, atomic_write_text, left_to_right_sum, real, rounded
 
 PIPELINES = ("raw", "filtered", "dynamic")
 
@@ -273,26 +273,6 @@ def window_sweep(config: sim.SimConfig, params: filters.KalmanParams | None = No
         params = filters.default_params()
     spots = sim.ranging_experiment(config)
     return _sweep_rows(sizes, _dynamic_stats(spots, config.path_loss, params, sizes, q_scale))
-
-
-def _round12(v: float) -> float:
-    """Round to 12 significant digits so serialized reports are stable."""
-    return float(f"{v:.12g}")
-
-
-def rounded(doc):
-    """doc with every float, at any depth, rounded by _round12.
-
-    Dicts keep their key order and tuples become lists; every other value
-    is returned unchanged. Every JSON artifact is written through here.
-    """
-    if isinstance(doc, float):
-        return _round12(doc)
-    if isinstance(doc, dict):
-        return {key: rounded(value) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [rounded(value) for value in doc]
-    return doc
 
 
 def report_to_dict(report: ErrorReport) -> dict:

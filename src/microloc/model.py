@@ -50,6 +50,7 @@ int64 limit.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import errno
 import io
@@ -502,6 +503,26 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         raise
 
 
+def _round12(v: float) -> float:
+    """Round to 12 significant digits so serialized reports are stable."""
+    return float(f"{v:.12g}")
+
+
+def rounded(doc):
+    """doc with every float, at any depth, rounded by _round12.
+
+    Dicts keep their key order and tuples become lists; every other value
+    is returned unchanged. Every JSON artifact is written through here.
+    """
+    if isinstance(doc, float):
+        return _round12(doc)
+    if isinstance(doc, dict):
+        return {key: rounded(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [rounded(value) for value in doc]
+    return doc
+
+
 def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
     """First row (in given order) whose timestamp is below its beacon's previous one, with that one."""
     if (cols.timestamp_ms[1:] >= cols.timestamp_ms[:-1]).all():
@@ -726,6 +747,41 @@ def _csv_blocks(fh, size: int):
         raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
 
 
+class _FileDecodeError(UnicodeDecodeError):
+    """A UnicodeDecodeError from one read of a file, naming its byte by offset in the file.
+
+    A UnicodeDecodeError names a position only within its object, which
+    would then hold every byte of the file up to it.
+    """
+
+    offset = 0  # of object[0] in the file
+
+    def __str__(self) -> str:
+        start, last = self.offset + self.start, self.offset + self.end - 1
+        what = (f"byte 0x{self.object[self.start]:02x} in position {start}" if start == last
+                else f"bytes in position {start}-{last}")
+        return f"'{self.encoding}' codec can't decode {what}: {self.reason}"
+
+
+# named as the error it stands for, which is the name the CLI prints
+_FileDecodeError.__name__ = _FileDecodeError.__qualname__ = "UnicodeDecodeError"
+
+
+def _decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
+    """The first UnicodeDecodeError of UTF-8 file path (exc if none), decoding a read at a time."""
+    decoder, read = codecs.getincrementaldecoder("utf-8")(), 0
+    with open(path, "rb") as fh:
+        try:
+            while chunk := fh.read(_READ_BYTES):
+                decoder.decode(chunk)
+                read += len(chunk)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as found:
+            exc = _FileDecodeError(*found.args)
+            exc.offset = read - len(decoder.buffer)  # object starts with the bytes left undecoded
+    return exc
+
+
 def _load_csv(path: str) -> Trace:
     """A CSV trace read by csv.reader _BLOCK_ROWS rows at a time, or the TraceFormatError naming its line.
 
@@ -740,10 +796,8 @@ def _load_csv(path: str) -> Trace:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for _, rows in _csv_blocks(fh, _BLOCK_ROWS):
                 parsed = parsed and fill.add(_csv_fields(rows))  # read on: a later csv.Error wins
-    except UnicodeDecodeError:
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.read()  # decoded in one piece, the error names its offset in the file, not in a chunk
-        raise
+    except UnicodeDecodeError as exc:
+        raise _decode_error(path, exc) from None
     metadata = _read_sidecar(path)
     trace = fill.trace(metadata) if parsed else None
     if trace is not None:

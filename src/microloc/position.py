@@ -25,17 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArityError,
-    DegenerateGeometry,
-    EmptyTrace,
-    InvalidDistance,
-    NoAnchors,
-    NoComparableEntries,
-    NoConvergence,
-    NoIntersection,
-    NoSurveys,
-)
+from .errors import (ArityError, DegenerateGeometry, EmptyTrace, InvalidDistance, NoAnchors,
+                     NoComparableEntries, NoConvergence, NoIntersection, NoSurveys)
 from .model import (TX_POWER_MAX_DBM, TX_POWER_MIN_DBM, Trace, atomic_write_text,
                     json_objects, left_to_right_sum, read_json, real, real_pair)
 

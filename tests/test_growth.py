@@ -10,8 +10,9 @@ is held to the same bound in peak bytes per receiver over one call with n,
 Trace files are read and written in blocks of rows: a save's peak, and a
 load's peak beyond the columns it returns, may grow at most 1.25 times
 from a file of 4 blocks to one of 16 (holding the file's text, or an
-object per row of it, would quadruple them). Only memory is counted,
-never wall time.
+object per row of it, would quadruple them). A CSV refused because it is
+not UTF-8 near its end is held to that bound beyond the columns, from 16
+blocks to 64. Only memory is counted, never wall time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from microloc import model, position
+from microloc import cli, model, position
 from microloc.model import RssiSample, SampleColumns, Trace, load_trace, save_trace
 from microloc.position import (Anchor, Fingerprint, FingerprintDb, fingerprint_locate, load_anchors,
                                load_fingerprint_db, proximity_region, save_fingerprint_db,
@@ -68,6 +69,14 @@ def _write_scenario(path: str, n: int) -> None:
         json.dump({"beacons": _anchors(n // 10), "device_path": path_entries}, fh, indent=2)
 
 
+def _write_config(path: str, n: int) -> None:
+    """A --config object of n keys, each config key over and over with its default."""
+    keys = list(cli.DEFAULT_CONFIG.items())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
+                                     for k, v in (keys[i % len(keys)] for i in range(n))) + "\n}\n")
+
+
 # boundary -> (writer, reader, n)
 BOUNDARIES = {
     "fingerprint-db": (_write_fingerprint_db, _load_fingerprint_db, 500),
@@ -75,6 +84,7 @@ BOUNDARIES = {
     "trace-json": (lambda p, n: _write_trace(p, n, "json"), lambda p: load_trace(p, "json"), 2000),
     "anchors": (_write_anchors, load_anchors, 500),
     "scenario": (_write_scenario, load_scenario, 1000),
+    "config": (_write_config, lambda p: cli.build_config(p, None, None), 2000),
 }
 
 
@@ -173,3 +183,36 @@ def test_trace_file_peak_memory_stays_flat_in_blocks(case, tmp_path):
     (save4, load4), (save16, load16) = sizes[4], sizes[16]
     assert save16 <= MAX_GROWTH * save4, (format, "save", sizes)
     assert load16 <= MAX_GROWTH * load4, (format, "load", sizes)
+
+
+def test_csv_decode_error_peak_memory_stays_flat_in_blocks(tmp_path):
+    # a CSV that is not UTF-8 near its end is refused holding the columns
+    # and one read of the file, not its text decoded whole, while the error
+    # still names the byte's offset in the file; the smaller file is more
+    # than one read (_READ_BYTES)
+    sizes = {}
+    for blocks in (16, 64):
+        trace = _trace_rows(blocks * model._BLOCK_ROWS)
+        path = str(tmp_path / f"{blocks}.csv")
+        save_trace(trace, path, "csv")
+        bad = os.path.getsize(path) - 5
+        assert bad > model._READ_BYTES
+        with open(path, "r+b") as fh:
+            fh.seek(bad)
+            fh.write(b"\xff")
+        with pytest.raises(UnicodeDecodeError):  # once untraced, so first-call caches count at no size
+            load_trace(path, "csv")
+        errors = []
+
+        def load():
+            try:
+                load_trace(path, "csv")
+            except UnicodeDecodeError as exc:
+                errors.append(str(exc))
+        peak = _peak(load)
+        assert f"byte 0xff in position {bad}: invalid start byte" in errors[0]
+        cols = trace.samples
+        columns = sum(a.nbytes for a in (cols.timestamp_ms, cols.beacon, cols.rssi_dbm,
+                                         cols.tx_power_dbm, cols.channel))
+        sizes[blocks] = peak - columns
+    assert sizes[64] <= MAX_GROWTH * sizes[16], sizes

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_trace
+from microloc import model
 from microloc.errors import TraceFormatError
 from microloc.model import (
     CSV_HEADER,
@@ -613,3 +614,38 @@ def test_atomic_write_of_chunks_that_fail_leaves_the_file_as_it_was(tmp_path):
     assert (tmp_path / "target").read_text() == "old"
     atomic_write_text(str(tmp_path / "target"), iter(["a", "", "b\n"]))
     assert (tmp_path / "target").read_text() == "ab\n"
+
+
+# where a CSV stops being UTF-8, around the reads it is decoded in: a bad
+# byte before, at and after a read boundary, after a character cut by one,
+# a sequence cut by one and then broken, and a sequence the file cuts short
+READ = model._READ_BYTES
+DECODE_EDITS = {
+    "start": (100, b"\xff"),
+    "before-boundary": (READ - 1, b"\xff"),
+    "at-boundary": (READ, b"\xff"),
+    "after-a-cut-character": (READ - 1, b"\xc3\xa9" + b"0" * 500 + b"\xff"),
+    "cut-then-broken": (READ - 2, b"\xe2\x82x"),
+    "end-of-file": (-2, b"\xe2\x82"),
+}
+
+
+@pytest.mark.parametrize("edit", DECODE_EDITS)
+def test_csv_decode_error_names_the_offset_a_whole_decode_names(tmp_path, edit):
+    path = str(tmp_path / "t.csv")
+    save_trace(Trace([RssiSample(i, f"b{i % 3}", -60.0 - i % 7, -59.0, 37 + i % 3)
+                      for i in range(12_000)]), path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert len(data) > READ + 1000
+    at, text = DECODE_EDITS[edit]
+    at %= len(data)
+    data = data[:at] + text + data[at + len(text):]
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_trace(path)
+    assert type(got.value).__name__ == "UnicodeDecodeError"
+    assert str(got.value) == str(whole.value)
