@@ -35,9 +35,9 @@ JSON::
 
     {"metadata": {...}, "samples": [{"timestamp_ms": 0, ...}, ...]}
 
-    JSON preserves float values exactly and keeps metadata inline. A file
-    in the writer's exact layout is read by position, a block of samples
-    at a time; json.load reads any other.
+    JSON preserves float values exactly and keeps metadata inline. The
+    loader reads a file in any layout a sample at a time with json's own
+    scanner; json.load reads whole only a file that does not stream.
 
 Reading and writing go _BLOCK_ROWS rows at a time, so that a load or save
 holds the trace's columns and one block, never the file's text.
@@ -58,7 +58,6 @@ import json
 import math
 import operator
 import os
-import re
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -596,18 +595,17 @@ def _parse_repeated(texts: Sequence[str], parse) -> list:
 
 
 def _csv_columns(ts: Sequence[str], ids: Sequence[str], rssi: Sequence[str],
-                 tx: Sequence[str], ch: Sequence[str], parse_tx=_tx_field) -> list[Sequence] | None:
+                 tx: Sequence[str], ch: Sequence[str]) -> list[Sequence] | None:
     """A CSV file's field texts parsed column by column, or None if one does not parse.
 
     Timestamps (int64, so that one int64 cannot hold does not parse) and
-    RSSI come as numpy arrays, the rest as lists. parse_tx reads a tx
-    power text (a JSON trace's differ: null means unknown).
+    RSSI come as numpy arrays, the rest as lists.
     """
     n = len(ts)
     try:
         return [np.fromiter(map(int, ts), np.int64, n), ids,
                 np.fromiter(map(float, rssi), np.float64, n),
-                _parse_repeated(tx, parse_tx), _parse_repeated(ch, int)]
+                _parse_repeated(tx, _tx_field), _parse_repeated(ch, int)]
     except (ValueError, OverflowError):
         return None
 
@@ -633,32 +631,8 @@ def _read_sidecar(path: str) -> dict[str, str]:
 # samples) at a time, so that a load or save holds the trace's columns and
 # one block, never the file's text or a Python object per row of it.
 _BLOCK_ROWS = 1024
-_READ_BYTES = 1 << 18  # what a file is read in while counting its lines
-
-
-def _line_blocks(fh, lines: int, end: int) -> tuple[list[int], int]:
-    """Where to cut binary fh, from where it is to offset end, into blocks of `lines` lines.
-
-    Returns the offset each block ends at (just after its last newline,
-    or end) and how many lines there are, a last line without a newline
-    included. fh is put back where it was.
-    """
-    start = pos = fh.tell()
-    stops: list[int] = []
-    newlines, last = 0, b"\n"
-    while pos < end:
-        chunk = fh.read(min(_READ_BYTES, end - pos))
-        if not chunk:
-            break
-        at = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-        stops += (pos + 1 + at[lines - 1 - newlines % lines::lines]).tolist()
-        newlines += len(at)
-        pos += len(chunk)
-        last = chunk[-1:]
-    fh.seek(start)
-    if pos > (stops[-1] if stops else start):
-        stops.append(pos)
-    return stops, newlines + (last != b"\n")
+_READ_BYTES = 1 << 18  # what a binary file is read in while counting or decoding it
+_JSON_CHARS = 1 << 16  # what a JSON trace's text is read in: a window a few hundred samples long
 
 
 _CHANNELS = frozenset(VALID_CHANNELS)
@@ -866,83 +840,107 @@ def _json_head(metadata: Mapping[str, str]) -> str:
     return text[:-len("]\n}")] + "\n"
 
 
-# The writer's layout, read by position. Its tokens follow JSON's grammar,
-# ASCII digits only and no NaN or Infinity; a number field's token has a
-# fraction or an exponent, as json reads only those with float(). The
-# values, each on its own line of the seven, sit between the pieces.
-_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
-_JSON_FLOAT = _JSON_INT + r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
-_JSON_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
-_JSON_PIECES = re.split("%[dsr]", _JSON_ROWS[0])
-# compiled by re's cache on first use: most commands read no JSON trace
-_JSON_SAMPLE = re.escape(_JSON_PIECES[0]) + "".join(
-    f"(?:{token}){re.escape(piece)}" for token, piece in zip(
-        (_JSON_INT, _JSON_STRING, _JSON_FLOAT, _JSON_FLOAT + "|null", _JSON_INT), _JSON_PIECES[1:]))
-_JSON_VALUES = tuple(  # each value's text out of its line: after the key, before any comma
-    operator.itemgetter(slice(len(before.rpartition("\n")[2]), -len(after.partition("\n")[0]) or None))
-    for before, after in zip(_JSON_PIECES, _JSON_PIECES[1:]))
+class _JsonText:
+    """A JSON text file read _JSON_CHARS characters at a time, its values parsed by json's own scanner."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.pos = fh, "", 0
+        self.scan = json.JSONDecoder().scan_once  # what json.load parses each value with
+
+    def _more(self) -> bool:
+        """Read on, at least as much as is left after pos, dropping what is before; False at the end."""
+        more = self.fh.read(max(_JSON_CHARS, len(self.text) - self.pos))
+        if more:
+            self.text, self.pos = self.text[self.pos:] + more, 0
+        return more != ""
+
+    def _skip(self) -> bool:
+        """Move pos past JSON whitespace; False if the file holds nothing else."""
+        while True:
+            self.pos = json.decoder.WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.pos < len(self.text)
+
+    def token(self) -> str:
+        """The next character after whitespace, consumed; "" at the end of the file."""
+        if not self._skip():
+            return ""
+        self.pos += 1
+        return self.text[self.pos - 1]
+
+    def value(self):
+        """The next value after whitespace, as json.load parses it, or StopIteration or ValueError.
+
+        A value that fails, or ends less than three characters before the
+        text read, is parsed again with more text: "1", "1.", "1e" and
+        "1e+" each go on in "1.5e+2".
+        """
+        self._skip()
+        while True:
+            try:
+                value, end = self.scan(self.text, self.pos)
+            except (StopIteration, ValueError):
+                if self._more():
+                    continue
+                raise
+            if end + 3 <= len(self.text) or not self._more():
+                self.pos = end
+                return value
 
 
-def _json_tx(token: str) -> float | None:
-    return None if token == "null" else float(token)
+def _json_samples(doc: _JsonText, fill: _ColumnFill) -> bool:
+    """The items of the array just opened in doc into fill, _BLOCK_ROWS at a time; False if it fails.
 
-
-def _json_head_metadata(fh) -> dict[str, str] | None:
-    """The metadata of a head save_trace could have written, read from binary fh up to the first sample.
-
-    None unless the head is _json_head of the metadata it holds, byte for
-    byte (a value that is not a string is left to the Trace to reject).
+    An item that is not a sample raises ValueError, an empty array StopIteration.
     """
-    lines = [fh.readline()]
-    while lines[-1] != b'  "samples": [\n':
-        if not lines[-1].startswith((b"{\n", b'  "metadata": {', b'    "', b"  },\n")):
-            return None
-        lines.append(fh.readline())
-    head = b"".join(lines).decode()
-    try:
-        doc = json.loads(head + "]\n}")
-    except (ValueError, RecursionError):
-        return None
-    metadata = doc.get("metadata") if isinstance(doc, dict) else None
-    return metadata if isinstance(metadata, dict) and _json_head(metadata) == head else None
+    block, end = [], ","
+    while end == ",":
+        block.append(doc.value())
+        end = doc.token()
+        if len(block) == _BLOCK_ROWS or end != ",":
+            ts, ids, rssi, tx, ch = _json_columns(block)  # converted as _columns converts them
+            if not fill.add([np.array(ts, np.int64), ids, np.array(rssi, np.float64), tx, ch]):
+                return False
+            block = []
+    return end == "]"
 
 
 def _streamed_json(path: str) -> Trace | None:
-    """A JSON trace in save_trace's layout, read _BLOCK_ROWS samples at a time by position.
+    """A JSON trace in any layout, its samples read _BLOCK_ROWS at a time by json's scanner.
 
-    None, to have _whole_json read the file, unless the head passes
-    _json_head_metadata, every sample is the writer's seven lines with
-    tokens that _JSON_SAMPLE takes, the file ends as the writer ends it,
-    and the columns make a Trace in which no timestamp runs backwards.
-    Timestamps and channels go through int() and numbers through float(),
-    as json's scanner reads those tokens, and each distinct beacon id
-    token is decoded once by json.loads, so the Trace is _whole_json's.
+    The file is opened as json.load's is, so each value is json.load's.
+    None, for _whole_json to read the file, where json would fail, a
+    top-level key repeats, "samples" is missing or empty, a sample is not
+    an object of its fields' types, or the Trace fails or runs backwards.
+    A file that is not UTF-8 raises _whole_json's TraceFormatError.
     """
-    with open(path, "rb") as fh:
-        metadata = _json_head_metadata(fh)
-        if metadata is None:
-            return None
-        end = os.fstat(fh.fileno()).st_size - len(_JSON_END)
-        stops, n_lines = _line_blocks(fh, 7 * _BLOCK_ROWS, end)
-        fill = _ColumnFill(n_lines // 7)
-        beacon_ids: dict[str, str] = {}  # token -> id
-        for stop in stops:
-            text = fh.read(stop - fh.tell()).decode()
-            if stop == end and text.endswith("\n"):
-                text = text[:-1] + ",\n"  # the last sample ends "\n", the others ",\n"
-            if re.sub(_JSON_SAMPLE + ",\n", "", text):  # samples end to end, each matched alone
+    with open(path, "rb") as fh:  # every sample is an object: no more samples than "{"s
+        fill = _ColumnFill(sum(c.count(b"{") for c in iter(lambda: fh.read(_READ_BYTES), b"")))
+    keys, metadata = set(), {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = _JsonText(fh)
+            end = "," if doc.token() == "{" else ""
+            while end == ",":
+                key = doc.value()
+                if not isinstance(key, str) or key in keys or doc.token() != ":":
+                    return None
+                keys.add(key)
+                if key != "samples":
+                    value = doc.value()
+                    metadata = value if key == "metadata" else metadata
+                elif doc.token() != "[" or not _json_samples(doc, fill):
+                    return None
+                end = doc.token()
+            if end != "}" or doc.token() != "" or "samples" not in keys:
                 return None
-            lines = text.split("\n")
-            ts, ids, rssi, tx, ch = (list(map(value, lines[k + 1::7]))
-                                     for k, value in enumerate(_JSON_VALUES))
-            for token in set(ids).difference(beacon_ids):
-                beacon_ids[token] = json.loads(token)
-            if not fill.add(_csv_columns(ts, list(map(beacon_ids.__getitem__, ids)), rssi, tx, ch,
-                                         _json_tx)):
-                return None
-        if fh.read(len(_JSON_END) + 1) != _JSON_END.encode():
-            return None
-    return fill.trace(metadata)
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {_decode_error(path, exc)}") from None
+    except (ValueError, OverflowError, StopIteration, RecursionError):
+        return None
+    if not isinstance(metadata, dict):
+        return None
+    return fill.trace({str(k): str(v) for k, v in metadata.items()})
 
 
 def _whole_json(path: str) -> Trace:
@@ -972,22 +970,19 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     message.
 
     A file is read _BLOCK_ROWS rows at a time into columns allocated for
-    its row count, so the load holds the Trace's columns and one block:
-    every CSV file, by the csv module, and a JSON file in save_trace's
-    exact layout. A CSV file whose columns fail is read again a row at a
-    time to name its first bad line. Any other JSON file, and one with a
-    value a Trace rejects or a timestamp running backwards, is read again
-    whole by json.load, which gives the same Trace for any file both read,
-    and names the first bad sample.
+    a bound on its row count, so the load holds the Trace's columns and
+    one block: a CSV file by the csv module, a JSON file in any layout by
+    json's own scanner. A CSV file whose columns fail is read again a row
+    at a time to name its first bad line. A JSON file json would refuse,
+    or with a value a Trace rejects or a timestamp running backwards, is
+    read again whole by json.load, which gives the same Trace for any file
+    both read, and names the first bad sample.
     """
     if format == "csv":
         return _load_csv(path)
     if format != "json":
         raise ValueError(f"unknown trace format {format!r}")
-    try:
-        trace = _streamed_json(path)
-    except UnicodeDecodeError:
-        trace = None  # json.load raises it, naming the offset in the file
+    trace = _streamed_json(path)
     return _whole_json(path) if trace is None else trace
 
 

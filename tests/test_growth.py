@@ -10,9 +10,9 @@ is held to the same bound in peak bytes per receiver over one call with n,
 Trace files are read and written in blocks of rows: a save's peak, and a
 load's peak beyond the columns it returns, may grow at most 1.25 times
 from a file of 4 blocks to one of 16 (holding the file's text, or an
-object per row of it, would quadruple them). A CSV refused because it is
-not UTF-8 near its end is held to that bound beyond the columns, from 16
-blocks to 64. Only memory is counted, never wall time.
+object per row of it, would quadruple them). A CSV or JSON trace refused
+because it is not UTF-8 near its end is held to that bound beyond the
+columns, from 16 blocks to 64. Only memory is counted, never wall time.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from microloc import cli, model, position
+from microloc.errors import TraceFormatError
 from microloc.model import RssiSample, SampleColumns, Trace, load_trace, save_trace
 from microloc.position import (Anchor, Fingerprint, FingerprintDb, fingerprint_locate, load_anchors,
                                load_fingerprint_db, proximity_region, save_fingerprint_db,
@@ -150,14 +151,22 @@ def _to_crlf(path: str) -> None:
         fh.write(text.replace(b"\n", b"\r\n"))
 
 
+def _to_compact(path: str) -> None:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
+
+
 # format, beacon id template, and what is done to the file before it is
-# loaded: CSV with CRLF line ends, and CSV whose ids the writer quotes
-# (b"k), stream as the writer's LF text does
+# loaded: CSV with CRLF line ends, CSV whose ids the writer quotes (b"k),
+# and JSON re-dumped without indentation, stream as the writer's text does
 TRACE_FILES = {
     "csv": ("csv", "b{}", None),
     "json": ("json", "b{}", None),
     "csv-crlf": ("csv", "b{}", _to_crlf),
     "csv-quoted-ids": ("csv", 'b"{}', None),
+    "json-compact": ("json", "b{}", _to_compact),
 }
 
 
@@ -186,33 +195,35 @@ def test_trace_file_peak_memory_stays_flat_in_blocks(case, tmp_path):
 
 
 def test_csv_decode_error_peak_memory_stays_flat_in_blocks(tmp_path):
-    # a CSV that is not UTF-8 near its end is refused holding the columns
-    # and one read of the file, not its text decoded whole, while the error
-    # still names the byte's offset in the file; the smaller file is more
-    # than one read (_READ_BYTES)
-    sizes = {}
-    for blocks in (16, 64):
-        trace = _trace_rows(blocks * model._BLOCK_ROWS)
-        path = str(tmp_path / f"{blocks}.csv")
-        save_trace(trace, path, "csv")
-        bad = os.path.getsize(path) - 5
-        assert bad > model._READ_BYTES
-        with open(path, "r+b") as fh:
-            fh.seek(bad)
-            fh.write(b"\xff")
-        with pytest.raises(UnicodeDecodeError):  # once untraced, so first-call caches count at no size
-            load_trace(path, "csv")
-        errors = []
+    # a CSV or JSON trace that is not UTF-8 near its end is refused holding
+    # the columns and one read of the file, not its text decoded whole,
+    # while the error still names the byte's offset in the file; the
+    # smaller file is more than one read (_READ_BYTES)
+    errors_of = {"csv": UnicodeDecodeError, "json": TraceFormatError}
+    for format, error in errors_of.items():
+        sizes = {}
+        for blocks in (16, 64):
+            trace = _trace_rows(blocks * model._BLOCK_ROWS)
+            path = str(tmp_path / f"{blocks}.{format}")
+            save_trace(trace, path, format)
+            bad = os.path.getsize(path) - 5
+            assert bad > model._READ_BYTES
+            with open(path, "r+b") as fh:
+                fh.seek(bad)
+                fh.write(b"\xff")
+            with pytest.raises(error):  # once untraced, so first-call caches count at no size
+                load_trace(path, format)
+            errors = []
 
-        def load():
-            try:
-                load_trace(path, "csv")
-            except UnicodeDecodeError as exc:
-                errors.append(str(exc))
-        peak = _peak(load)
-        assert f"byte 0xff in position {bad}: invalid start byte" in errors[0]
-        cols = trace.samples
-        columns = sum(a.nbytes for a in (cols.timestamp_ms, cols.beacon, cols.rssi_dbm,
-                                         cols.tx_power_dbm, cols.channel))
-        sizes[blocks] = peak - columns
-    assert sizes[64] <= MAX_GROWTH * sizes[16], sizes
+            def load():
+                try:
+                    load_trace(path, format)
+                except error as exc:
+                    errors.append(str(exc))
+            peak = _peak(load)
+            assert f"byte 0xff in position {bad}: invalid start byte" in errors[0]
+            cols = trace.samples
+            columns = sum(a.nbytes for a in (cols.timestamp_ms, cols.beacon, cols.rssi_dbm,
+                                             cols.tx_power_dbm, cols.channel))
+            sizes[blocks] = peak - columns
+        assert sizes[64] <= MAX_GROWTH * sizes[16], (format, sizes)

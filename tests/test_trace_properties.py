@@ -751,3 +751,64 @@ def test_json_edits_start_from_a_streamed_text(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_WRITTEN)
     assert _streamed(path, "json")
+
+
+_DOC = json.loads(_WRITTEN)
+
+# Layouts json.load reads besides the writer's: each streams, a sample at
+# a time by json's own scanner, to the reference loader's Trace.
+_JSON_LAYOUTS = {
+    "compact": json.dumps(_DOC),
+    "indent-4": json.dumps(_DOC, indent=4),
+    "crlf": _WRITTEN.replace("\n", "\r\n"),
+    "samples-then-metadata": json.dumps({"samples": _DOC["samples"],
+                                         "metadata": _DOC["metadata"]}, indent=2),
+    "extra-key": json.dumps(dict(_DOC, source={"tool": ["x", 1.5]}), indent=2),
+    "escaped-key": _WRITTEN.replace('"samples"', '"sam\\u0070les"'),
+    "integer-rssi": _edit('"rssi_dbm": -50.0', '"rssi_dbm": -50'),
+    "no-metadata": json.dumps({"samples": _DOC["samples"]}, indent=2),
+}
+
+# Texts the stream leaves to json.load, which refuses them or, for two
+# "samples" keys, keeps the last.
+_JSON_FALLBACKS = {
+    "duplicate-samples": _JSON_EDITS["second-samples-key"],
+    "empty-samples": json.dumps({"metadata": _DOC["metadata"], "samples": []}, indent=2),
+    "bom": _JSON_EDITS["bom"],
+    "trailing-data": _JSON_EDITS["second-document"],
+}
+
+
+def _json_file(tmp_path, text: str) -> str:
+    path = str(tmp_path / "t.json")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.mark.parametrize("layout", _JSON_LAYOUTS)
+def test_json_layouts_stream_to_the_reference_trace(tmp_path, layout):
+    path = _json_file(tmp_path, _JSON_LAYOUTS[layout])
+    load = lambda p: load_trace(p, "json")  # noqa: E731
+    assert _outcome_bits(load, path) == _outcome_bits(_reference_load_json, path)
+    assert model._streamed_json(path) == _reference_load_json(path)
+
+
+@pytest.mark.parametrize("text", _JSON_FALLBACKS)
+def test_json_texts_the_stream_leaves_to_json_load(tmp_path, text):
+    assert model._streamed_json(_json_file(tmp_path, _JSON_FALLBACKS[text])) is None
+    _same_as_reference_json(_JSON_FALLBACKS[text])
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 5, 8])
+def test_json_values_cut_by_a_read_stream_whole(monkeypatch, tmp_path, chars):
+    # short reads cut a top-level number after each of its characters;
+    # json's scanner reads "-6." as -6, "-6.125e" and "-6.125e+" as -6.125
+    # and "-6.1" as -6.1, so a value that ends near the cut is read again
+    monkeypatch.setattr(model, "_JSON_CHARS", chars)
+    for text in [_WRITTEN, *_JSON_LAYOUTS.values()]:
+        for pad in range(chars + 1):
+            path = _json_file(tmp_path, '{"scale":' + " " * pad + "-6.125e+1," + text[1:])
+            streamed = model._streamed_json(path)
+            assert streamed is not None and streamed == _reference_load_json(path)
+            assert streamed.metadata == _reference_load_json(path).metadata
