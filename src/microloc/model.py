@@ -50,7 +50,6 @@ int64 limit.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import errno
 import io
@@ -219,36 +218,79 @@ class SampleColumns(Sequence):
         return order, [grouped[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _index_into(position: dict[str, int], beacon_id: Sequence[str]) -> np.ndarray:
-    """Each row's index into position's ids, adding new ids in order of first appearance."""
-    for b in dict.fromkeys(beacon_id):
-        position.setdefault(b, len(position))
-    return np.fromiter(map(position.__getitem__, beacon_id), np.intp, len(beacon_id))
+_CHANNELS = frozenset(VALID_CHANNELS)
 
 
-def _index(beacon_id: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct ids in order of first appearance, and each row's index into them."""
-    position: dict[str, int] = {}
-    beacon = _index_into(position, beacon_id)
-    return tuple(position), beacon
+class _ColumnFill:
+    """Columns allocated for at most n rows and filled a block of field values at a time.
+
+    The one builder of a Trace's columns, from rows and files alike. The
+    arrays are made here alone, in a Trace's dtypes, and beacon numbers ids
+    in order of first appearance: a Trace takes the rows filled uncopied.
+    """
+
+    def __init__(self, n: int):
+        self.arrays = [np.empty(n, dtype) for dtype in
+                       (np.int64, np.intp, np.float64, np.float64, np.uint8)]
+        self.position: dict[str, int] = {}  # beacon id -> its index
+        self.filled = 0
+
+    def add(self, fields: list[Sequence] | None) -> bool:
+        """Store the next rows' values, one sequence per field, None tx power meaning unknown.
+
+        False if fields is None or overruns n, or holds a number int64 or
+        float64 cannot hold, or a channel or a NaN tx power the Trace would
+        reject (the uint8 and NaN columns could not show it).
+        """
+        if fields is None:
+            return False
+        ts, beacon_id, rssi, tx, channel = fields
+        start, stop = self.filled, self.filled + len(ts)
+        try:
+            tx_power = np.array(tx, dtype=np.float64)  # None becomes NaN
+            if (stop > len(self.arrays[0]) or not _CHANNELS.issuperset(channel)
+                    or np.count_nonzero(np.isnan(tx_power)) != tx.count(None)):
+                return False
+            position = self.position
+            for b in dict.fromkeys(beacon_id):
+                position.setdefault(b, len(position))
+            beacon = np.fromiter(map(position.__getitem__, beacon_id), np.intp, len(beacon_id))
+            for a, values in zip(self.arrays, (ts, beacon, rssi, tx_power, channel)):
+                a[start:stop] = values
+        except OverflowError:
+            return False
+        self.filled = stop
+        return True
+
+    def columns(self) -> SampleColumns:
+        """The rows filled, read-only: no one else holds them, so a Trace keeps them uncopied."""
+        ts, beacon, rssi, tx, channel = arrays = [a[:self.filled] for a in self.arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        return SampleColumns(ts, beacon, tuple(self.position), rssi, tx, channel)
+
+    def trace(self, metadata: dict[str, str]) -> Trace | None:
+        """The Trace of the rows filled, or None if it rejects one or a timestamp runs backwards."""
+        cols = self.columns()
+        try:
+            trace = Trace(cols, metadata)
+        except ValueError:
+            return None
+        return trace if _first_backwards(cols) is None else None
 
 
 def _columns(timestamp_ms: Sequence[int], beacon_id: Sequence[str], rssi_dbm: Sequence[float],
              tx_power_dbm: Sequence[float | None], channel: Sequence[int]) -> SampleColumns:
-    """Columns from per-field value lists, None tx power meaning unknown.
+    """Columns from per-field value lists, None tx power meaning unknown, by _ColumnFill.
 
-    Nothing is checked here, but an integer int64 cannot hold raises
-    OverflowError, and a NaN given as tx power becomes +inf rather than
-    "unknown", so that the Trace rejects its row.
+    Nothing else is checked here, but a value the columns cannot hold (a
+    number int64 or float64 cannot hold, a channel or a NaN tx power a
+    Trace would reject) raises ValueError.
     """
-    ids, beacon = _index(beacon_id)
-    tx = np.array(tx_power_dbm, dtype=np.float64)
-    unknown = np.isnan(tx)
-    if np.count_nonzero(unknown) != tx_power_dbm.count(None):
-        tx[[i for i in np.flatnonzero(unknown).tolist() if tx_power_dbm[i] is not None]] = math.inf
-    return SampleColumns(np.array(timestamp_ms, dtype=np.int64), beacon, ids,
-                         np.array(rssi_dbm, dtype=np.float64), tx,
-                         np.array(channel, dtype=np.int64))
+    fill = _ColumnFill(len(timestamp_ms))
+    if not fill.add([timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel]):
+        raise ValueError("a value the columns cannot hold")
+    return fill.columns()
 
 
 _fields = operator.attrgetter(*CSV_HEADER)  # the header names the row fields
@@ -290,16 +332,15 @@ def _frozen(a: np.ndarray, owned: bool) -> np.ndarray:
 def _normalised(cols: SampleColumns, owned: bool = False) -> SampleColumns:
     """Stable-sorted by timestamp, beacons renumbered by first appearance, read-only.
 
-    owned says that cols' arrays were made for this Trace alone, by
-    _columns from rows, so that they can be frozen in place rather than
-    copied, and that their beacon index already numbers the ids in order
-    of first appearance, as _index does. A caller's arrays are copied
-    while writeable, so that changing them later cannot change the Trace.
+    owned says that cols come from _columns, whose beacon index already
+    numbers the ids in order of first appearance. A caller's arrays are
+    copied while writeable, so that changing them later cannot change the
+    Trace.
     """
     ts, ids = cols.timestamp_ms, cols.beacon_ids
     arrays = [ts, cols.beacon, cols.rssi_dbm, cols.tx_power_dbm,
               cols.channel.astype(np.uint8, copy=False)]
-    fresh = numbered = owned
+    fresh, numbered = False, owned
     if len(ts) > 1 and not (ts[1:] >= ts[:-1]).all():
         order = np.argsort(ts, kind="stable")
         arrays = [a[order] for a in arrays]
@@ -536,43 +577,45 @@ def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
     return int(order[drops[k] + 1]), int(ts[drops[k]])
 
 
-def _file_trace(rows: Iterable, parse_row, fields: list[Sequence] | None, label,
+def _file_trace(rows: Sequence, parse_row, fields: list[Sequence] | None, label,
                 metadata: dict[str, str]) -> Trace:
     """The Trace of a file's rows, or TraceFormatError naming the first bad row.
 
     fields holds every row's values column by column, or None when some
-    row does not parse. A row fails, in file order, by not parsing or by
-    holding a value a Trace rejects; only when every row is sound does a
-    timestamp running backwards for its beacon fail. Only after the columns
-    fail is each row checked, with parse_row and RssiSample. label(i)
-    names row i in messages.
+    row does not parse. label(i) names row i in messages.
     """
-    trace = None
-    if fields is not None:
+    fill = _ColumnFill(len(rows))
+    return _filled_trace(fill, fill.add(fields), metadata,
+                         ((label(i), row) for i, row in enumerate(rows)), parse_row)
+
+
+def _filled_trace(fill: _ColumnFill, parsed: bool, metadata: dict[str, str], rows: Iterable,
+                  parse_row) -> Trace:
+    """The Trace of a file's rows in fill, or TraceFormatError naming the first bad row.
+
+    parsed says that fill holds every row. Only when its Trace fails are
+    rows read: each (where, row) in file order, where naming the row in
+    messages. A row fails, in file order, by not parsing by parse_row or by
+    holding a value a Trace rejects; only when every row is sound does a
+    timestamp running backwards for its beacon fail.
+    """
+    trace = fill.trace(metadata) if parsed else None
+    if trace is not None:
+        return trace
+    cols = fill.columns()
+    backwards = _first_backwards(cols) if parsed else None
+    for i, (where, row) in enumerate(rows):
         try:
-            cols = _columns(*fields)
-            trace = Trace(cols, metadata)
-        except (ValueError, OverflowError):
-            pass
-    if trace is None:
-        for i, row in enumerate(rows):
-            try:
-                RssiSample(*parse_row(row))
-            except (ValueError, OverflowError) as exc:
-                raise TraceFormatError(f"{label(i)}: {exc}") from None
+            RssiSample(*parse_row(row))
+        except (ValueError, OverflowError) as exc:
+            raise TraceFormatError(f"{where}: {exc}") from None
+        if backwards is not None and i == backwards[0]:
+            timestamp_ms, beacon_id = cols._values(i)[:2]
+            error = TraceFormatError(f"{where}: timestamp {timestamp_ms} for beacon {beacon_id!r} "
+                                     f"goes backwards (previous {backwards[1]})")
+    if backwards is None:
         raise AssertionError("the columns were rejected but every row checks")
-    backwards = _first_backwards(cols)
-    if backwards is not None:
-        raise _backwards_error(cols, backwards, label(backwards[0]))
-    return trace
-
-
-def _backwards_error(cols: SampleColumns, backwards: tuple[int, int], where: str) -> TraceFormatError:
-    """The error of the row _first_backwards found, which where names."""
-    i, prev = backwards
-    timestamp_ms, beacon_id = cols._values(i)[:2]
-    return TraceFormatError(f"{where}: timestamp {timestamp_ms} for beacon {beacon_id!r} "
-                            f"goes backwards (previous {prev})")
+    raise error
 
 
 def _tx_field(text: str) -> float | None:
@@ -631,74 +674,14 @@ def _read_sidecar(path: str) -> dict[str, str]:
 # samples) at a time, so that a load or save holds the trace's columns and
 # one block, never the file's text or a Python object per row of it.
 _BLOCK_ROWS = 1024
-_READ_BYTES = 1 << 18  # what a binary file is read in while counting or decoding it
+_READ_BYTES = 1 << 18  # what a binary file is read in while counting its rows
 _JSON_CHARS = 1 << 16  # what a JSON trace's text is read in: a window a few hundred samples long
 
 
-_CHANNELS = frozenset(VALID_CHANNELS)
-
-
-class _ColumnFill:
-    """A trace file's columns, allocated for at most n rows and filled a block at a time.
-
-    The arrays are made here alone, in a Trace's dtypes, and beacon numbers
-    ids in order of first appearance: a Trace takes the rows filled uncopied.
-    """
-
-    def __init__(self, n: int):
-        self.arrays = [np.empty(n, dtype) for dtype in
-                       (np.int64, np.intp, np.float64, np.float64, np.uint8)]
-        self.position: dict[str, int] = {}  # beacon id -> its index
-        self.filled = 0
-
-    def add(self, fields: list[Sequence] | None) -> bool:
-        """Store the next rows' values (as _csv_columns gives them).
-
-        False if fields is None or overruns n, or holds a channel or a NaN
-        tx power the Trace would reject (the uint8 and NaN columns could
-        not show it).
-        """
-        if fields is None:
-            return False
-        ts, beacon_id, rssi, tx, channel = fields
-        start, stop = self.filled, self.filled + len(ts)
-        tx_power = np.array(tx, dtype=np.float64)  # None becomes NaN
-        if (stop > len(self.arrays[0]) or not _CHANNELS.issuperset(channel)
-                or np.count_nonzero(np.isnan(tx_power)) != tx.count(None)):
-            return False
-        beacon = _index_into(self.position, beacon_id)
-        for a, values in zip(self.arrays, (ts, beacon, rssi, tx_power, channel)):
-            a[start:stop] = values
-        self.filled = stop
-        return True
-
-    def columns(self) -> SampleColumns:
-        """The rows filled, read-only: no one else holds them, so a Trace keeps them uncopied."""
-        ts, beacon, rssi, tx, channel = arrays = [a[:self.filled] for a in self.arrays]
-        for a in arrays:
-            a.flags.writeable = False
-        return SampleColumns(ts, beacon, tuple(self.position), rssi, tx, channel)
-
-    def trace(self, metadata: dict[str, str]) -> Trace | None:
-        """The Trace of the rows filled, or None if it rejects one or a timestamp runs backwards."""
-        cols = self.columns()
-        try:
-            trace = Trace(cols, metadata)
-        except ValueError:
-            return None
-        return trace if _first_backwards(cols) is None else None
-
-
-def _csv_row_bound(fh) -> int:
-    """How many line ends binary fh holds (LF, CRLF or a lone CR, as csv.reader ends lines).
-
-    Each row, the header's too, ends at one or at the end of the file, so
-    no more rows follow the header. A CRLF cut between two reads counts twice.
-    """
-    ends = 0
-    while chunk := fh.read(_READ_BYTES):
-        ends += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-    return ends
+def _count(path: str, count) -> int:
+    """count(chunk) summed over binary file path read _READ_BYTES at a time: a bound on its rows."""
+    with open(path, "rb") as fh:
+        return sum(map(count, iter(lambda: fh.read(_READ_BYTES), b"")))
 
 
 def _csv_blocks(fh, size: int):
@@ -741,19 +724,22 @@ class _FileDecodeError(UnicodeDecodeError):
 _FileDecodeError.__name__ = _FileDecodeError.__qualname__ = "UnicodeDecodeError"
 
 
-def _decode_error(path: str, exc: UnicodeDecodeError) -> UnicodeDecodeError:
-    """The first UnicodeDecodeError of UTF-8 file path (exc if none), decoding a read at a time."""
-    decoder, read = codecs.getincrementaldecoder("utf-8")(), 0
-    with open(path, "rb") as fh:
-        try:
-            while chunk := fh.read(_READ_BYTES):
-                decoder.decode(chunk)
-                read += len(chunk)
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError as found:
-            exc = _FileDecodeError(*found.args)
-            exc.offset = read - len(decoder.buffer)  # object starts with the bytes left undecoded
-    return exc
+def _decode_error(fh, exc: UnicodeDecodeError) -> _FileDecodeError:
+    """exc, raised by a read of open text file fh, naming its byte by offset in the file.
+
+    The read decoded exc.object: the bytes the decoder held back from the
+    read before, then the bytes just read, which end where fh.buffer is.
+    """
+    error = _FileDecodeError(*exc.args)
+    error.offset = fh.buffer.tell() - len(exc.object)
+    return error
+
+
+def _csv_rows(path: str):
+    """Each ("line N", row) of a CSV file, read again by csv.reader a row at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line, [row] in _csv_blocks(fh, 1):
+            yield f"line {line}", row
 
 
 def _load_csv(path: str) -> Trace:
@@ -763,32 +749,18 @@ def _load_csv(path: str) -> Trace:
     the sidecar, the first bad row (read again a row at a time, once the
     columns fail), then a timestamp running backwards.
     """
-    with open(path, "rb") as fh:
-        fill = _ColumnFill(_csv_row_bound(fh))
+    # each row, the header's too, ends at a line end, as csv.reader ends
+    # lines, or at the end of the file; a CRLF cut by a read counts twice
+    fill = _ColumnFill(_count(path, lambda chunk: (chunk.count(b"\n") + chunk.count(b"\r")
+                                                   - chunk.count(b"\r\n"))))
     parsed = True
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
             for _, rows in _csv_blocks(fh, _BLOCK_ROWS):
                 parsed = parsed and fill.add(_csv_fields(rows))  # read on: a later csv.Error wins
-    except UnicodeDecodeError as exc:
-        raise _decode_error(path, exc) from None
-    metadata = _read_sidecar(path)
-    trace = fill.trace(metadata) if parsed else None
-    if trace is not None:
-        return trace
-    cols = fill.columns()  # every row when each block parsed
-    backwards = _first_backwards(cols) if parsed else None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for i, (line, [row]) in enumerate(_csv_blocks(fh, 1)):
-            try:
-                RssiSample(*_csv_row(row))
-            except (ValueError, OverflowError) as exc:
-                raise TraceFormatError(f"line {line}: {exc}") from None
-            if backwards is not None and i == backwards[0]:
-                where = f"line {line}"
-    if backwards is None:
-        raise AssertionError("the columns were rejected but every row checks")
-    raise _backwards_error(cols, backwards, where)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(fh, exc) from None
+    return _filled_trace(fill, parsed, _read_sidecar(path), _csv_rows(path), _csv_row)
 
 
 # A JSON sample's typed fields: (field, default, allowed JSON types, what it must be)
@@ -898,8 +870,7 @@ def _json_samples(doc: _JsonText, fill: _ColumnFill) -> bool:
         block.append(doc.value())
         end = doc.token()
         if len(block) == _BLOCK_ROWS or end != ",":
-            ts, ids, rssi, tx, ch = _json_columns(block)  # converted as _columns converts them
-            if not fill.add([np.array(ts, np.int64), ids, np.array(rssi, np.float64), tx, ch]):
+            if not fill.add(_json_columns(block)):
                 return False
             block = []
     return end == "]"
@@ -912,13 +883,13 @@ def _streamed_json(path: str) -> Trace | None:
     None, for _whole_json to read the file, where json would fail, a
     top-level key repeats, "samples" is missing or empty, a sample is not
     an object of its fields' types, or the Trace fails or runs backwards.
-    A file that is not UTF-8 raises _whole_json's TraceFormatError.
+    A file that is not UTF-8 raises _whole_json's TraceFormatError, its
+    offset taken from the read that failed.
     """
-    with open(path, "rb") as fh:  # every sample is an object: no more samples than "{"s
-        fill = _ColumnFill(sum(c.count(b"{") for c in iter(lambda: fh.read(_READ_BYTES), b"")))
+    fill = _ColumnFill(_count(path, lambda chunk: chunk.count(b"{")))  # every sample is an object
     keys, metadata = set(), {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             doc = _JsonText(fh)
             end = "," if doc.token() == "{" else ""
             while end == ",":
@@ -934,10 +905,10 @@ def _streamed_json(path: str) -> Trace | None:
                 end = doc.token()
             if end != "}" or doc.token() != "" or "samples" not in keys:
                 return None
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"{path}: {_decode_error(path, exc)}") from None
-    except (ValueError, OverflowError, StopIteration, RecursionError):
-        return None
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path}: {_decode_error(fh, exc)}") from None
+        except (ValueError, OverflowError, StopIteration, RecursionError):
+            return None
     if not isinstance(metadata, dict):
         return None
     return fill.trace({str(k): str(v) for k, v in metadata.items()})
@@ -976,7 +947,10 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     at a time to name its first bad line. A JSON file json would refuse,
     or with a value a Trace rejects or a timestamp running backwards, is
     read again whole by json.load, which gives the same Trace for any file
-    both read, and names the first bad sample.
+    both read, and names the first bad sample. A file that is not UTF-8
+    fails at the read that meets its first bad byte, with the message a
+    whole-file decode gives (UnicodeDecodeError for CSV, TraceFormatError
+    for JSON), and is not read again.
     """
     if format == "csv":
         return _load_csv(path)

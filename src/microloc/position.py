@@ -12,6 +12,11 @@ Five strategies, one result type:
   signatures.
 
 All solvers work in a 2-D metric coordinate frame (metres).
+
+A fix's bits rest on numpy >= 1.22, the libm tests/test_libm_bits.py pins,
+and the OpenBLAS kernel, picked for the CPU, under the products, solves and
+eigenvalues of trilaterate, tdoa_locate and _check_spread: forcing Haswell
+where SkylakeX is picked changes some fixes and whether a stalled fit converges.
 """
 
 from __future__ import annotations

@@ -422,6 +422,8 @@ JSON_BOUNDARIES = {
                  lambda doc, trace, out: ["simulate", doc, out]),
     "trace": ('{"samples": [{"timestamp_ms": 0, "beacon_id": "b0", "rssi_dbm": @}]}',
               lambda doc, trace, out: ["filter", doc, out]),
+    "trace tx": ('{"samples": [{"timestamp_ms": 0, "beacon_id": "b0", "rssi_dbm": -60,'
+                 ' "tx_power_dbm": @}]}', lambda doc, trace, out: ["filter", doc, out]),
     "fingerprint db": ('{"entries": [{"x": 0, "y": 0, "signature": {"b0": @}}]}',
                        lambda doc, trace, out: ["locate", trace, doc, out,
                                                 "--method", "fingerprint"]),

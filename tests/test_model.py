@@ -616,10 +616,13 @@ def test_atomic_write_of_chunks_that_fail_leaves_the_file_as_it_was(tmp_path):
     assert (tmp_path / "target").read_text() == "ab\n"
 
 
-# where a CSV stops being UTF-8, around the reads it is decoded in: a bad
+# where a trace stops being UTF-8, around the reads it is decoded in: a bad
 # byte before, at and after a read boundary, after a character cut by one,
-# a sequence cut by one and then broken, and a sequence the file cuts short
+# a sequence cut by one and then broken, and a sequence the file cuts short;
+# the same at the edge of the text layer's first chunk, with a 2- and a
+# 4-byte sequence cut by it and broken, and a 4-byte character cut by it
 READ = model._READ_BYTES
+CHUNK = 8192  # what io.TextIOWrapper reads and decodes at a time; READ is a multiple
 DECODE_EDITS = {
     "start": (100, b"\xff"),
     "before-boundary": (READ - 1, b"\xff"),
@@ -627,25 +630,40 @@ DECODE_EDITS = {
     "after-a-cut-character": (READ - 1, b"\xc3\xa9" + b"0" * 500 + b"\xff"),
     "cut-then-broken": (READ - 2, b"\xe2\x82x"),
     "end-of-file": (-2, b"\xe2\x82"),
+    "before-chunk-edge": (CHUNK - 1, b"\xff"),
+    "at-chunk-edge": (CHUNK, b"\xff"),
+    "2-byte-cut-at-chunk-edge": (CHUNK - 1, b"\xc3x"),
+    "4-byte-cut-at-chunk-edge": (CHUNK - 2, b"\xf0\x9f\x98x"),
+    "after-a-4-byte-character-cut-at-chunk-edge": (CHUNK - 3, b"\xf0\x9f\x98\x80" + b"0" * 9 + b"\xff"),
 }
 
 
 @pytest.mark.parametrize("edit", DECODE_EDITS)
-def test_csv_decode_error_names_the_offset_a_whole_decode_names(tmp_path, edit):
-    path = str(tmp_path / "t.csv")
-    save_trace(Trace([RssiSample(i, f"b{i % 3}", -60.0 - i % 7, -59.0, 37 + i % 3)
-                      for i in range(12_000)]), path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    assert len(data) > READ + 1000
-    at, text = DECODE_EDITS[edit]
-    at %= len(data)
-    data = data[:at] + text + data[at + len(text):]
-    with open(path, "wb") as fh:
-        fh.write(data)
-    with pytest.raises(UnicodeDecodeError) as whole:
-        data.decode("utf-8")
-    with pytest.raises(UnicodeDecodeError) as got:
-        load_trace(path)
-    assert type(got.value).__name__ == "UnicodeDecodeError"
-    assert str(got.value) == str(whole.value)
+def test_csv_decode_error_names_the_offset_a_whole_decode_names(monkeypatch, tmp_path, edit):
+    # a JSON trace too, read in windows of the default size and of 3
+    # characters: it raises TraceFormatError, naming the file
+    trace = Trace([RssiSample(i, f"b{i % 3}", -60.0 - i % 7, -59.0, 37 + i % 3)
+                   for i in range(12_000)])
+    for format, chars in [("csv", model._JSON_CHARS), ("json", model._JSON_CHARS), ("json", 3)]:
+        monkeypatch.setattr(model, "_JSON_CHARS", chars)
+        path = str(tmp_path / f"t.{format}")
+        save_trace(trace, path, format)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert len(data) > READ + 1000
+        at, text = DECODE_EDITS[edit]
+        at %= len(data)
+        data = data[:at] + text + data[at + len(text):]
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        if format == "csv":
+            with pytest.raises(UnicodeDecodeError) as got:
+                load_trace(path)
+            assert type(got.value).__name__ == "UnicodeDecodeError"
+            assert str(got.value) == str(whole.value)
+        else:
+            with pytest.raises(TraceFormatError) as got:
+                load_trace(path, "json")
+            assert str(got.value) == f"{path}: {whole.value}"

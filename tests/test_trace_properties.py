@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -140,28 +141,55 @@ def _reference_load_csv(path: str) -> Trace:
             raise TraceFormatError("line 1: missing header") from None
         except csv.Error as exc:
             raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
-    linenos = [n for n, _ in numbered]
     rows = [row for _, row in numbered]
-    fields = model._csv_fields(rows)
-    metadata = model._read_sidecar(path)
+    return _reference_trace(model._csv_fields(rows), rows, model._csv_row,
+                            [f"line {n}" for n, _ in numbered], model._read_sidecar(path))
+
+
+def _reference_columns(timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel) -> SampleColumns:
+    """Columns from per-field value lists, sharing no code with the loaders' column builder.
+
+    An integer int64 or a float cannot hold raises OverflowError; a NaN
+    given as tx power becomes +inf rather than "unknown", and channels stay
+    int64, so that the Trace rejects their rows.
+    """
+    ids = tuple(dict.fromkeys(beacon_id))
+    index = {b: i for i, b in enumerate(ids)}
+    tx = np.array(tx_power_dbm, dtype=np.float64)
+    for i, value in enumerate(tx_power_dbm):
+        if value is not None and math.isnan(value):
+            tx[i] = math.inf
+    return SampleColumns(np.array(timestamp_ms, dtype=np.int64),
+                         np.array([index[b] for b in beacon_id], dtype=np.intp), ids,
+                         np.array(rssi_dbm, dtype=np.float64), tx,
+                         np.array(channel, dtype=np.int64))
+
+
+def _reference_trace(fields, rows: list, parse_row, where: list[str], metadata) -> Trace:
+    """The Trace of rows, or the TraceFormatError naming where[i] for the first bad row i.
+
+    fields holds every row's values column by column, or None when some
+    row does not parse; a timestamp running backwards fails only when
+    every row is sound.
+    """
     if fields is not None:
         try:
-            cols = model._columns(*fields)
+            cols = _reference_columns(*fields)
             trace = Trace(cols, metadata)
         except (ValueError, OverflowError):
             fields = None
     if fields is None:
         for i, row in enumerate(rows):
             try:
-                RssiSample(*model._csv_row(row))
+                RssiSample(*parse_row(row))
             except (ValueError, OverflowError) as exc:
-                raise TraceFormatError(f"line {linenos[i]}: {exc}") from None
+                raise TraceFormatError(f"{where[i]}: {exc}") from None
         raise AssertionError("the columns were rejected but every row checks")
     backwards = model._first_backwards(cols)
     if backwards is not None:
         i, prev = backwards
         timestamp_ms, beacon_id = cols._values(i)[:2]
-        raise TraceFormatError(f"line {linenos[i]}: timestamp {timestamp_ms} for beacon "
+        raise TraceFormatError(f"{where[i]}: timestamp {timestamp_ms} for beacon "
                                f"{beacon_id!r} goes backwards (previous {prev})")
     return trace
 
@@ -289,8 +317,13 @@ def test_mutated_csv_matches_reference_loader(text, sidecar):
     _HEADER + "\n0,a,-50\r,,37\n", _HEADER + "\n0,a,-50,\r,37\n", _HEADER + "\n0\r,a,-50,,37\n",
     _HEADER + "\n0,a,-50,-59\n37,1,a,-50,,38\n",  # 4 and 6 fields whose values regroup into 5s
 ])
-def test_csv_edge_texts_match_reference_loader(text):
-    _same_as_reference(text)
+def test_csv_edge_texts_match_reference_loader(monkeypatch, text):
+    # the row bound counted in reads of 1, 2 and the default number of
+    # bytes: a CRLF cut between two reads counts twice, and a bound below
+    # the rows would overrun the columns and fail the load
+    for size in (1, 2, model._READ_BYTES):
+        monkeypatch.setattr(model, "_READ_BYTES", size)
+        _same_as_reference(text)
 
 
 def _literal_csv_fields(rows: list[list[str]]) -> list[list] | None:
@@ -483,8 +516,9 @@ def _reference_load_json(path: str) -> Trace:
     if not isinstance(meta_raw, dict):
         raise TraceFormatError("'metadata' must be an object")
     samples = raw["samples"]
-    return model._file_trace(samples, _reference_json_row, _reference_json_fields(samples),
-                             lambda i: f"sample {i}", {str(k): str(v) for k, v in meta_raw.items()})
+    return _reference_trace(_reference_json_fields(samples), samples, _reference_json_row,
+                            [f"sample {i}" for i in range(len(samples))],
+                            {str(k): str(v) for k, v in meta_raw.items()})
 
 
 def _outcome_bits(load, path: str):
@@ -787,11 +821,13 @@ def _json_file(tmp_path, text: str) -> str:
 
 
 @pytest.mark.parametrize("layout", _JSON_LAYOUTS)
-def test_json_layouts_stream_to_the_reference_trace(tmp_path, layout):
+def test_json_layouts_stream_to_the_reference_trace(monkeypatch, tmp_path, layout):
     path = _json_file(tmp_path, _JSON_LAYOUTS[layout])
     load = lambda p: load_trace(p, "json")  # noqa: E731
-    assert _outcome_bits(load, path) == _outcome_bits(_reference_load_json, path)
-    assert model._streamed_json(path) == _reference_load_json(path)
+    for size in (1, 2, model._READ_BYTES):  # the "{" bound counted in reads of each size
+        monkeypatch.setattr(model, "_READ_BYTES", size)
+        assert _outcome_bits(load, path) == _outcome_bits(_reference_load_json, path)
+        assert model._streamed_json(path) == _reference_load_json(path)
 
 
 @pytest.mark.parametrize("text", _JSON_FALLBACKS)
