@@ -37,7 +37,10 @@ JSON::
 
     JSON preserves float values exactly and keeps metadata inline. The
     loader reads a file in any layout a sample at a time with json's own
-    scanner; json.load reads whole only a file that does not stream.
+    scanner; json.load reads whole only a file whose samples do not all
+    fill the stream's columns. A value a Trace rejects, or a timestamp
+    running backwards, is named from those columns, read back a block of
+    rows at a time.
 
 Reading and writing go _BLOCK_ROWS rows at a time, so that a load or save
 holds the trace's columns and one block, never the file's text.
@@ -147,7 +150,8 @@ def _optional(values: np.ndarray) -> list:
 class SampleColumns(Sequence):
     """Samples stored column-wise, read as a sequence of RssiSample rows.
 
-    timestamp_ms is int64; beacon indexes beacon_ids; rssi_dbm and
+    timestamp_ms is int64; beacon holds indices into beacon_ids, each in
+    [0, len(beacon_ids)), a Trace refusing any other; rssi_dbm and
     tx_power_dbm are float64, with NaN tx power meaning "unknown"; channel
     holds integers (uint8 inside a Trace). Building one converts the
     columns to those dtypes but checks no value: a Trace validates the
@@ -173,9 +177,10 @@ class SampleColumns(Sequence):
         return len(self.timestamp_ms)
 
     def _values(self, i: int) -> tuple:
+        # indexing checks i; the channel comes as stored, so a Trace can refuse 37.5 or NaN
         tx = float(self.tx_power_dbm[i])
         return (int(self.timestamp_ms[i]), self.beacon_ids[self.beacon[i]],
-                float(self.rssi_dbm[i]), None if math.isnan(tx) else tx, int(self.channel[i]))
+                float(self.rssi_dbm[i]), None if math.isnan(tx) else tx, self.channel.item(i))
 
     def select(self, index) -> SampleColumns:
         """The rows a slice, boolean mask or index array picks, as columns."""
@@ -269,29 +274,6 @@ class _ColumnFill:
             a.flags.writeable = False
         return SampleColumns(ts, beacon, tuple(self.position), rssi, tx, channel)
 
-    def trace(self, metadata: dict[str, str]) -> Trace | None:
-        """The Trace of the rows filled, or None if it rejects one or a timestamp runs backwards."""
-        cols = self.columns()
-        try:
-            trace = Trace(cols, metadata)
-        except ValueError:
-            return None
-        return trace if _first_backwards(cols) is None else None
-
-
-def _columns(timestamp_ms: Sequence[int], beacon_id: Sequence[str], rssi_dbm: Sequence[float],
-             tx_power_dbm: Sequence[float | None], channel: Sequence[int]) -> SampleColumns:
-    """Columns from per-field value lists, None tx power meaning unknown, by _ColumnFill.
-
-    Nothing else is checked here, but a value the columns cannot hold (a
-    number int64 or float64 cannot hold, a channel or a NaN tx power a
-    Trace would reject) raises ValueError.
-    """
-    fill = _ColumnFill(len(timestamp_ms))
-    if not fill.add([timestamp_ms, beacon_id, rssi_dbm, tx_power_dbm, channel]):
-        raise ValueError("a value the columns cannot hold")
-    return fill.columns()
-
 
 _fields = operator.attrgetter(*CSV_HEADER)  # the header names the row fields
 
@@ -304,8 +286,9 @@ def _valid_id(beacon_id) -> bool:
 def _first_bad_row(cols: SampleColumns) -> int | None:
     """Index of the first row RssiSample would reject, or None; the same checks, vectorised."""
     rssi, tx = cols.rssi_dbm, cols.tx_power_dbm
-    good_id = np.array([_valid_id(b) for b in cols.beacon_ids], dtype=bool)
-    ok = ((cols.timestamp_ms >= 0) & good_id[cols.beacon]
+    # one False past the ids, for a beacon index beyond them
+    good_id = np.array([_valid_id(b) for b in cols.beacon_ids] + [False], dtype=bool)
+    ok = ((cols.timestamp_ms >= 0) & (cols.beacon >= 0) & good_id.take(cols.beacon, mode="clip")
           & (rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM)
           & (np.isnan(tx) | ((tx >= TX_POWER_MIN_DBM) & (tx <= TX_POWER_MAX_DBM)))
           & reduce(operator.or_, [cols.channel == c for c in VALID_CHANNELS]))
@@ -332,10 +315,10 @@ def _frozen(a: np.ndarray, owned: bool) -> np.ndarray:
 def _normalised(cols: SampleColumns, owned: bool = False) -> SampleColumns:
     """Stable-sorted by timestamp, beacons renumbered by first appearance, read-only.
 
-    owned says that cols come from _columns, whose beacon index already
-    numbers the ids in order of first appearance. A caller's arrays are
-    copied while writeable, so that changing them later cannot change the
-    Trace.
+    owned says that cols come from a _ColumnFill, whose beacon index
+    already numbers the ids in order of first appearance. A caller's
+    arrays are copied while writeable, so that changing them later cannot
+    change the Trace.
     """
     ts, ids = cols.timestamp_ms, cols.beacon_ids
     arrays = [ts, cols.beacon, cols.rssi_dbm, cols.tx_power_dbm,
@@ -374,7 +357,10 @@ class Trace:
         if isinstance(samples, SampleColumns):
             bad = _first_bad_row(samples)
             if bad is not None:
+                beacon, n = samples.beacon[bad], len(samples.beacon_ids)
                 try:
+                    if not 0 <= beacon < n:
+                        raise ValueError(f"beacon index {beacon} is not in [0, {n})")
                     RssiSample(*samples._values(bad))
                 except ValueError as exc:
                     raise ValueError(f"sample {bad}: {exc}") from None
@@ -383,8 +369,10 @@ class Trace:
             rows = tuple(samples)
             if not all(isinstance(s, RssiSample) for s in rows):
                 raise TypeError("Trace rows must be RssiSample instances")
-            cols = _normalised(
-                _columns(*(list(zip(*map(_fields, rows))) or [()] * len(CSV_HEADER))), owned=True)
+            fill = _ColumnFill(len(rows))
+            if not fill.add(list(zip(*map(_fields, rows))) or [()] * len(CSV_HEADER)):
+                raise ValueError("a value the columns cannot hold")
+            cols = _normalised(fill.columns(), owned=True)
         meta = dict(metadata or {})
         for k, v in meta.items():
             if not isinstance(k, str) or not isinstance(v, str):
@@ -593,17 +581,20 @@ def _filled_trace(fill: _ColumnFill, parsed: bool, metadata: dict[str, str], row
                   parse_row) -> Trace:
     """The Trace of a file's rows in fill, or TraceFormatError naming the first bad row.
 
-    parsed says that fill holds every row. Only when its Trace fails are
-    rows read: each (where, row) in file order, where naming the row in
-    messages. A row fails, in file order, by not parsing by parse_row or by
-    holding a value a Trace rejects; only when every row is sound does a
-    timestamp running backwards for its beacon fail.
+    parsed says that fill holds every row. Only when its Trace fails, or a
+    timestamp runs backwards, are rows read: each (where, row) in file
+    order, where naming the row in messages. A row fails, in file order, by
+    not parsing by parse_row or by holding a value a Trace rejects; only
+    when every row is sound does a timestamp running backwards for its
+    beacon fail.
     """
-    trace = fill.trace(metadata) if parsed else None
-    if trace is not None:
-        return trace
     cols = fill.columns()
     backwards = _first_backwards(cols) if parsed else None
+    if parsed and backwards is None:
+        try:
+            return Trace(cols, metadata)
+        except ValueError:
+            pass
     for i, (where, row) in enumerate(rows):
         try:
             RssiSample(*parse_row(row))
@@ -882,9 +873,12 @@ def _streamed_json(path: str) -> Trace | None:
     The file is opened as json.load's is, so each value is json.load's.
     None, for _whole_json to read the file, where json would fail, a
     top-level key repeats, "samples" is missing or empty, a sample is not
-    an object of its fields' types, or the Trace fails or runs backwards.
-    A file that is not UTF-8 raises _whole_json's TraceFormatError, its
-    offset taken from the read that failed.
+    an object of its fields' types or holds a value the columns cannot
+    hold, or "metadata" is not an object. Otherwise _filled_trace gives
+    the Trace, or names the first bad sample or a timestamp running
+    backwards from the columns filled, read back a block at a time. A file
+    that is not UTF-8 raises _whole_json's TraceFormatError, its offset
+    taken from the read that failed.
     """
     fill = _ColumnFill(_count(path, lambda chunk: chunk.count(b"{")))  # every sample is an object
     keys, metadata = set(), {}
@@ -911,7 +905,11 @@ def _streamed_json(path: str) -> Trace | None:
             return None
     if not isinstance(metadata, dict):
         return None
-    return fill.trace({str(k): str(v) for k, v in metadata.items()})
+    cols = fill.columns()
+    rows = (row for start in range(0, len(cols), _BLOCK_ROWS)
+            for row in cols[start:start + _BLOCK_ROWS])  # each block's rows made as it is read
+    return _filled_trace(fill, True, {str(k): str(v) for k, v in metadata.items()},
+                         ((f"sample {i}", row) for i, row in enumerate(rows)), _fields)
 
 
 def _whole_json(path: str) -> Trace:
@@ -944,13 +942,14 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     a bound on its row count, so the load holds the Trace's columns and
     one block: a CSV file by the csv module, a JSON file in any layout by
     json's own scanner. A CSV file whose columns fail is read again a row
-    at a time to name its first bad line. A JSON file json would refuse,
-    or with a value a Trace rejects or a timestamp running backwards, is
-    read again whole by json.load, which gives the same Trace for any file
-    both read, and names the first bad sample. A file that is not UTF-8
-    fails at the read that meets its first bad byte, with the message a
-    whole-file decode gives (UnicodeDecodeError for CSV, TraceFormatError
-    for JSON), and is not read again.
+    at a time to name its first bad line. A JSON file whose samples all
+    fill the columns names a value a Trace rejects, or a timestamp running
+    backwards, from those columns; any other is read again whole by
+    json.load, which gives the same Trace for any file both read, and
+    names its error. A file that is not UTF-8 fails at the read that meets
+    its first bad byte, with the message a whole-file decode gives
+    (UnicodeDecodeError for CSV, TraceFormatError for JSON), and is not
+    read again.
     """
     if format == "csv":
         return _load_csv(path)

@@ -11,7 +11,8 @@ Trace files are read and written in blocks of rows: a save's peak, and a
 load's peak beyond the columns it returns, may grow at most 1.25 times
 from a file of 4 blocks to one of 16 (holding the file's text, or an
 object per row of it, would quadruple them). A CSV or JSON trace refused
-because it is not UTF-8 near its end is held to that bound beyond the
+because it is not UTF-8 near its end, or a JSON trace refused for an RSSI
+out of range in its last sample, is held to that bound beyond the
 columns, from 16 blocks to 64. Only memory is counted, never wall time.
 """
 
@@ -227,3 +228,34 @@ def test_csv_decode_error_peak_memory_stays_flat_in_blocks(tmp_path):
                                              cols.tx_power_dbm, cols.channel))
             sizes[blocks] = peak - columns
         assert sizes[64] <= MAX_GROWTH * sizes[16], (format, sizes)
+
+
+def test_json_rejected_value_peak_memory_stays_flat_in_blocks(tmp_path):
+    # a JSON trace whose last sample holds an RSSI a Trace rejects is
+    # refused from the columns its samples streamed into, naming that
+    # sample, not read again whole by json.load
+    sizes = {}
+    for blocks in (16, 64):
+        trace = _trace_rows(blocks * model._BLOCK_ROWS)
+        path = str(tmp_path / f"{blocks}.json")
+        save_trace(trace, path, "json")
+        with open(path, encoding="utf-8") as fh:
+            head, key, tail = fh.read().rpartition('"rssi_dbm": ')
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head + key + "5.0" + tail[tail.index(","):])
+        with pytest.raises(TraceFormatError):  # once untraced, so first-call caches count at no size
+            load_trace(path, "json")
+        errors = []
+
+        def load():
+            try:
+                load_trace(path, "json")
+            except TraceFormatError as exc:
+                errors.append(str(exc))
+        peak = _peak(load)
+        assert errors == [f"sample {len(trace) - 1}: rssi_dbm out of range [-120.0, 0.0]: 5.0"]
+        cols = trace.samples
+        columns = sum(a.nbytes for a in (cols.timestamp_ms, cols.beacon, cols.rssi_dbm,
+                                         cols.tx_power_dbm, cols.channel))
+        sizes[blocks] = peak - columns
+    assert sizes[64] <= MAX_GROWTH * sizes[16], sizes

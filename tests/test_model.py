@@ -284,6 +284,21 @@ def test_trace_from_columns_names_first_bad_sample():
         Trace(bad)
 
 
+@pytest.mark.parametrize("beacon, channel, message", [
+    (5, 37, r"beacon index 5 is not in \[0, 1\)"),  # beyond the ids
+    (-1, 37, r"beacon index -1 is not in \[0, 1\)"),  # not read as the last id
+    (0, 37.5, r"channel must be one of \(37, 38, 39\), got 37\.5"),  # not stored as 37
+    (0, np.nan, r"channel must be one of \(37, 38, 39\), got nan"),
+], ids=["beacon-beyond-ids", "beacon-negative", "channel-fraction", "channel-nan"])
+def test_trace_from_columns_refuses_every_row_its_check_flags(beacon, channel, message):
+    from microloc.model import SampleColumns
+
+    cols = SampleColumns([0, 1, 2], [0, beacon, 0], ["b"], [-60.0] * 3, [np.nan] * 3,
+                         [37, channel, 37])
+    with pytest.raises(ValueError, match="^sample 1: " + message + "$"):
+        Trace(cols)
+
+
 def test_csv_first_bad_line_named_deep_in_file(tmp_path):
     rows = [f"{i},b{i % 3},-60.0000,,37" for i in range(5000)]
     rows[3999] = "3999,b0,-60.0000,,41"      # bad channel

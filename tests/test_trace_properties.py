@@ -836,6 +836,40 @@ def test_json_texts_the_stream_leaves_to_json_load(tmp_path, text):
     _same_as_reference_json(_JSON_FALLBACKS[text])
 
 
+# Texts whose samples all fill the stream's columns but that a Trace
+# refuses: the stream names the first bad sample, or the timestamp running
+# backwards, from the columns it filled, as the whole-file loader does.
+_JSON_REFUSED = {
+    "rssi-out-of-range": _edit('"rssi_dbm": -61.25', '"rssi_dbm": 5.0'),
+    "integer-rssi-out-of-range": _edit('"rssi_dbm": -61.25', '"rssi_dbm": -200'),
+    "rssi-minus-infinity": _edit('"rssi_dbm": -60.5', '"rssi_dbm": -Infinity'),
+    "tx-out-of-range": _edit('"tx_power_dbm": 4.5', '"tx_power_dbm": 40'),
+    "id-with-comma": _edit('"beacon_id": "b"', '"beacon_id": "b,c"'),
+    "missing-id": _edit('      "beacon_id": "b",\n', ""),
+    "negative-timestamp": _edit('"timestamp_ms": 9', '"timestamp_ms": -9'),
+    "backwards": _edit('"timestamp_ms": 0,', '"timestamp_ms": 20,'),
+    "backwards-and-bad-value-in-one-sample": _edit('"timestamp_ms": 0,', '"timestamp_ms": 20,').replace(
+        '"rssi_dbm": -61.25', '"rssi_dbm": 5.0'),
+    "bad-value-after-backwards": json.dumps(dict(_DOC, samples=[
+        dict(_DOC["samples"][2], timestamp_ms=1), _DOC["samples"][0],
+        dict(_DOC["samples"][1], rssi_dbm=0.5)])),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, model._BLOCK_ROWS])
+@pytest.mark.parametrize("text", _JSON_REFUSED)
+def test_streamed_json_names_its_own_bad_sample(monkeypatch, tmp_path, rows, text):
+    path = _json_file(tmp_path, _JSON_REFUSED[text])
+    expected = _outcome(_reference_load_json, path)
+    assert expected[0] is TraceFormatError
+
+    def read_whole(*args, **kwargs):
+        raise AssertionError("the file was read whole")
+    monkeypatch.setattr(model, "read_json", read_whole)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", rows)  # rows read back from the columns by blocks
+    assert _outcome(lambda p: load_trace(p, "json"), path) == expected
+
+
 @pytest.mark.parametrize("chars", [1, 2, 3, 5, 8])
 def test_json_values_cut_by_a_read_stream_whole(monkeypatch, tmp_path, chars):
     # short reads cut a top-level number after each of its characters;
