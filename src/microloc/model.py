@@ -36,11 +36,10 @@ JSON::
     {"metadata": {...}, "samples": [{"timestamp_ms": 0, ...}, ...]}
 
     JSON preserves float values exactly and keeps metadata inline. The
-    loader reads a file in any layout a sample at a time with json's own
-    scanner; json.load reads whole only a file whose samples do not all
-    fill the stream's columns. A value a Trace rejects, or a timestamp
-    running backwards, is named from those columns, read back a block of
-    rows at a time.
+    loader reads a file in any layout once, a sample at a time, with
+    json's own scanner, and raises json.load's errors, placed in the file.
+    A value a Trace rejects, or a timestamp running backwards, is named
+    from the columns filled, read back a block of rows at a time.
 
 Reading and writing go _BLOCK_ROWS rows at a time, so that a load or save
 holds the trace's columns and one block, never the file's text.
@@ -64,7 +63,7 @@ import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -565,18 +564,6 @@ def _first_backwards(cols: SampleColumns) -> tuple[int, int] | None:
     return int(order[drops[k] + 1]), int(ts[drops[k]])
 
 
-def _file_trace(rows: Sequence, parse_row, fields: list[Sequence] | None, label,
-                metadata: dict[str, str]) -> Trace:
-    """The Trace of a file's rows, or TraceFormatError naming the first bad row.
-
-    fields holds every row's values column by column, or None when some
-    row does not parse. label(i) names row i in messages.
-    """
-    fill = _ColumnFill(len(rows))
-    return _filled_trace(fill, fill.add(fields), metadata,
-                         ((label(i), row) for i, row in enumerate(rows)), parse_row)
-
-
 def _filled_trace(fill: _ColumnFill, parsed: bool, metadata: dict[str, str], rows: Iterable,
                   parse_row) -> Trace:
     """The Trace of a file's rows in fill, or TraceFormatError naming the first bad row.
@@ -804,131 +791,170 @@ def _json_head(metadata: Mapping[str, str]) -> str:
 
 
 class _JsonText:
-    """A JSON text file read _JSON_CHARS characters at a time, its values parsed by json's own scanner."""
+    """A JSON text file read _JSON_CHARS characters at a time, its values parsed by json's own scanner.
+
+    Its errors are json.load's, each placed by line, column and character
+    in the file: the text dropped from the window is counted as it goes.
+    """
 
     def __init__(self, fh):
         self.fh, self.text, self.pos = fh, "", 0
-        self.scan = json.JSONDecoder().scan_once  # what json.load parses each value with
+        # characters and "\n"s before text, and the file position where text's first line starts
+        self.dropped = self.lines = self.line_start = 0
+        # what json.load parses each value with, and skips whitespace with
+        self.scan, self.skip = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
 
     def _more(self) -> bool:
         """Read on, at least as much as is left after pos, dropping what is before; False at the end."""
         more = self.fh.read(max(_JSON_CHARS, len(self.text) - self.pos))
         if more:
+            self.lines += self.text.count("\n", 0, self.pos)
+            last = self.text.rfind("\n", 0, self.pos)
+            self.line_start = self.line_start if last < 0 else self.dropped + last + 1
+            self.dropped += self.pos
             self.text, self.pos = self.text[self.pos:] + more, 0
         return more != ""
 
-    def _skip(self) -> bool:
-        """Move pos past JSON whitespace; False if the file holds nothing else."""
+    def char(self) -> str:
+        """The next character after JSON whitespace, not consumed; "" at the end of the file."""
         while True:
-            self.pos = json.decoder.WHITESPACE.match(self.text, self.pos).end()
+            self.pos = self.skip(self.text, self.pos).end()
             if self.pos < len(self.text) or not self._more():
-                return self.pos < len(self.text)
+                return self.text[self.pos:self.pos + 1]
 
-    def token(self) -> str:
-        """The next character after whitespace, consumed; "" at the end of the file."""
-        if not self._skip():
-            return ""
+    def take(self, chars: str, msg: str) -> str:
+        """The next character after whitespace if one of chars, consumed; else json.load's error msg."""
+        char = self.char()
+        if not char or char not in chars:
+            raise self.error(msg, self.pos)
         self.pos += 1
-        return self.text[self.pos - 1]
+        return char
+
+    def error(self, msg: str, at: int | None = None) -> TraceFormatError:
+        """json.load's error msg at text position at, placed in the file as JSONDecodeError places it.
+
+        The rest of the file is read first: json.load decodes a file whole
+        before it parses, so a byte that is not UTF-8 anywhere in it raises
+        UnicodeDecodeError instead.
+        """
+        while self.fh.read(_JSON_CHARS):
+            pass
+        if at is not None:
+            last = self.text.rfind("\n", 0, at)
+            start = self.line_start if last < 0 else self.dropped + last + 1
+            line = self.lines + self.text.count("\n", 0, at) + 1
+            msg = f"{msg}: line {line} column {self.dropped + at - start + 1} (char {self.dropped + at})"
+        return TraceFormatError(f"{self.fh.name}: {msg}")
 
     def value(self):
-        """The next value after whitespace, as json.load parses it, or StopIteration or ValueError.
+        """The next value after whitespace, as json.load parses it, or json.load's error.
 
-        A value that fails, or ends less than three characters before the
-        text read, is parsed again with more text: "1", "1.", "1e" and
-        "1e+" each go on in "1.5e+2".
+        A value that ends less than three characters before the text read
+        is parsed again with more text: "1", "1.", "1e" and "1e+" each go
+        on in "1.5e+2". So is one that fails in an unterminated string, or
+        too near the text's end to hold "-Infinity", the longest token,
+        where more text may mend it. Any other failure is the file's.
         """
-        self._skip()
         while True:
+            self.pos = self.skip(self.text, self.pos).end()
             try:
                 value, end = self.scan(self.text, self.pos)
-            except (StopIteration, ValueError):
-                if self._more():
-                    continue
-                raise
-            if end + 3 <= len(self.text) or not self._more():
-                self.pos = end
-                return value
+            except StopIteration as exc:  # no value at exc.value, in json.decoder's words
+                msg, at = "Expecting value", exc.value
+            except json.JSONDecodeError as exc:
+                msg, at = exc.msg, exc.pos
+            except (ValueError, RecursionError) as exc:  # too many digits, or nested too deeply
+                raise self.error(str(exc)) from None
+            else:
+                if end + 3 <= len(self.text) or not self._more():
+                    self.pos = end
+                    return value
+                continue
+            cut = at + len("-Infinity") > len(self.text) or msg.startswith("Unterminated string")
+            if not (cut and self._more()):
+                raise self.error(msg, at)
 
 
-def _json_samples(doc: _JsonText, fill: _ColumnFill) -> bool:
-    """The items of the array just opened in doc into fill, _BLOCK_ROWS at a time; False if it fails.
+def _json_samples(doc: _JsonText, n: int) -> tuple[_ColumnFill, list | None]:
+    """The items of the array at doc's "[", read into columns for n rows _BLOCK_ROWS at a time.
 
-    An item that is not a sample raises ValueError, an empty array StopIteration.
+    Returns the columns and the first block of items they refused, or
+    None; the items after that block are parsed and dropped.
     """
-    block, end = [], ","
-    while end == ",":
+    fill, block, refused = _ColumnFill(n), [], None
+    doc.pos += 1
+    end = doc.char()
+    if end == "]":
+        doc.pos += 1
+    while end != "]":
         block.append(doc.value())
-        end = doc.token()
-        if len(block) == _BLOCK_ROWS or end != ",":
-            if not fill.add(_json_columns(block)):
-                return False
+        end = doc.take(",]", "Expecting ',' delimiter")
+        if len(block) == _BLOCK_ROWS or end == "]":
+            try:  # once a block is refused, no later one is filled
+                refused = refused or (None if fill.add(_json_columns(block)) else block)
+            except ValueError:  # an item that is not an object of its fields' types
+                refused = block
             block = []
-    return end == "]"
+    return fill, refused
 
 
-def _streamed_json(path: str) -> Trace | None:
-    """A JSON trace in any layout, its samples read _BLOCK_ROWS at a time by json's scanner.
+def _streamed_json(path: str) -> Trace:
+    """A JSON trace in any layout, read once, its samples _BLOCK_ROWS at a time by json's scanner.
 
-    The file is opened as json.load's is, so each value is json.load's.
-    None, for _whole_json to read the file, where json would fail, a
-    top-level key repeats, "samples" is missing or empty, a sample is not
-    an object of its fields' types or holds a value the columns cannot
-    hold, or "metadata" is not an object. Otherwise _filled_trace gives
-    the Trace, or names the first bad sample or a timestamp running
-    backwards from the columns filled, read back a block at a time. A file
-    that is not UTF-8 raises _whole_json's TraceFormatError, its offset
-    taken from the read that failed.
+    The file is opened as json.load's is, so each value is json.load's and
+    so is each error, in the order a whole-file read meets them: a byte
+    that is not UTF-8 anywhere in the file (TraceFormatError, its offset
+    taken from the read that failed), json's own error placed in the file,
+    then the top level, the last "samples" key and "metadata". Then
+    _filled_trace gives the Trace, or names the first bad sample in file
+    order or a timestamp running backwards, from the columns filled and
+    the block of samples they refused, if any, read back a block at a time.
     """
-    fill = _ColumnFill(_count(path, lambda chunk: chunk.count(b"{")))  # every sample is an object
-    keys, metadata = set(), {}
+    n = _count(path, lambda chunk: chunk.count(b"{"))  # every sample is an object
+    no_samples = samples = object()  # until a "samples" key is read
+    metadata = {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = _JsonText(fh)
-            end = "," if doc.token() == "{" else ""
-            while end == ",":
-                key = doc.value()
-                if not isinstance(key, str) or key in keys or doc.token() != ":":
-                    return None
-                keys.add(key)
-                if key != "samples":
-                    value = doc.value()
-                    metadata = value if key == "metadata" else metadata
-                elif doc.token() != "[" or not _json_samples(doc, fill):
-                    return None
-                end = doc.token()
-            if end != "}" or doc.token() != "" or "samples" not in keys:
-                return None
+            if doc.char() == "\ufeff" and doc.dropped + doc.pos == 0:
+                raise doc.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+            is_object = doc.char() == "{"
+            if not is_object:
+                doc.value()
+            else:
+                doc.pos += 1
+                end = doc.char()
+                if end == "}":
+                    doc.pos += 1
+                while end != "}":
+                    if doc.char() != '"':
+                        raise doc.error("Expecting property name enclosed in double quotes", doc.pos)
+                    key = doc.value()
+                    doc.take(":", "Expecting ':' delimiter")
+                    if key != "samples":
+                        value = doc.value()
+                        metadata = value if key == "metadata" else metadata
+                    else:
+                        samples = None  # the last "samples" key wins: drop what came before it
+                        samples = _json_samples(doc, n) if doc.char() == "[" else doc.value()
+                    end = doc.take(",}", "Expecting ',' delimiter")
+            if doc.char() != "":
+                raise doc.error("Extra data", doc.pos)
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"{path}: {_decode_error(fh, exc)}") from None
-        except (ValueError, OverflowError, StopIteration, RecursionError):
-            return None
-    if not isinstance(metadata, dict):
-        return None
-    cols = fill.columns()
-    rows = (row for start in range(0, len(cols), _BLOCK_ROWS)
-            for row in cols[start:start + _BLOCK_ROWS])  # each block's rows made as it is read
-    return _filled_trace(fill, True, {str(k): str(v) for k, v in metadata.items()},
-                         ((f"sample {i}", row) for i, row in enumerate(rows)), _fields)
-
-
-def _whole_json(path: str) -> Trace:
-    """A JSON trace read whole by json.load: the Trace, or the TraceFormatError naming its first bad sample."""
-    raw = read_json(path, TraceFormatError)
-    if not isinstance(raw, dict) or "samples" not in raw:
+    if not is_object or samples is no_samples:
         raise TraceFormatError("top level must be an object with a 'samples' array")
-    if not isinstance(raw["samples"], list):
+    if not isinstance(samples, tuple):  # json gives no tuple: samples is not an array
         raise TraceFormatError("'samples' must be an array")
-    meta_raw = raw.get("metadata", {})
-    if not isinstance(meta_raw, dict):
+    if not isinstance(metadata, dict):
         raise TraceFormatError("'metadata' must be an object")
-    samples = raw["samples"]
-    try:
-        fields = _json_columns(samples)
-    except ValueError:
-        fields = None
-    return _file_trace(samples, _json_row, fields, lambda i: f"sample {i}",
-                       {str(k): str(v) for k, v in meta_raw.items()})
+    fill, refused = samples
+    cols = fill.columns()
+    rows = chain((row for start in range(0, len(cols), _BLOCK_ROWS)
+                  for row in cols[start:start + _BLOCK_ROWS]), refused or ())
+    return _filled_trace(fill, refused is None, {str(k): str(v) for k, v in metadata.items()},
+                         ((f"sample {i}", row) for i, row in enumerate(rows)),
+                         lambda row: _fields(row) if isinstance(row, RssiSample) else _json_row(row))
 
 
 def load_trace(path: str, format: str = "csv") -> Trace:
@@ -938,25 +964,22 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     problems in the file raise TraceFormatError with a location in the
     message.
 
-    A file is read _BLOCK_ROWS rows at a time into columns allocated for
-    a bound on its row count, so the load holds the Trace's columns and
-    one block: a CSV file by the csv module, a JSON file in any layout by
-    json's own scanner. A CSV file whose columns fail is read again a row
-    at a time to name its first bad line. A JSON file whose samples all
-    fill the columns names a value a Trace rejects, or a timestamp running
-    backwards, from those columns; any other is read again whole by
-    json.load, which gives the same Trace for any file both read, and
-    names its error. A file that is not UTF-8 fails at the read that meets
-    its first bad byte, with the message a whole-file decode gives
-    (UnicodeDecodeError for CSV, TraceFormatError for JSON), and is not
-    read again.
+    A file is read once, _BLOCK_ROWS rows at a time, into columns
+    allocated for a bound on its row count, so the load holds the Trace's
+    columns and one block: a CSV file by the csv module, a JSON file in any
+    layout by json's own scanner. A CSV file whose columns fail is read
+    again a row at a time to name its first bad line. A JSON file names
+    its first bad sample, or a timestamp running backwards, from those
+    columns and the one block of samples they refused; its errors are
+    those json.load and the document checks give, in the same order. A
+    file that is not UTF-8 fails with the message a whole-file decode
+    gives (UnicodeDecodeError for CSV, TraceFormatError for JSON).
     """
     if format == "csv":
         return _load_csv(path)
     if format != "json":
         raise ValueError(f"unknown trace format {format!r}")
-    trace = _streamed_json(path)
-    return _whole_json(path) if trace is None else trace
+    return _streamed_json(path)
 
 
 def _csv_field(text: str) -> str:

@@ -449,6 +449,26 @@ def test_hostile_json_exits_2(tmp_path, capsys, boundary, hostile):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# mixed nesting deeper than the decoder's recursion limit, inside a JSON
+# trace: whether the limit is met in an array or an object depends on the
+# stack's depth when it is, so the message's container word is not pinned
+MIXED_NESTING = '[{"a": ' * 3000
+NESTED_TRACES = {
+    "sample": '{"samples": [{"timestamp_ms": 0, "beacon_id": "b0", "rssi_dbm": -60, "x": @}]}',
+    "metadata": '{"metadata": {"k": @}, "samples": []}',
+}
+
+
+@pytest.mark.parametrize("where", NESTED_TRACES)
+def test_hostile_nesting_inside_a_json_trace_exits_2(tmp_path, capsys, where):
+    doc = tmp_path / "trace.json"
+    doc.write_text(NESTED_TRACES[where].replace("@", MIXED_NESTING))
+    assert main(["filter", str(doc), str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TraceFormatError: ")
+    assert "maximum recursion depth exceeded" in err
+
+
 # --- byte-identical reproduce artifacts ---
 
 def test_reproduce_matches_pinned_sweep_digests(tmp_path, capsys):

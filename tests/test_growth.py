@@ -12,8 +12,10 @@ load's peak beyond the columns it returns, may grow at most 1.25 times
 from a file of 4 blocks to one of 16 (holding the file's text, or an
 object per row of it, would quadruple them). A CSV or JSON trace refused
 because it is not UTF-8 near its end, or a JSON trace refused for an RSSI
-out of range in its last sample, is held to that bound beyond the
-columns, from 16 blocks to 64. Only memory is counted, never wall time.
+out of range in its last sample, a BOM, trailing data, a bad sample under
+a repeated "samples" key, sample 0 without a timestamp or a syntax error
+early or mid-file, is held to that bound beyond the columns, from 16
+blocks to 64. Only memory is counted, never wall time.
 """
 
 from __future__ import annotations
@@ -230,32 +232,75 @@ def test_csv_decode_error_peak_memory_stays_flat_in_blocks(tmp_path):
         assert sizes[64] <= MAX_GROWTH * sizes[16], (format, sizes)
 
 
+def _json_error(path: str, text: str) -> str:
+    """json.load's error for a file at path holding text, as the loader words it."""
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    return f"{path}: {exc.value}"
+
+
+def _key_colon(text: str, start: int) -> str:
+    """text with the colon of the first "rssi_dbm" key from start dropped: a syntax error there."""
+    at = text.index('"rssi_dbm":', start) + len('"rssi_dbm"')
+    return text[:at] + text[at + 1:]
+
+
+def _last_rssi_5(text: str) -> str:
+    head, key, tail = text.rpartition('"rssi_dbm": ')
+    return head + key + "5.0" + tail[tail.index(","):]
+
+
+# name -> (edit of a JSON trace's text, whether the load fills columns
+# before it stops, and the message the load is then refused with, {last}
+# naming the last sample; None for json.load's error)
+JSON_REFUSALS = {
+    "rssi-out-of-range": (_last_rssi_5, True,
+                          "sample {last}: rssi_dbm out of range [-120.0, 0.0]: 5.0"),
+    "bom": (lambda text: "\ufeff" + text, False, None),
+    "trailing-data": (lambda text: text + "{}\n", True, None),
+    "repeated-samples-key": (
+        lambda text: text[:-len("\n}\n")] + ',\n  "samples": [{"timestamp_ms": 0, "beacon_id": "a", '
+                                              '"rssi_dbm": 5.0}]\n}\n', True,
+        "sample 0: rssi_dbm out of range [-120.0, 0.0]: 5.0"),
+    "sample-0-without-timestamp": (lambda text: text.replace('"timestamp_ms": 0,\n      ', "", 1),
+                                   True, "sample 0: timestamp_ms must be an integer"),
+    "syntax-error-early": (lambda text: _key_colon(text, 0), True, None),
+    "syntax-error-mid-file": (lambda text: _key_colon(text, len(text) // 2), True, None),
+}
+
+
 def test_json_rejected_value_peak_memory_stays_flat_in_blocks(tmp_path):
-    # a JSON trace whose last sample holds an RSSI a Trace rejects is
-    # refused from the columns its samples streamed into, naming that
-    # sample, not read again whole by json.load
-    sizes = {}
+    # a JSON trace refused for json's own error, or for a sample a Trace
+    # rejects, is refused in one pass holding the columns, one window of
+    # text and one block of samples, the error named as a whole-file read
+    # names it, not read again whole by json.load
+    sizes = {name: {} for name in JSON_REFUSALS}
     for blocks in (16, 64):
         trace = _trace_rows(blocks * model._BLOCK_ROWS)
         path = str(tmp_path / f"{blocks}.json")
         save_trace(trace, path, "json")
         with open(path, encoding="utf-8") as fh:
-            head, key, tail = fh.read().rpartition('"rssi_dbm": ')
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head + key + "5.0" + tail[tail.index(","):])
-        with pytest.raises(TraceFormatError):  # once untraced, so first-call caches count at no size
-            load_trace(path, "json")
-        errors = []
-
-        def load():
-            try:
-                load_trace(path, "json")
-            except TraceFormatError as exc:
-                errors.append(str(exc))
-        peak = _peak(load)
-        assert errors == [f"sample {len(trace) - 1}: rssi_dbm out of range [-120.0, 0.0]: 5.0"]
+            written = fh.read()
         cols = trace.samples
         columns = sum(a.nbytes for a in (cols.timestamp_ms, cols.beacon, cols.rssi_dbm,
                                          cols.tx_power_dbm, cols.channel))
-        sizes[blocks] = peak - columns
-    assert sizes[64] <= MAX_GROWTH * sizes[16], sizes
+        for name, (edit, fills, message) in JSON_REFUSALS.items():
+            text = edit(written)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with pytest.raises(TraceFormatError):  # once untraced, so first-call caches count at no size
+                load_trace(path, "json")
+            errors = []
+
+            def load():
+                try:
+                    load_trace(path, "json")
+                except TraceFormatError as exc:
+                    errors.append(str(exc))
+            peak = _peak(load)
+            expected = (_json_error(path, text) if message is None
+                        else message.format(last=len(trace) - 1))
+            assert errors == [expected], name
+            sizes[name][blocks] = peak - (columns if fills else 0)
+    for name, size in sizes.items():
+        assert size[64] <= MAX_GROWTH * size[16], (name, size)

@@ -346,9 +346,11 @@ def _float_bits(values) -> list:
 
 
 def _load_error(rows: list[list[str]], fields) -> str:
-    """The message of the TraceFormatError _file_trace raises for these rows and fields."""
+    """The message of the TraceFormatError a load raises for these rows and fields."""
+    fill = model._ColumnFill(len(rows))
     with pytest.raises(TraceFormatError) as exc:
-        model._file_trace(rows, model._csv_row, fields, lambda i: f"line {i + 2}", {})
+        model._filled_trace(fill, fill.add(fields), {},
+                            ((f"line {i + 2}", row) for i, row in enumerate(rows)), model._csv_row)
     return str(exc.value)
 
 
@@ -586,7 +588,12 @@ def test_json_loader_matches_reference_loader(text):
 @SETTINGS
 @given(mutated("json"))
 def test_mutated_json_matches_reference_loader(text):
-    _same_as_reference_json(text)
+    # read at windows of 1, 3, 64 and the default number of characters, so
+    # that an error's line, column and character are counted across cuts
+    for chars in (1, 3, 64, model._JSON_CHARS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_JSON_CHARS", chars)
+            _same_as_reference_json(text)
 
 
 _TWO_SAMPLES = Trace([RssiSample(0, "a", -50.0, -59.0, 37), RssiSample(5, "b", -60.5, None, 38)],
@@ -616,16 +623,22 @@ _FIXTURE_SETTINGS = settings(max_examples=100, deadline=None, suppress_health_ch
     HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 
 
-def _streamed(path: str, fmt: str) -> bool:
-    """Whether the JSON block reader, not json.load, gives the file's Trace (every CSV streams)."""
-    assert fmt == "json"
-    return model._streamed_json(path) is not None
+def _streamed(path: str) -> bool:
+    """Whether a JSON load gives the reference loader's outcome with json.load and read_json failing."""
+    expected = _outcome_bits(_reference_load_json, path)
+
+    def read_whole(*args, **kwargs):
+        raise AssertionError("the file was read whole")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "read_json", read_whole)
+        patch.setattr(json, "load", read_whole)
+        return _outcome_bits(lambda p: load_trace(p, "json"), path) == expected
 
 
 def _written_and_read_as_reference(trace: Trace) -> None:
     """save_trace writes the reference bytes, and each load gives the reference loader's outcome.
 
-    Every JSON text but an empty trace's is read block by block.
+    Every JSON text, an empty trace's too, is read block by block.
     """
     references = {"csv": (_reference_csv_text, _reference_load_csv),
                   "json": (_reference_json_text, _reference_load_json)}
@@ -639,7 +652,7 @@ def _written_and_read_as_reference(trace: Trace) -> None:
             load = lambda p: load_trace(p, fmt)  # noqa: E731
             assert _outcome_bits(load, path) == _outcome_bits(reference_load, path)
             if fmt == "json":
-                assert _streamed(path, fmt) == (len(trace) > 0)
+                assert _streamed(path)
     assert _roundtrip(trace, "json") == trace
 
 
@@ -717,8 +730,8 @@ def _edit(old: str, new: str, count: int = 1) -> str:
 
 
 # One edit of the writer's text each, most of which json.load still reads:
-# the block reader must refuse every one it cannot read as json would, so
-# that the whole-file loader gives the Trace or the error.
+# the one-pass reader must give each the Trace or the error json.load and
+# the document checks give.
 _JSON_EDITS = {
     "reordered-keys": _edit('      "timestamp_ms": 0,\n      "beacon_id": "a",\n',
                             '      "beacon_id": "a",\n      "timestamp_ms": 0,\n'),
@@ -784,7 +797,7 @@ def test_json_edits_start_from_a_streamed_text(tmp_path):
     path = str(tmp_path / "t.json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_WRITTEN)
-    assert _streamed(path, "json")
+    assert _streamed(path)
 
 
 _DOC = json.loads(_WRITTEN)
@@ -803,8 +816,8 @@ _JSON_LAYOUTS = {
     "no-metadata": json.dumps({"samples": _DOC["samples"]}, indent=2),
 }
 
-# Texts the stream leaves to json.load, which refuses them or, for two
-# "samples" keys, keeps the last.
+# Texts the stream once left to json.load, which refuses them or, for two
+# "samples" keys, keeps the last: the stream now reads each itself.
 _JSON_FALLBACKS = {
     "duplicate-samples": _JSON_EDITS["second-samples-key"],
     "empty-samples": json.dumps({"metadata": _DOC["metadata"], "samples": []}, indent=2),
@@ -828,12 +841,6 @@ def test_json_layouts_stream_to_the_reference_trace(monkeypatch, tmp_path, layou
         monkeypatch.setattr(model, "_READ_BYTES", size)
         assert _outcome_bits(load, path) == _outcome_bits(_reference_load_json, path)
         assert model._streamed_json(path) == _reference_load_json(path)
-
-
-@pytest.mark.parametrize("text", _JSON_FALLBACKS)
-def test_json_texts_the_stream_leaves_to_json_load(tmp_path, text):
-    assert model._streamed_json(_json_file(tmp_path, _JSON_FALLBACKS[text])) is None
-    _same_as_reference_json(_JSON_FALLBACKS[text])
 
 
 # Texts whose samples all fill the stream's columns but that a Trace
@@ -868,6 +875,77 @@ def test_streamed_json_names_its_own_bad_sample(monkeypatch, tmp_path, rows, tex
     monkeypatch.setattr(model, "read_json", read_whole)
     monkeypatch.setattr(model, "_BLOCK_ROWS", rows)  # rows read back from the columns by blocks
     assert _outcome(lambda p: load_trace(p, "json"), path) == expected
+
+
+# Every edited, once-fallen-back and refused text above, each read at
+# windows of 1, 3, 64 and the default number of characters: a window
+# edge falls inside every token, and an error is placed in the file
+# across the text dropped before it.
+_JSON_TEXTS = {**{f"edit-{k}": v for k, v in _JSON_EDITS.items()},
+               **{f"fallback-{k}": v for k, v in _JSON_FALLBACKS.items()},
+               **{f"refused-{k}": v for k, v in _JSON_REFUSED.items()}}
+
+
+@pytest.mark.parametrize("chars", [1, 3, 64, model._JSON_CHARS])
+@pytest.mark.parametrize("text", _JSON_TEXTS)
+def test_json_texts_load_without_json_load(monkeypatch, tmp_path, chars, text):
+    path = _json_file(tmp_path, _JSON_TEXTS[text])
+    monkeypatch.setattr(model, "_JSON_CHARS", chars)
+    assert _streamed(path)
+
+
+@pytest.mark.parametrize("chars", [3, model._JSON_CHARS])
+@pytest.mark.parametrize("text", _JSON_TEXTS)
+def test_json_texts_ending_in_a_bad_byte_name_it(monkeypatch, tmp_path, chars, text):
+    # json.load decodes the whole file before it parses, so a byte that is
+    # not UTF-8 at the end wins over json's own error and every later one,
+    # also past more whitespace than one read of the text file decodes
+    path = str(tmp_path / "t.json")
+    with open(path, "wb") as fh:
+        fh.write(_JSON_TEXTS[text].encode("utf-8", "surrogatepass") + b" " * (1 << 16) + b"\xff")
+    expected = _outcome(_reference_load_json, path)
+    assert expected[0] is TraceFormatError and "can't decode byte 0xff" in expected[1]
+    monkeypatch.setattr(model, "_JSON_CHARS", chars)
+    assert _outcome(lambda p: load_trace(p, "json"), path) == expected
+
+
+_CRLF_HEAD = '{"metadata": {"a": "b"},\r\n\r\n  '  # lines before each error below
+_SAMPLE = '{"timestamp_ms": 0, "beacon_id": "a", "rssi_dbm": -50}'
+
+# One text for each error the reader words itself rather than taking it
+# from json's scanner, placed after CRLF lines: the message json.loads
+# gives for it. A trailing comma is worded otherwise from Python 3.13 on.
+_JSON_OWN_ERRORS = {
+    "bom": ("Unexpected UTF-8 BOM (decode using utf-8-sig)", "\ufeff" + _WRITTEN),
+    "extra-data": ("Extra data", _WRITTEN + "\r\n\r\n  []\r\n"),
+    "property-name": ("Expecting property name enclosed in double quotes",
+                      _CRLF_HEAD + '"samples": [],\r\n  samples: []}'),
+    "property-name-trailing-comma": ("Expecting property name enclosed in double quotes",
+                                     _CRLF_HEAD + '"samples": [],\r\n}'),
+    "colon": ("Expecting ':' delimiter", _CRLF_HEAD + '"samples"\r\n  []}'),
+    "comma-in-object": ("Expecting ',' delimiter", _CRLF_HEAD + '"samples": []\r\n  "x": 1}'),
+    "comma-in-samples": ("Expecting ',' delimiter",
+                         _CRLF_HEAD + f'"samples": [{_SAMPLE}\r\n  {_SAMPLE}]}}'),
+    "value-in-samples": ("Expecting value", _CRLF_HEAD + f'"samples": [{_SAMPLE},\r\n  ]}}'),
+    "value-at-the-end": ("Expecting value", _CRLF_HEAD + '"samples": [\r\n'),
+}
+
+
+@pytest.mark.parametrize("chars", [1, 3, 64, model._JSON_CHARS])
+@pytest.mark.parametrize("case", _JSON_OWN_ERRORS)
+def test_json_errors_the_reader_words_match_json_loads(monkeypatch, tmp_path, chars, case):
+    msg, text = _JSON_OWN_ERRORS[case]
+    path = _json_file(tmp_path, text)
+    with open(path, encoding="utf-8") as fh:
+        read = fh.read()  # the text json.load parses, each CRLF read as "\n"
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(read)
+    assert expected.value.msg == msg
+    assert expected.value.lineno > 1 or case == "bom"
+    monkeypatch.setattr(model, "_JSON_CHARS", chars)  # the error past a window's cut
+    with pytest.raises(TraceFormatError) as loaded:
+        load_trace(path, "json")
+    assert str(loaded.value) == f"{path}: {expected.value}"
 
 
 @pytest.mark.parametrize("chars", [1, 2, 3, 5, 8])
