@@ -20,14 +20,13 @@ A window holds measurements only, never filter state, so _window_q
 computes every step's Q before the filter loop starts, with the bits
 window_variance gives for the window RssiWindow holds at that step.
 
-P and K never read x or z, so both modes run in two loops, with the bits
-of predict then update at every step: _gains runs the covariance half
-and yields each step's gain K, then _states runs the state half on the
-measurements with those gains. In static mode the gains depend on the
-parameters and the step index alone, so one sequence serves every beacon
-of a call; it stops at the first step whose P is bit-for-bit the P
-before it (step 174 for the defaults), and every later step repeats that
-gain. Dynamic mode feeds _window_q's Q sequence to the same two loops.
+Both modes run one loop per beacon, _kalman, with the bits of predict
+then update at every step: static mode gives it one Q object for every
+step, dynamic mode a new one each step (the static Q, then _window_q's).
+P and K never read x or z, so a step that predicts with the Q object of
+the step before, when that step left P with the bits it found, would get
+the same P and gain, bit for bit: the loop keeps them instead. Only
+static mode gets there, from step 174 of each beacon under the defaults.
 
 Timestamps are not consulted during filtering. The transition matrix uses
 the configured dt throughout, which models a nominally periodic
@@ -276,67 +275,51 @@ def _window_q(zs: list[float], window_n: int, q_scale: float) -> list[float]:
         return (q_scale * (squares[1:] / count[1:])).tolist()
 
 
-def _gains(params: KalmanParams, qs: Iterable[tuple[float, float, float, float]],
-           until_fixed: bool) -> list[Vec2]:
-    """The gain (k0, k1) of each step, step i predicting with Q = qs[i] flattened row-wise.
+def _kalman(zs: list[float], qs: Iterable[tuple[float, float, float, float]],
+            params: KalmanParams, x0: float | None) -> list[float]:
+    """The estimates of one beacon's stream, step i predicting with Q = qs[i] flattened row-wise.
 
-    P and K never read x or z, so the gains of a stream depend on params
-    and its Q sequence alone. The arithmetic is predict's and update's on
-    P. With until_fixed the list ends at the first step whose P has the
-    bits of the P before it: every later step on the same Q repeats that
-    step's gain. Bits, not ==, which holds for 0.0 and -0.0.
+    The arithmetic is predict's then update's, on P and on x, from (zs[0],
+    0), or (x0, 0) when x0 is given, and P0. While Q repeats, P is compared
+    with the P before it by bits, not ==, which holds for 0.0 and -0.0;
+    settled and previous hold their Q, so no other object takes its id.
     """
     (f00, f01), (f10, f11) = params.F
     h0, h1 = params.H
     r = params.R
     (p00, p01), (p10, p11) = params.P0
-    last = _pack(p00, p01, p10, p11)
-    gains: list[Vec2] = []
-    append = gains.append
-    for q00, q01, q10, q11 in qs:
-        a = f00 * p00 + f01 * p10
-        b = f00 * p01 + f01 * p11
-        c = f10 * p00 + f11 * p10
-        d = f10 * p01 + f11 * p11
-        p00 = a * f00 + b * f01 + q00
-        p01 = p10 = 0.5 * ((a * f10 + b * f11 + q01) + (c * f00 + d * f01 + q10))
-        p11 = c * f10 + d * f11 + q11
-        ph0 = p00 * h0 + p01 * h1
-        ph1 = p10 * h0 + p11 * h1
-        s = h0 * ph0 + h1 * ph1 + r
-        k0 = ph0 / s
-        k1 = ph1 / s
-        append((k0, k1))
-        m00 = 1.0 - k0 * h0
-        m01 = -k0 * h1
-        m10 = -k1 * h0
-        m11 = 1.0 - k1 * h1
-        p00, p01, p11 = (m00 * p00 + m01 * p10,
-                         0.5 * ((m00 * p01 + m01 * p11) + (m10 * p00 + m11 * p10)),
-                         m10 * p01 + m11 * p11)
-        p10 = p01
-        if until_fixed:
-            bits = _pack(p00, p01, p10, p11)
-            if bits == last:
-                break
-            last = bits
-    return gains
-
-
-def _states(zs: list[float], gains: Iterable[Vec2], params: KalmanParams,
-            x0: float | None) -> list[float]:
-    """The estimates of one beacon's stream, step i folding in zs[i] with gains[i].
-
-    The arithmetic is predict's and update's on x. The state starts at
-    (zs[0], 0), or (x0, 0) when x0 is given.
-    """
-    (f00, f01), (f10, f11) = params.F
-    h0, h1 = params.H
+    pack = _pack
+    settled = previous = None  # the last step's Q if that step kept P's bits; the last step's Q
     x0 = float(zs[0]) if x0 is None else x0
     x1 = 0.0
     out: list[float] = []
     append = out.append
-    for z, (k0, k1) in zip(zs, gains):
+    for z, q in zip(zs, qs):
+        if q is not settled:
+            before = pack(p00, p01, p10, p11) if q is previous else None
+            previous = q
+            q00, q01, q10, q11 = q
+            a = f00 * p00 + f01 * p10
+            b = f00 * p01 + f01 * p11
+            c = f10 * p00 + f11 * p10
+            d = f10 * p01 + f11 * p11
+            p00 = a * f00 + b * f01 + q00
+            p01 = p10 = 0.5 * ((a * f10 + b * f11 + q01) + (c * f00 + d * f01 + q10))
+            p11 = c * f10 + d * f11 + q11
+            ph0 = p00 * h0 + p01 * h1
+            ph1 = p10 * h0 + p11 * h1
+            s = h0 * ph0 + h1 * ph1 + r
+            k0 = ph0 / s
+            k1 = ph1 / s
+            m00 = 1.0 - k0 * h0
+            m01 = -k0 * h1
+            m10 = -k1 * h0
+            m11 = 1.0 - k1 * h1
+            p00, p01, p11 = (m00 * p00 + m01 * p10,
+                             0.5 * ((m00 * p01 + m01 * p11) + (m10 * p00 + m11 * p10)),
+                             m10 * p01 + m11 * p11)
+            p10 = p01
+            settled = q if before is not None and before == pack(p00, p01, p10, p11) else None
         x0, x1 = f00 * x0 + f01 * x1, f10 * x0 + f11 * x1
         innov = z - (h0 * x0 + h1 * x1)
         x0 = x0 + k0 * innov
@@ -354,22 +337,19 @@ def _smooth(trace: Trace, params: KalmanParams, x0: float | None,
     x0 = None if x0 is None else real(x0, "x0")
     order, streams = cols.by_beacon(cols.rssi_dbm)
     q = (*params.Q[0], *params.Q[1])
-    if window_n is None:  # one gain sequence serves every beacon
-        fixed = _gains(params, repeat(q, max(map(len, streams))), until_fixed=True)
     ests: list[float] = []
     for beacon_id, zs in zip(cols.beacon_ids, streams):
         if window_n is None:
-            gains = chain(fixed, repeat(fixed[-1]))
+            qs = repeat(q)
         elif len(zs) < 2:
             raise InsufficientSamples(
                 f"dynamic filtering needs at least 2 samples per beacon; "
                 f"beacon {beacon_id!r} has {len(zs)}"
             )
         else:  # the static Q first, then each window's
-            qs = _window_q(zs, window_n, q_scale)
-            gains = _gains(params, chain([q], zip(qs, repeat(0.0), repeat(0.0), qs)),
-                           until_fixed=False)
-        stream = _states(zs, gains, params, x0)
+            window = _window_q(zs, window_n, q_scale)
+            qs = chain([q], zip(window, repeat(0.0), repeat(0.0), window))
+        stream = _kalman(zs, qs, params, x0)
         if not all(map(math.isfinite, stream)):
             raise ValueError(f"filter diverged on beacon {beacon_id!r}: its state overflowed")
         ests.extend(stream)

@@ -905,10 +905,12 @@ def _streamed_json(path: str) -> Trace:
     so is each error, in the order a whole-file read meets them: a byte
     that is not UTF-8 anywhere in the file (TraceFormatError, its offset
     taken from the read that failed), json's own error placed in the file,
-    then the top level, the last "samples" key and "metadata". Then
-    _filled_trace gives the Trace, or names the first bad sample in file
-    order or a timestamp running backwards, from the columns filled and
-    the block of samples they refused, if any, read back a block at a time.
+    then the top level (an array is read a block at a time, as "samples"
+    is: 1.5 MiB at peak for 60,000 samples, 2.9 MiB as written), the last
+    "samples" key and "metadata". Then _filled_trace gives the Trace, or
+    names the first bad sample in file order or a timestamp running
+    backwards, from the columns filled and the block of samples they
+    refused, if any, read back a block at a time.
     """
     n = _count(path, lambda chunk: chunk.count(b"{"))  # every sample is an object
     no_samples = samples = object()  # until a "samples" key is read
@@ -919,8 +921,8 @@ def _streamed_json(path: str) -> Trace:
             if doc.char() == "\ufeff" and doc.dropped + doc.pos == 0:
                 raise doc.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
             is_object = doc.char() == "{"
-            if not is_object:
-                doc.value()
+            if not is_object:  # an array is read as "samples" is, then refused below
+                _json_samples(doc, 0) if doc.char() == "[" else doc.value()
             else:
                 doc.pos += 1
                 end = doc.char()

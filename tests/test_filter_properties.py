@@ -1,25 +1,27 @@
 """Property and resource tests of smoothing: bit-identity of both modes with
 a loop over the public predict/update steps and the per-step RssiWindow
-reference, the static gain sequence's fixed point, and the memory the Q
-sequence takes."""
+reference, the steps at which the filter loop stops recomputing P, and the
+memory the Q sequence takes."""
 
 from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
+from microloc import filters
 from microloc.errors import InsufficientSamples
 from microloc.filters import (
     _SYM_TOL,
     KalmanParams,
     KalmanState,
     RssiWindow,
-    _gains,
+    _kalman,
     default_params,
     initial_state,
     make_params,
@@ -211,20 +213,65 @@ def test_dynamic_matches_the_public_steps(case, window_n, q_scale):
             == reference_outcome(trace, params, x0, window_n, q_scale))
 
 
-def test_static_gains_stop_at_the_fixed_point():
+def counted_packs(monkeypatch) -> list[tuple]:
+    """The covariances filters._pack is called with from now on."""
+    calls, pack = [], filters._pack
+
+    def counting(*p):
+        calls.append(p)
+        return pack(*p)
+    monkeypatch.setattr(filters, "_pack", counting)
+    return calls
+
+
+def public_states(zs: list[float], params_of) -> list[KalmanState]:
+    """The state after each step from initial_state(zs[0]), step i using params_of(i)."""
+    state, out = initial_state(zs[0], params_of(0)), []
+    for i, z in enumerate(zs):
+        state = update(predict(state, params_of(i)), z, params_of(i))
+        out.append(state)
+    return out
+
+
+def test_static_gains_stop_at_the_fixed_point(monkeypatch):
+    # each step from 1 on predicts with the Q object of the step before, so
+    # P is packed before and after it; under the defaults the P after step
+    # 173 has the bits of the P before it, and every later step keeps P
+    # and the gain: P's half runs for steps 0 to 173 alone
     params = default_params()
-    q = (*params.Q[0], *params.Q[1])
-    gains = _gains(params, [q] * 1000, until_fixed=True)
-    assert len(gains) == 174
-    assert _gains(params, [q] * 1000, until_fixed=False)[173:] == [gains[-1]] * 827
+    zs = np.random.default_rng(5).uniform(-80.0, -50.0, 1000).tolist()
+    packs = counted_packs(monkeypatch)
+    estimates = _kalman(zs, repeat((*params.Q[0], *params.Q[1])), params, None)
+    assert len(packs) == 2 * 173
+    assert packs[-2] == packs[-1] and packs[-4] != packs[-3]
+    h0, h1 = params.H
+    assert estimates == [h0 * s.x[0] + h1 * s.x[1] for s in public_states(zs, lambda i: params)]
 
 
-def test_static_gains_run_to_the_end_when_p_never_settles():
+def test_static_gains_run_to_the_end_when_p_never_settles(monkeypatch):
     # the rate is unobserved and F doubles it: P's lower corner grows every step
     params = KalmanParams(dt=0.2, F=((1.0, 0.0), (0.0, 2.0)), H=(1.0, 0.0),
                           Q=((0.001, 0.0), (0.0, 0.001)), R=0.1, P0=((100.0, 0.0), (0.0, 100.0)))
-    q = (*params.Q[0], *params.Q[1])
-    assert len(_gains(params, [q] * 500, until_fixed=True)) == 500
+    packs = counted_packs(monkeypatch)
+    _kalman([-60.0] * 500, repeat((*params.Q[0], *params.Q[1])), params, None)
+    assert len(packs) == 2 * 499  # before and after each step from 1 on
     trace = make_trace(3, n=300)
     assert outcome(smooth_trace, trace, params, None) == reference_outcome(trace, params, None,
                                                                            None)
+
+
+def test_dynamic_steps_recompute_p_when_q_changes_after_it_settles(monkeypatch):
+    # a window of 2 holds a variance of 1 dB^2 for 400 steps, long enough
+    # for P to keep its bits from one step to the next, then 9 dB^2: the
+    # gain must follow the new Q, though P had settled under the old one
+    zs = [-62.0, -60.0] * 200 + [-66.0, -60.0] * 200
+    trace = Trace([RssiSample(i, "b0", z) for i, z in enumerate(zs)])
+    params = default_params()
+    window = [params] + [replace(params, Q=((v, 0.0), (0.0, v)))
+                         for v in (1.0 if i < 400 else 9.0 for i in range(1, 800))]
+    states = public_states(zs, window.__getitem__)
+    assert len({filters._pack(*s.P[0], *s.P[1]) for s in states[300:400]}) == 1
+    packs = counted_packs(monkeypatch)
+    assert (outcome(smooth_trace_dynamic, trace, params, 2, 1.0, None)
+            == reference_outcome(trace, params, None, 2, 1.0))
+    assert packs == []  # each step's Q is a new object: P's bits are never compared

@@ -13,9 +13,10 @@ from a file of 4 blocks to one of 16 (holding the file's text, or an
 object per row of it, would quadruple them). A CSV or JSON trace refused
 because it is not UTF-8 near its end, or a JSON trace refused for an RSSI
 out of range in its last sample, a BOM, trailing data, a bad sample under
-a repeated "samples" key, sample 0 without a timestamp or a syntax error
-early or mid-file, is held to that bound beyond the columns, from 16
-blocks to 64. Only memory is counted, never wall time.
+a repeated "samples" key, sample 0 without a timestamp, a syntax error
+early or mid-file, or its samples as a top-level array, is held to that
+bound beyond the columns, from 16 blocks to 64. Only memory is counted,
+never wall time.
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ JSON_REFUSALS = {
                                    True, "sample 0: timestamp_ms must be an integer"),
     "syntax-error-early": (lambda text: _key_colon(text, 0), True, None),
     "syntax-error-mid-file": (lambda text: _key_colon(text, len(text) // 2), True, None),
+    "top-level-array": (lambda text: text[text.index("[", text.index('"samples"')):
+                                          text.rindex("]") + 1] + "\n",
+                        False, "top level must be an object with a 'samples' array"),
 }
 
 

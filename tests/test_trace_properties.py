@@ -928,6 +928,9 @@ _JSON_OWN_ERRORS = {
                          _CRLF_HEAD + f'"samples": [{_SAMPLE}\r\n  {_SAMPLE}]}}'),
     "value-in-samples": ("Expecting value", _CRLF_HEAD + f'"samples": [{_SAMPLE},\r\n  ]}}'),
     "value-at-the-end": ("Expecting value", _CRLF_HEAD + '"samples": [\r\n'),
+    "comma-in-top-level-array": ("Expecting ',' delimiter",
+                                 f'[{_SAMPLE},\r\n  {_SAMPLE}\r\n  {_SAMPLE}]'),
+    "value-in-top-level-array": ("Expecting value", f'[{_SAMPLE},\r\n  {_SAMPLE},\r\n  ]'),
 }
 
 
