@@ -32,7 +32,7 @@ import numpy as np
 
 from . import filters, ranging, sim
 from .errors import EmptyInput, InsufficientSamples
-from .model import Trace, _round12, atomic_write_text, left_to_right_sum, real, rounded
+from .model import Trace, atomic_write_text, left_to_right_sum, real, rounded
 
 PIPELINES = ("raw", "filtered", "dynamic")
 

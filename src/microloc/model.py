@@ -44,6 +44,9 @@ JSON::
 Reading and writing go _BLOCK_ROWS rows at a time, so that a load or save
 holds the trace's columns and one block, never the file's text.
 
+A file that is not UTF-8 raises TraceFormatError, in either format: its
+path, then the message ``bytes.decode`` gives for the whole file.
+
 Loading enforces that timestamps are non-decreasing per beacon in file
 order; the in-memory Trace is always globally sorted by timestamp with a
 stable sort, so ties keep file order. Timestamps must be below 2**63, the
@@ -682,35 +685,16 @@ def _csv_blocks(fh, size: int):
         raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-class _FileDecodeError(UnicodeDecodeError):
-    """A UnicodeDecodeError from one read of a file, naming its byte by offset in the file.
-
-    A UnicodeDecodeError names a position only within its object, which
-    would then hold every byte of the file up to it.
-    """
-
-    offset = 0  # of object[0] in the file
-
-    def __str__(self) -> str:
-        start, last = self.offset + self.start, self.offset + self.end - 1
-        what = (f"byte 0x{self.object[self.start]:02x} in position {start}" if start == last
-                else f"bytes in position {start}-{last}")
-        return f"'{self.encoding}' codec can't decode {what}: {self.reason}"
-
-
-# named as the error it stands for, which is the name the CLI prints
-_FileDecodeError.__name__ = _FileDecodeError.__qualname__ = "UnicodeDecodeError"
-
-
-def _decode_error(fh, exc: UnicodeDecodeError) -> _FileDecodeError:
-    """exc, raised by a read of open text file fh, naming its byte by offset in the file.
+def _decode_error(fh, exc: UnicodeDecodeError) -> TraceFormatError:
+    """exc, raised by a read of open text file fh, as a whole-file decode words it, after fh's path.
 
     The read decoded exc.object: the bytes the decoder held back from the
     read before, then the bytes just read, which end where fh.buffer is.
     """
-    error = _FileDecodeError(*exc.args)
-    error.offset = fh.buffer.tell() - len(exc.object)
-    return error
+    start = fh.buffer.tell() - len(exc.object) + exc.start
+    what = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if exc.end - exc.start == 1
+            else f"bytes in position {start}-{start + exc.end - exc.start - 1}")
+    return TraceFormatError(f"{fh.name}: '{exc.encoding}' codec can't decode {what}: {exc.reason}")
 
 
 def _csv_rows(path: str):
@@ -943,7 +927,7 @@ def _streamed_json(path: str) -> Trace:
             if doc.char() != "":
                 raise doc.error("Extra data", doc.pos)
         except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"{path}: {_decode_error(fh, exc)}") from None
+            raise _decode_error(fh, exc) from None
     if not is_object or samples is no_samples:
         raise TraceFormatError("top level must be an object with a 'samples' array")
     if not isinstance(samples, tuple):  # json gives no tuple: samples is not an array
@@ -974,8 +958,8 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     its first bad sample, or a timestamp running backwards, from those
     columns and the one block of samples they refused; its errors are
     those json.load and the document checks give, in the same order. A
-    file that is not UTF-8 fails with the message a whole-file decode
-    gives (UnicodeDecodeError for CSV, TraceFormatError for JSON).
+    file that is not UTF-8, in either format, raises TraceFormatError with
+    the path and the message a whole-file decode gives.
     """
     if format == "csv":
         return _load_csv(path)

@@ -50,6 +50,11 @@ _GN_STEP_TOL = 1e-10
 _TDOA_MAX_RANGE_SPREADS = 100.0  # a TDoA fix farther out is an asymptote, not a fix
 _TDOA_BLOCK_PAIRS = 2048  # (start, receiver) pairs run in lockstep at once: bounds a round's memory
 _BACKTRACK_SCALES = np.cumprod(np.full(24, 0.5))[:, None]  # 0.5 ... 2**-24: the halvings after a full step
+# Every anchor coordinate, distance and range difference a solver takes is
+# below this in magnitude: its square is below 1e300, so sums of up to 1e8
+# such squares, and the solvers' products, stay finite.
+SOLVER_MAX_M = 1e150
+_PAST_THE_BOUND = f" must be below {SOLVER_MAX_M:g} m in magnitude"
 
 
 class Method(enum.Enum):
@@ -188,14 +193,19 @@ def _norm(v: np.ndarray) -> float:
 def _as_distances(values: Sequence[float], n: int) -> np.ndarray:
     if len(values) != n:
         raise ArityError(f"distances_m: expected {n} values, got {len(values)}")
-    arr = np.asarray([real(v, "distances_m") for v in values], dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    floats = [real(v, "distances_m") for v in values]
+    if not all(0.0 <= v < SOLVER_MAX_M for v in floats):  # NaN fails
+        if all(0.0 <= v < math.inf for v in floats):
+            raise InvalidDistance("distances_m" + _PAST_THE_BOUND)
         raise InvalidDistance("distances_m must be finite and non-negative")
-    return arr
+    return np.asarray(floats, dtype=float)
 
 
 def _anchor_points(anchors: Sequence[Anchor]) -> np.ndarray:
-    return np.asarray([a.position for a in anchors], dtype=float)
+    points = [a.position for a in anchors]  # finite, as Anchor checks
+    if not all(-SOLVER_MAX_M < c < SOLVER_MAX_M for point in points for c in point):
+        raise ValueError("anchor coordinates" + _PAST_THE_BOUND)
+    return np.asarray(points, dtype=float)
 
 
 def proximity_region(anchors: Sequence[Anchor], distances_m: Sequence[float]) -> PositionEstimate:
@@ -440,9 +450,12 @@ def tdoa_locate(receivers: Sequence[Anchor], range_diffs_m: Sequence[float]) -> 
             f"expected {len(receivers) - 1} range differences for {len(receivers)} receivers, "
             f"got {len(range_diffs_m)}"
         )
-    diffs = np.asarray([real(v, "range_diffs_m") for v in range_diffs_m], dtype=float)
-    if not np.all(np.isfinite(diffs)):
+    floats = [real(v, "range_diffs_m") for v in range_diffs_m]
+    if not all(-SOLVER_MAX_M < v < SOLVER_MAX_M for v in floats):  # NaN fails
+        if all(map(math.isfinite, floats)):
+            raise InvalidDistance("range differences" + _PAST_THE_BOUND)
         raise InvalidDistance("range differences must be finite")
+    diffs = np.asarray(floats, dtype=float)
     pts = _anchor_points(receivers)
     _check_spread(pts)
 

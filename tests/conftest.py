@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from microloc import codec
 from microloc.model import RssiSample, Trace
+
+# Every property draws the same examples on every run, and keeps none
+# between runs: each test module's settings() is built after this loads,
+# so it inherits both and sets only its own max_examples and checks.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 def make_trace(seed: int, n: int = 50, beacons: tuple[str, ...] = ("b0",),

@@ -163,7 +163,8 @@ def test_invalid_utf8_names_its_offset_in_the_file(tmp_path, capsys, format, off
         fh.seek(offset)
         fh.write(b"\xff")
     assert main(["filter", path, str(tmp_path / "o.csv")]) == 2
-    assert f"can't decode byte 0xff in position {offset}: invalid start byte" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: TraceFormatError: {path}: 'utf-8' codec can't decode"
+                                       f" byte 0xff in position {offset}: invalid start byte\n")
 
 
 # --- locate ---
@@ -261,6 +262,19 @@ def test_locate_without_matching_anchors_exits_2(tmp_path, scenario_path, capsys
     ])
     assert main(["locate", trace, other, str(tmp_path / "o.json")]) == 2
     assert "NoAnchors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["lateration", "tdoa", "proximity"])
+def test_locate_with_anchors_past_the_solver_bound_exits_2(tmp_path, scenario_path, capsys, method):
+    trace = simulate_quiet(tmp_path, scenario_path)
+    far = write_json(tmp_path / "far.json", [
+        {"beacon_id": "b0", "x": 0.0, "y": 0.0},
+        {"beacon_id": "b1", "x": 1e300, "y": 0.0},
+        {"beacon_id": "b2", "x": 0.0, "y": 1e300},
+    ])
+    assert main(["locate", trace, far, str(tmp_path / "o.json"), "--method", method]) == 2
+    assert capsys.readouterr().err == (
+        "error: ValueError: anchor coordinates must be below 1e+150 m in magnitude\n")
 
 
 def _bool_x(doc, index: int):

@@ -22,7 +22,6 @@ from microloc.evaluate import (
     PipelineStats,
     SpotReport,
     _distances,
-    _round12,
     _write_csv,
     accuracy,
     error_histogram,
@@ -34,6 +33,7 @@ from microloc.evaluate import (
     write_report,
     write_window_sweep,
 )
+from microloc.model import _round12
 from microloc.ranging import MAX_EXPONENT, MIN_EXPONENT, PathLossModel, rssi_to_distance
 from microloc.sim import SimConfig
 

@@ -1,5 +1,7 @@
 """What each command imports, and the lazy package's public surface.
 
+Every name a module imports is used in it (``from __future__`` aside).
+
 ``import microloc`` loads no submodule and not numpy; each submodule loads
 on first use. A command run through ``cli.main`` in a fresh interpreter
 loads the modules it runs and no other. The package resolves every name of
@@ -8,6 +10,7 @@ loads the modules it runs and no other. The package resolves every name of
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -138,3 +141,24 @@ def test_submodules_are_attributes_and_unknown_names_raise():
     with pytest.raises(AttributeError, match=r"^module 'microloc' has no attribute 'nope'$"):
         microloc.nope  # noqa: B018
     assert microloc.__version__ == "0.1.0"
+
+
+def _unused_imports(path: str) -> list[str]:
+    """The names an import in the module at path binds that no name in it reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # "import a.b" binds a
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_imported_name_is_used():
+    package = os.path.dirname(microloc.__file__)
+    unused = {name: _unused_imports(os.path.join(package, name))
+              for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    assert {name: names for name, names in unused.items() if names} == {}

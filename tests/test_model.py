@@ -656,7 +656,7 @@ DECODE_EDITS = {
 @pytest.mark.parametrize("edit", DECODE_EDITS)
 def test_csv_decode_error_names_the_offset_a_whole_decode_names(monkeypatch, tmp_path, edit):
     # a JSON trace too, read in windows of the default size and of 3
-    # characters: it raises TraceFormatError, naming the file
+    # characters: each raises TraceFormatError, naming the file
     trace = Trace([RssiSample(i, f"b{i % 3}", -60.0 - i % 7, -59.0, 37 + i % 3)
                    for i in range(12_000)])
     for format, chars in [("csv", model._JSON_CHARS), ("json", model._JSON_CHARS), ("json", 3)]:
@@ -673,12 +673,6 @@ def test_csv_decode_error_names_the_offset_a_whole_decode_names(monkeypatch, tmp
             fh.write(data)
         with pytest.raises(UnicodeDecodeError) as whole:
             data.decode("utf-8")
-        if format == "csv":
-            with pytest.raises(UnicodeDecodeError) as got:
-                load_trace(path)
-            assert type(got.value).__name__ == "UnicodeDecodeError"
-            assert str(got.value) == str(whole.value)
-        else:
-            with pytest.raises(TraceFormatError) as got:
-                load_trace(path, "json")
-            assert str(got.value) == f"{path}: {whole.value}"
+        with pytest.raises(TraceFormatError) as got:
+            load_trace(path, format)
+        assert str(got.value) == f"{path}: {whole.value}"

@@ -4,7 +4,8 @@ TDoA: bit-identity with a reference start loop that runs every start to its
 last iteration, the number of cost evaluations a stalling fix takes, and the
 rejection of a far-off fix. Fingerprinting: bit-identity of the per-beacon
 index search with a per-entry reference. The norm helpers: the bits of
-np.linalg.norm.
+np.linalg.norm. The solver bound: a value past it is refused before any
+arithmetic can overflow.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import warnings
 from typing import Mapping
 
 import numpy as np
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 from microloc import position
 from microloc.errors import ArityError, InvalidDistance, NoComparableEntries, NoConvergence
 from microloc.model import left_to_right_sum
-from microloc.position import (MISSING_RSSI_DBM, Anchor, Fingerprint, FingerprintDb, Method,
-                               PositionEstimate, db_to_json, fingerprint_locate, tdoa_locate)
+from microloc.position import (MISSING_RSSI_DBM, SOLVER_MAX_M, Anchor, Fingerprint, FingerprintDb,
+                               Method, PositionEstimate, db_to_json, fingerprint_locate,
+                               proximity_region, tdoa_locate, trilaterate)
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -304,3 +307,50 @@ def test_norms_of_points_have_the_bits_of_linalg_norm():
     with np.errstate(over="ignore"):
         assert position._row_norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
         assert [position._norm(v).hex() for v in d] == [float(np.linalg.norm(v)).hex() for v in d]
+
+
+# --- the solver bound ---
+
+SOLVERS = {"lateration": trilaterate, "tdoa": tdoa_locate, "proximity": proximity_region}
+
+
+@st.composite
+def past_the_bound(draw):
+    """(solver, anchor coordinates, values) with one coordinate, distance or
+    range difference SOLVER_MAX_M or more in magnitude, the rest moderate."""
+    solver = draw(st.sampled_from(sorted(SOLVERS)))
+    n = draw(st.integers(3, 6))
+    moderate = st.floats(-100.0, 100.0)
+    coords = [[draw(moderate), draw(moderate)] for _ in range(n)]
+    values = [abs(draw(moderate)) + 1.0 for _ in range(n - (solver == "tdoa"))]
+    huge = draw(st.floats(SOLVER_MAX_M, 1.7e308))
+    which = draw(st.integers(0, 2 * n + len(values) - 1))
+    if which < 2 * n:
+        coords[which // 2][which % 2] = draw(st.sampled_from([huge, -huge]))
+    else:  # distances are non-negative; a range difference may be either sign
+        values[which - 2 * n] = draw(st.sampled_from([huge, -huge])) if solver == "tdoa" else huge
+    return solver, coords, values
+
+
+@SETTINGS
+@given(past_the_bound())
+def test_a_value_past_the_solver_bound_is_refused_without_a_warning(case):
+    solver, coords, values = case
+    anchors = [A(x, y, f"a{i}") for i, (x, y) in enumerate(coords)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((InvalidDistance, ValueError), match=r" must be below 1e\+150 m in magnitude$"):
+            SOLVERS[solver](anchors, values)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_values_just_below_the_solver_bound_run_without_a_warning(solver):
+    big = np.nextafter(SOLVER_MAX_M, 0.0)
+    anchors = [A(0.0, 0.0), A(big, 0.0), A(0.0, -big), A(-big, big)]
+    values = [big] * (len(anchors) - (solver == "tdoa"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            SOLVERS[solver](anchors, values)
+        except NoConvergence:  # a fix may fail, but only in a documented way
+            pass
