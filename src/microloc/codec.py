@@ -39,13 +39,23 @@ temperature are the only special cases.
 Unknown leading bytes raise UnknownProtocol; an unknown Eddystone frame
 type does too. Wrong lengths raise FrameTooShort or FrameTooLong, and
 field-level violations raise MalformedFrame. decode never lets a raw
-struct.error or IndexError escape.
+struct.error or IndexError escape. A payload that is not bytes-like (bytes,
+bytearray, memoryview or another buffer) raises TypeError before anything
+is allocated.
+
+A beacon repeats the same advertisement at every interval, so decode keeps
+the frames of the last ``_DECODED_FRAMES`` distinct payloads, keyed by
+their bytes, and drops the least recently used. Errors are not kept: a bad
+payload raises its own error on every call. A kept frame is returned to
+every caller that decodes the same bytes; frames are frozen, so sharing
+one is safe.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import attrgetter
 from typing import ClassVar
 
@@ -294,14 +304,26 @@ def decode_url(data: bytes) -> str:
 
 _new_object = object.__new__
 
+# distinct payloads whose frames decode keeps: a scan window holds a few
+# dozen beacons at most, and each kept frame costs a few hundred bytes
+_DECODED_FRAMES = 256
+
 
 def decode(payload: bytes) -> BeaconFrame:
     """Decode an advertisement payload into the matching frame type.
 
     Dispatch is on the first two bytes: 4C 00 for iBeacon, BE AC for
-    AltBeacon, AA FE for Eddystone. Anything else is UnknownProtocol.
+    AltBeacon, AA FE for Eddystone. Anything else is UnknownProtocol. The
+    payload is any bytes-like object; anything else raises TypeError. The
+    frame of a recently decoded payload is returned again, not rebuilt.
     """
-    payload = bytes(payload)
+    if type(payload) is not bytes:  # memoryview raises TypeError naming any other type
+        payload = bytes(memoryview(payload))
+    return _decode(payload)
+
+
+@lru_cache(maxsize=_DECODED_FRAMES)
+def _decode(payload: bytes) -> BeaconFrame:
     n = len(payload)
     if n < 2:
         raise FrameTooShort(f"payload needs at least 2 bytes, got {n}")

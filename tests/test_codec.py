@@ -7,6 +7,8 @@ against itself.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,27 @@ def test_encode_rejects_non_frames_and_non_string_urls():
         encode(object())
     with pytest.raises(ValueError, match="url must be a string"):
         codec.encode_url(5)
+
+
+# an int was once taken as a length (decode(5) parsed five zero bytes, and
+# 2**40 asked for 1 TiB); a str, a list of ints, None and a float are not
+# payloads either
+@pytest.mark.parametrize("payload", [5, 2**40, 2**62, "4c00", [76, 0, 2, 21], None, 1.5])
+def test_decode_refuses_a_payload_that_is_not_bytes_like(payload):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TypeError, match=f"bytes-like object is required, not '{type(payload).__name__}'$"):
+            decode(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_decode_takes_any_bytes_like_payload():
+    payload = encode(IBeaconFrame(uuid=UUID16, major=1, minor=2, power=-50))
+    frame = decode(payload)
+    assert decode(bytearray(payload)) == frame
+    assert decode(memoryview(payload)) == frame
+    assert decode(memoryview(b"\x00" + payload)[1:]) == frame
+    assert decode(np.frombuffer(payload, dtype=np.uint8)) == frame

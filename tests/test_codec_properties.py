@@ -17,12 +17,14 @@ from microloc.codec import (
     IBEACON_PREFIX,
     URL_EXPANSIONS,
     URL_SCHEMES,
+    _DECODED_FRAMES,
     AltBeaconFrame,
     EddystoneEidFrame,
     EddystoneTlmFrame,
     EddystoneUidFrame,
     EddystoneUrlFrame,
     IBeaconFrame,
+    _decode,
     decode,
     encode,
     encode_url,
@@ -102,6 +104,30 @@ def test_decode_behind_every_known_lead(payload):
 @given(damaged_encodings())
 def test_decode_of_damaged_encodings(payload):
     _check_decode(payload)
+
+
+def _outcome(call, payload):
+    """The frame a call gives, or the class and message of what it raises."""
+    try:
+        return call(payload)
+    except MicrolocError as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(st.one_of(led_payloads, damaged_encodings()))
+def test_memoised_decode_gives_what_a_fresh_decode_gives(payload):
+    # the payload, again, in the other bytes-like types, then a payload that
+    # differs only in its last byte, each against a decode that keeps nothing
+    sibling = payload[:-1] + bytes([payload[-1] ^ 1]) if payload else b"\x00"
+    for p in (payload, payload, bytearray(payload), memoryview(payload), sibling, payload):
+        assert _outcome(decode, p) == _outcome(_decode.__wrapped__, bytes(p))
+
+
+def test_memo_keeps_at_most_its_bound():
+    for count in range(1000):  # distinct TLM advertisement counts
+        decode(encode(EddystoneTlmFrame(3000, 21.5, count, 60)))
+    assert 0 < _decode.cache_info().currsize <= _DECODED_FRAMES
 
 
 def _as_bytearray(frame):
