@@ -44,7 +44,8 @@ JSON::
 Reading and writing go _BLOCK_ROWS rows at a time, so that a load or save
 holds the trace's columns and one block, never the file's text.
 
-A file that is not UTF-8 raises TraceFormatError, in either format: its
+A byte that is not UTF-8 anywhere in a file is its first error, in either
+format, found by the pass that bounds its rows: TraceFormatError with its
 path, then the message ``bytes.decode`` gives for the whole file.
 
 Loading enforces that timestamps are non-decreasing per beacon in file
@@ -55,6 +56,7 @@ int64 limit.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import errno
 import io
@@ -576,7 +578,7 @@ def _filled_trace(fill: _ColumnFill, parsed: bool, metadata: dict[str, str], row
     order, where naming the row in messages. A row fails, in file order, by
     not parsing by parse_row or by holding a value a Trace rejects; only
     when every row is sound does a timestamp running backwards for its
-    beacon fail.
+    beacon fail. A row past fill's n says that the file grew after _count.
     """
     cols = fill.columns()
     backwards = _first_backwards(cols) if parsed else None
@@ -586,6 +588,8 @@ def _filled_trace(fill: _ColumnFill, parsed: bool, metadata: dict[str, str], row
         except ValueError:
             pass
     for i, (where, row) in enumerate(rows):
+        if i == len(fill.arrays[0]):
+            raise TraceFormatError(f"{where}: the file changed while it was read: more rows than counted")
         try:
             RssiSample(*parse_row(row))
         except (ValueError, OverflowError) as exc:
@@ -660,9 +664,24 @@ _JSON_CHARS = 1 << 16  # what a JSON trace's text is read in: a window a few hun
 
 
 def _count(path: str, count) -> int:
-    """count(chunk) summed over binary file path read _READ_BYTES at a time: a bound on its rows."""
+    """count(chunk) summed over binary file path read _READ_BYTES at a time: a bound on its rows.
+
+    Each chunk is decoded too, the one UTF-8 check of a trace file: a bad byte
+    raises TraceFormatError, the path, then what bytes.decode says of the file.
+    """
+    decode, rows = codecs.getincrementaldecoder("utf-8")().decode, 0
     with open(path, "rb") as fh:
-        return sum(map(count, iter(lambda: fh.read(_READ_BYTES), b"")))
+        try:
+            for chunk in chain(iter(lambda: fh.read(_READ_BYTES), b""), [b""]):
+                decode(chunk, not chunk)  # final at the empty chunk after the last
+                rows += count(chunk)
+        except UnicodeDecodeError as exc:  # in exc.object: bytes held back, then the chunk just read
+            start, last = (fh.tell() - len(exc.object) + i for i in (exc.start, exc.end - 1))
+            what = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if start == last
+                    else f"bytes in position {start}-{last}")
+            raise TraceFormatError(f"{path}: '{exc.encoding}' codec can't decode {what}: "
+                                   f"{exc.reason}") from None
+    return rows
 
 
 def _csv_blocks(fh, size: int):
@@ -685,18 +704,6 @@ def _csv_blocks(fh, size: int):
         raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def _decode_error(fh, exc: UnicodeDecodeError) -> TraceFormatError:
-    """exc, raised by a read of open text file fh, as a whole-file decode words it, after fh's path.
-
-    The read decoded exc.object: the bytes the decoder held back from the
-    read before, then the bytes just read, which end where fh.buffer is.
-    """
-    start = fh.buffer.tell() - len(exc.object) + exc.start
-    what = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if exc.end - exc.start == 1
-            else f"bytes in position {start}-{start + exc.end - exc.start - 1}")
-    return TraceFormatError(f"{fh.name}: '{exc.encoding}' codec can't decode {what}: {exc.reason}")
-
-
 def _csv_rows(path: str):
     """Each ("line N", row) of a CSV file, read again by csv.reader a row at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -707,9 +714,10 @@ def _csv_rows(path: str):
 def _load_csv(path: str) -> Trace:
     """A CSV trace read by csv.reader _BLOCK_ROWS rows at a time, or the TraceFormatError naming its line.
 
-    Errors come as in a whole-file read: the header, a csv.Error anywhere,
-    the sidecar, the first bad row (read again a row at a time, once the
-    columns fail), then a timestamp running backwards.
+    Errors come as in a whole-file read: a byte that is not UTF-8, the
+    header, a csv.Error anywhere, the sidecar, the first bad row (read
+    again a row at a time, once the columns fail), then a timestamp running
+    backwards.
     """
     # each row, the header's too, ends at a line end, as csv.reader ends
     # lines, or at the end of the file; a CRLF cut by a read counts twice
@@ -717,11 +725,8 @@ def _load_csv(path: str) -> Trace:
                                                    - chunk.count(b"\r\n"))))
     parsed = True
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            for _, rows in _csv_blocks(fh, _BLOCK_ROWS):
-                parsed = parsed and fill.add(_csv_fields(rows))  # read on: a later csv.Error wins
-        except UnicodeDecodeError as exc:
-            raise _decode_error(fh, exc) from None
+        for _, rows in _csv_blocks(fh, _BLOCK_ROWS):
+            parsed = parsed and fill.add(_csv_fields(rows))  # read on: a later csv.Error wins
     return _filled_trace(fill, parsed, _read_sidecar(path), _csv_rows(path), _csv_row)
 
 
@@ -817,12 +822,8 @@ class _JsonText:
     def error(self, msg: str, at: int | None = None) -> TraceFormatError:
         """json.load's error msg at text position at, placed in the file as JSONDecodeError places it.
 
-        The rest of the file is read first: json.load decodes a file whole
-        before it parses, so a byte that is not UTF-8 anywhere in it raises
-        UnicodeDecodeError instead.
+        Nothing more is read: _count has found any byte that is not UTF-8.
         """
-        while self.fh.read(_JSON_CHARS):
-            pass
         if at is not None:
             last = self.text.rfind("\n", 0, at)
             start = self.line_start if last < 0 else self.dropped + last + 1
@@ -887,8 +888,8 @@ def _streamed_json(path: str) -> Trace:
 
     The file is opened as json.load's is, so each value is json.load's and
     so is each error, in the order a whole-file read meets them: a byte
-    that is not UTF-8 anywhere in the file (TraceFormatError, its offset
-    taken from the read that failed), json's own error placed in the file,
+    that is not UTF-8 anywhere in the file (TraceFormatError, found by
+    _count before any value is parsed), json's own error placed in the file,
     then the top level (an array is read a block at a time, as "samples"
     is: 1.5 MiB at peak for 60,000 samples, 2.9 MiB as written), the last
     "samples" key and "metadata". Then _filled_trace gives the Trace, or
@@ -900,34 +901,31 @@ def _streamed_json(path: str) -> Trace:
     no_samples = samples = object()  # until a "samples" key is read
     metadata = {}
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = _JsonText(fh)
-            if doc.char() == "\ufeff" and doc.dropped + doc.pos == 0:
-                raise doc.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-            is_object = doc.char() == "{"
-            if not is_object:  # an array is read as "samples" is, then refused below
-                _json_samples(doc, 0) if doc.char() == "[" else doc.value()
-            else:
+        doc = _JsonText(fh)
+        if doc.char() == "\ufeff" and doc.dropped + doc.pos == 0:
+            raise doc.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        is_object = doc.char() == "{"
+        if not is_object:  # an array is read as "samples" is, then refused below
+            _json_samples(doc, 0) if doc.char() == "[" else doc.value()
+        else:
+            doc.pos += 1
+            end = doc.char()
+            if end == "}":
                 doc.pos += 1
-                end = doc.char()
-                if end == "}":
-                    doc.pos += 1
-                while end != "}":
-                    if doc.char() != '"':
-                        raise doc.error("Expecting property name enclosed in double quotes", doc.pos)
-                    key = doc.value()
-                    doc.take(":", "Expecting ':' delimiter")
-                    if key != "samples":
-                        value = doc.value()
-                        metadata = value if key == "metadata" else metadata
-                    else:
-                        samples = None  # the last "samples" key wins: drop what came before it
-                        samples = _json_samples(doc, n) if doc.char() == "[" else doc.value()
-                    end = doc.take(",}", "Expecting ',' delimiter")
-            if doc.char() != "":
-                raise doc.error("Extra data", doc.pos)
-        except UnicodeDecodeError as exc:
-            raise _decode_error(fh, exc) from None
+            while end != "}":
+                if doc.char() != '"':
+                    raise doc.error("Expecting property name enclosed in double quotes", doc.pos)
+                key = doc.value()
+                doc.take(":", "Expecting ':' delimiter")
+                if key != "samples":
+                    value = doc.value()
+                    metadata = value if key == "metadata" else metadata
+                else:
+                    samples = None  # the last "samples" key wins: drop what came before it
+                    samples = _json_samples(doc, n) if doc.char() == "[" else doc.value()
+                end = doc.take(",}", "Expecting ',' delimiter")
+        if doc.char() != "":
+            raise doc.error("Extra data", doc.pos)
     if not is_object or samples is no_samples:
         raise TraceFormatError("top level must be an object with a 'samples' array")
     if not isinstance(samples, tuple):  # json gives no tuple: samples is not an array
@@ -957,9 +955,10 @@ def load_trace(path: str, format: str = "csv") -> Trace:
     again a row at a time to name its first bad line. A JSON file names
     its first bad sample, or a timestamp running backwards, from those
     columns and the one block of samples they refused; its errors are
-    those json.load and the document checks give, in the same order. A
-    file that is not UTF-8, in either format, raises TraceFormatError with
-    the path and the message a whole-file decode gives.
+    those json.load and the document checks give, in the same order. In
+    either format, a byte that is not UTF-8 anywhere comes first: found by
+    the pass that bounds the rows, it raises TraceFormatError with the path
+    and the message a whole-file decode gives.
     """
     if format == "csv":
         return _load_csv(path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_trace
-from microloc import model
+from microloc import cli, model
 from microloc.errors import TraceFormatError
 from microloc.model import (
     CSV_HEADER,
@@ -676,3 +677,44 @@ def test_csv_decode_error_names_the_offset_a_whole_decode_names(monkeypatch, tmp
         with pytest.raises(TraceFormatError) as got:
             load_trace(path, format)
         assert str(got.value) == f"{path}: {whole.value}"
+
+
+# a CSV longer than the text layer's first read and than one binary read,
+# refused for its header or for a field over csv's limit, with a byte that
+# is not UTF-8 next to its end: the byte is its first error, as in a
+# whole-file read, at any file size
+_ROWS = "".join(f"{i},b{i % 3},-60.0000,,37\n" for i in range(14_000))
+CSV_REFUSED_HEADS = {
+    "bad-header": "timestamp_ms,beacon,rssi_dbm,tx_power_dbm,channel\n",
+    "field-over-the-limit": ",".join(CSV_HEADER) + '\n0,"' + "b" * (csv.field_size_limit() + 1)
+                            + '",-60.0000,,37\n',
+}
+
+
+@pytest.mark.parametrize("head", CSV_REFUSED_HEADS)
+def test_csv_byte_that_is_not_utf8_near_its_end_comes_first(tmp_path, head):
+    path = str(tmp_path / "t.csv")
+    data = (CSV_REFUSED_HEADS[head] + _ROWS).encode() + b"\xff\n"
+    assert len(data) > max(64 * 1024, model._READ_BYTES)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with pytest.raises(TraceFormatError) as got:
+        load_trace(path, "csv")
+    assert str(got.value) == f"{path}: {whole.value}"
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_trace_that_grows_after_its_rows_are_counted_exits_2(monkeypatch, tmp_path, capsys, format):
+    # a file still being appended to holds more rows when it is parsed than
+    # when its rows were bounded: 5 rows more than counted, refused as a
+    # TraceFormatError (exit 2), not an internal error
+    path = str(tmp_path / f"t.{format}")
+    save_trace(make_trace(3, n=50, beacons=("b0", "b1")), path, format)
+    count = model._count
+    monkeypatch.setattr(model, "_count", lambda path, rows: count(path, rows) - 5)
+    with pytest.raises(TraceFormatError, match="the file changed while it was read"):
+        load_trace(path, format)
+    assert cli.main(["filter", path, str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: TraceFormatError: ")
